@@ -16,7 +16,7 @@ sequence (pre-edge, path vertices, post-edge).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .geometry import (
@@ -308,22 +308,3 @@ def transform(path: DiscretePath, angle: float = 0.0,
         canonical=path.canonical,
     )
 
-
-def drop_zero_turns(path: DiscretePath, tol: float = TOL_ANG) -> DiscretePath:
-    """Remove internal vertices where the path goes straight.
-
-    Turns elsewhere and the point set are unchanged.  Note that merging two
-    collinear short pieces yields a single edge with its own length class
-    and turn-over-length constraint, so re-validate when that matters.
-    """
-    if len(path.vertices) <= 2:
-        return path
-    turns = vertex_turns(path)
-    kept = [path.vertices[0]]
-    for i in range(1, len(path.vertices) - 1):
-        if abs(turns[i]) > tol:
-            kept.append(path.vertices[i])
-    kept.append(path.vertices[-1])
-    if len(kept) == len(path.vertices):
-        return path
-    return replace(path, vertices=tuple(kept), canonical=False)

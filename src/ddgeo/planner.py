@@ -14,10 +14,16 @@ lengths solve a linear program with two closure equations).
 
 The true-type words B, A, AB, BA, AA, ABA and AAA over full-edge arcs solve
 position closure in closed form (chord geometry and two-link inverse
-kinematics) and minimize their leftover one- or two-parameter families over
-length by scanning plus local refinement.  ``_PARTIAL_SHAPES`` holds every
-other word over at most three arcs with one or two F edges.  Their F
-lengths solve position closure linearly, and their joints sit at a turn
+kinematics).  AB, BA and ABA leave a one- or two-parameter family of end
+turns, over which their bridge length is minimized exactly: the minimum
+sits where at most two turn bounds are active, and each such point has a
+tangent-style construction (``_aba_rows``, ``_ab_rows``), evaluated for all
+rows of a word in one vectorized pass.  The members of an AAA family all
+have one length, so a sample of it only looks for a feasible one.
+
+``_PARTIAL_SHAPES`` holds every other word over at most three arcs with one
+or two F edges.  Their F lengths solve position closure linearly, and their
+joints sit at a turn
 bound except one closed by the heading, or except two whose one-parameter
 family is solved in closed form (for its stationary points with two F
 edges, for the turns that close position with one).  Joints strictly inside
@@ -89,10 +95,22 @@ class CandidateSpec:
 
 @dataclass
 class CandidateDiag:
+    """One candidate row ``plan`` considered, with its outcome ``status``:
+
+    * ``solved``: its path validated; ``length`` is the path's length and
+      ``residual`` how far the built endpoint missed V before snapping;
+    * ``failed``: its shortest realization did not validate;
+    * ``infeasible``: no realization keeps every turn within theta (for the
+      partial-arc shapes, no row of a batch did; the batch's first row
+      stands for it);
+    * ``pruned``: its exact length exceeds the incumbent, so it was not
+      built.
+    """
+
     word: str                # true-type word, a partial-arc shape over {A, F}, or "(seed)"
     orientations: tuple[int, ...]
     ks: tuple[int, ...]
-    status: str              # solved | infeasible | failed
+    status: str
     length: float | None = None
     residual: float | None = None
 
@@ -103,7 +121,6 @@ class PlanResult:
     type_word: str
     length: float
     diagnostics: list[CandidateDiag] = field(default_factory=list)
-    residual_norm: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -261,148 +278,187 @@ def _solve_AA(inst: _Instance, sigmas, ks):
         yield (k1 + k2) * inst.params.ell, verts
 
 
-def _ab_geometry(inst: _Instance, sigma: int, k: int, phi_u):
-    """Arc-then-bridge quantities for an array of phi_u values."""
-    th = inst.params.theta
-    c = _chord(inst.params, k)
-    psi1 = inst.psi_u + phi_u
-    mid = psi1 + (k - 1) * sigma * th / 2.0
-    px = inst.U.point[0] + c * np.cos(mid)
-    py = inst.U.point[1] + c * np.sin(mid)
-    dx = inst.V.point[0] - px
-    dy = inst.V.point[1] - py
-    s = np.hypot(dx, dy)
-    psi_b = np.arctan2(dy, dx)
-    exit_dir = psi1 + (k - 1) * sigma * th
-    phi_j = _norm_arr(psi_b - exit_dir)
-    phi_v = _norm_arr(inst.psi_v - psi_b)
-    return s, psi1, psi_b, phi_j, phi_v
-
-
 def _norm_arr(a):
     return (a + math.pi) % TWO_PI - math.pi
 
 
-def _solve_AB(inst: _Instance, sigma: int, k: int, reverse: bool):
-    """AB when reverse is False, BA when True (solved on the reversed instance)."""
+# Arc-bridge rows, solved exactly.  With the arcs' orientations and edge
+# counts fixed, arc 1 ends at P = u + c1 e^{ia} and arc 2 starts at
+# Q = v - c2 e^{ib}, where a and b are the chord directions (complex
+# numbers stand for points), and the bridge is Q - P.  The unknowns are the
+# turns phi_u at u and phi_v at v, which move a and b, under four bounds:
+# |phi_u|, |phi_v| and the joint turns |j1| (arc 1 into the bridge) and |j2|
+# (bridge into arc 2) are at most theta.  The shortest bridge sits where at
+# most two bounds are active, and every such point has a construction:
+#   none active:      u, P, Q and v are collinear;
+#   phi_u (phi_v):    Q (P) nearest to or farthest from the fixed P (Q);
+#   j1 (j2):          Q (P) lies on line uv, and the chain of chord and
+#                     bridge at a fixed angle reaches it (a quadratic in s);
+#   two active:       the four corners, a ray from a fixed end point against
+#                     the other circle, or a fixed-angle chain (for j1 and
+#                     j2 together, the whole chord-bridge-chord chain turned
+#                     rigidly about u).
+# Evaluating all of these (72 per row; 12 for AB, the same problem in one
+# dimension) and keeping the feasible ones gives each row's exact minimum.
+
+def _reach(w, e, rho):
+    """Both real s with |w + s e| = rho (complex w, unit e), on a new last
+    axis.  Where there is none the double root of the nearest approach is
+    returned; candidates are always re-checked on the geometry they give."""
+    b = (w * np.conj(e)).real
+    r = np.sqrt(np.maximum(b * b - np.abs(w) ** 2 + rho ** 2, 0.0))
+    return np.stack([-b - r, -b + r], axis=-1)
+
+
+def _elbow(target, w, e):
+    """Angles t with target = e^{it} (w + s e) for the s of ``_reach``: a
+    chain w then s e, turned rigidly to reach a point."""
+    target, w, e = np.broadcast_arrays(target, w, e)
+    s = _reach(w, e, np.abs(target))
+    return np.angle(target)[..., None] - np.angle(w[..., None] + s * e[..., None])
+
+
+def _ray(origin, beta, center, radius):
+    """Points where rays from ``origin`` in direction ``beta`` (both ways)
+    meet the circle about ``center``."""
+    origin, beta = np.broadcast_arrays(origin, beta)
+    e = np.exp(1j * beta)
+    return origin[..., None] + _reach(origin - center, e, radius) * e[..., None]
+
+
+def _shortest(s, ok, *values):
+    """Per row, the shortest feasible candidate's s (inf if none) and values."""
+    s = np.where(ok, s, np.inf)
+    i = np.argmin(s, axis=1)[:, None]
+    return [np.take_along_axis(x, i, axis=1)[:, 0] for x in (s,) + values]
+
+
+def _row_arcs(params: Params, sigmas, ks):
+    """Chords and half sweeps of arcs with orientations ``sigmas`` and edge
+    counts ``ks``, as columns."""
+    th = params.theta
+    chord = params.ell * np.sin(ks * th / 2.0) / math.sin(th / 2.0)
+    return chord[:, None], ((ks - 1) * sigmas * th / 2.0)[:, None]
+
+
+def _aba_rows(inst: _Instance, sigmas, ks):
+    """Shortest arc-bridge-arc realization of each row of ``sigmas`` and
+    ``ks`` (rows x 2): the bridge length (inf where no realization keeps
+    every turn within theta), arc 1's first edge direction, the bridge
+    direction and arc 2's first edge direction.
+
+    Where the two arcs can meet, bridges shrinking toward the meeting point
+    may stay feasible: the infimum 0 is not attained, and the shortest
+    stationary bridge is returned.  A short bridge must turn by at most
+    theta across it, so such paths tend to AA paths, which ``_solve_AA``
+    finds exactly."""
+    th = inst.params.theta
+    (c1, h1), (c2, h2) = (_row_arcs(inst.params, sigmas[:, i], ks[:, i]) for i in (0, 1))
+    u, v = complex(*inst.U.point), complex(*inst.V.point)
+    a0, b0 = inst.psi_u + h1, inst.psi_v - h2  # chord directions at zero end turns
+    bound, flip = np.array([-th, th]), np.array([0.0, math.pi])
+    line = np.angle(v - u) + flip + np.zeros_like(c1)  # both ways along uv
+    a_end, b_end = a0 + bound, b0 + bound  # phi_u, phi_v at a bound
+    kap1, kap2 = h1 + bound, h2 + bound  # j1, j2 at a bound: beta = a + kap1 = b - kap2
+    p_end, q_end = u + c1 * np.exp(1j * a_end), v - c2 * np.exp(1j * b_end)
+    p_line, q_line = u + c1 * np.exp(1j * line), v - c2 * np.exp(1j * line)
+
+    def arc1_to(q, kappa):  # a with q - u = e^{ia} (c1 + s e^{i kappa})
+        return _elbow(q - u, c1[..., None], np.exp(1j * kappa))
+
+    def arc2_from(p, kappa):  # b with v - p = e^{ib} (c2 + s e^{-i kappa})
+        return _elbow(v - p, c2[..., None], np.exp(-1j * kappa))
+
+    beta = _elbow(v - u, (c1 * np.exp(-1j * kap1))[:, :, None]
+                  + (c2 * np.exp(1j * kap2))[:, None, :], 1.0 + 0j)
+    q_ray = _ray(p_end[:, :, None], a_end[:, :, None] + kap1[:, None, :], v, c2[..., None])
+    p_ray = _ray(q_end[:, :, None], b_end[:, :, None] - kap2[:, None, :], u, c1[..., None])
+    families = (  # (a, b) by active bounds
+        (line[:, :, None], line[:, None, :]),                               # none
+        (a_end[:, :, None], np.angle(p_end - v)[:, :, None] + flip),        # phi_u
+        (np.angle(q_end - u)[:, :, None] + flip, b_end[:, :, None]),        # phi_v
+        (arc1_to(q_line[:, :, None], kap1[:, None, :]), line[:, :, None, None]),   # j1
+        (line[:, :, None, None], arc2_from(p_line[:, :, None], kap2[:, None, :])),  # j2
+        (a_end[:, :, None], b_end[:, None, :]),                             # phi_u, phi_v
+        (a_end[:, :, None, None], np.angle(v - q_ray)),                     # phi_u, j1
+        (np.angle(p_ray - u), b_end[:, :, None, None]),                     # phi_v, j2
+        (a_end[:, :, None, None], arc2_from(p_end[:, :, None], kap2[:, None, :])),  # phi_u, j2
+        (arc1_to(q_end[:, :, None], kap1[:, None, :]), b_end[:, :, None, None]),    # phi_v, j1
+        (beta - kap1[:, :, None, None], beta + kap2[:, None, :, None]),     # j1, j2
+    )
+    pairs = [np.broadcast_arrays(x, y) for x, y in families]
+    a = np.concatenate([x.reshape(len(ks), -1) for x, _ in pairs], axis=1)
+    b = np.concatenate([y.reshape(len(ks), -1) for _, y in pairs], axis=1)
+    bridge = v - c2 * np.exp(1j * b) - u - c1 * np.exp(1j * a)
+    s, psi_b = np.abs(bridge), np.angle(bridge)
+    ok = s > 1e-12
+    for turn in (a - a0, b0 - b, psi_b - a - h1, b - h2 - psi_b):
+        ok &= np.abs(_norm_arr(turn)) <= th + 5e-10
+    return _shortest(s, ok, a - h1, psi_b, b - h2)
+
+
+def _ab_rows(inst: _Instance, sigmas, ks):
+    """Shortest arc-bridge realization of each row of ``sigmas`` and ``ks``
+    (rows,): the bridge length (inf where none keeps every turn within
+    theta), the arc's first edge direction and the bridge direction."""
+    th = inst.params.theta
+    c, h = _row_arcs(inst.params, sigmas, ks)
+    u, v = complex(*inst.U.point), complex(*inst.V.point)
+    a0 = inst.psi_u + h
+    bound = np.array([-th, th])
+    families = (  # a by active bound
+        np.angle(v - u) + np.array([0.0, math.pi]) + np.zeros_like(c),      # none
+        a0 + bound,                                                           # phi_u
+        _elbow(v - u, c[..., None], np.exp(1j * (h + bound))[:, None, :]),   # j1
+        np.angle(_ray(v, inst.psi_v + bound, u, c[..., None]) - u),          # phi_v
+    )
+    a = np.concatenate([x.reshape(len(ks), -1) for x in families], axis=1)
+    bridge = v - u - c * np.exp(1j * a)
+    s, psi_b = np.abs(bridge), np.angle(bridge)
+    ok = s > 1e-12
+    for turn in (a - a0, psi_b - a - h, inst.psi_v - psi_b):
+        ok &= np.abs(_norm_arr(turn)) <= th + 5e-10
+    return _shortest(s, ok, a - h, psi_b)
+
+
+def _solve_ABA(inst: _Instance, sigmas, ks):
+    """Lengths of the shortest ABA realizations of rows (sigmas, ks), inf
+    where none is feasible, and a function building a row's vertices."""
+    s, psi1, psi_b, psi2 = _aba_rows(inst, sigmas, ks)
+
+    def build(r: int) -> list[Point2]:
+        (s1, s2), (k1, k2) = sigmas[r].tolist(), ks[r].tolist()
+        return _build_elements(inst, [("arc", s1, k1, float(psi1[r])),
+                                      ("bridge", float(s[r]), float(psi_b[r])),
+                                      ("arc", s2, k2, float(psi2[r]))])
+
+    return ks.sum(axis=1) * inst.params.ell + s, build
+
+
+def _solve_AB(inst: _Instance, sigmas, ks, reverse: bool):
+    """AB when reverse is False, BA when True (solved on the reversed
+    instance), over rows (sigmas, ks) of one arc each, as ``_solve_ABA``."""
     work = inst if not reverse else _Instance(
         Configuration(inst.V.point, scale(inst.V.heading, -1.0)),
         Configuration(inst.U.point, scale(inst.U.heading, -1.0)),
         inst.params)
-    th = work.params.theta
-    grid = np.linspace(-th, th, 129)
-    s, psi1, psi_b, phi_j, phi_v = _ab_geometry(work, sigma, k, grid)
-    ok = (np.abs(phi_j) <= th + 5e-10) & (np.abs(phi_v) <= th + 5e-10) & (s > 1e-12)
-    if not ok.any():
-        return
-    idx = int(np.argmin(np.where(ok, s, np.inf)))
+    (sigma,), (k,) = sigmas.T, ks.T
+    s, psi1, psi_b = _ab_rows(work, sigma, k)
 
-    def objective(phi):
-        sv, _, _, pj, pv = _ab_geometry(work, sigma, k, np.array([phi]))
-        pen = max(0.0, abs(float(pj[0])) - th) + max(0.0, abs(float(pv[0])) - th)
-        return float(sv[0]) + 1e6 * pen
+    def build(r: int) -> list[Point2]:
+        verts = _build_elements(work, [("arc", int(sigma[r]), int(k[r]), float(psi1[r])),
+                                       ("bridge", float(s[r]), float(psi_b[r]))])
+        return [inst.U.point] + verts[::-1][1:] if reverse else verts
 
-    lo = grid[max(0, idx - 1)]
-    hi = grid[min(len(grid) - 1, idx + 1)]
-    phi = _golden(objective, lo, hi)
-    cands = [float(grid[idx]), phi]
-    for phi_u in cands:
-        sv, p1, pb, pj, pv = _ab_geometry(work, sigma, k, np.array([phi_u]))
-        if abs(float(pj[0])) > th + 5e-10 or abs(float(pv[0])) > th + 5e-10:
-            continue
-        verts = _build_elements(work, [
-            ("arc", sigma, k, float(p1[0])),
-            ("bridge", float(sv[0]), float(pb[0])),
-        ])
-        if reverse:
-            verts = verts[::-1]
-            verts = [inst.U.point] + verts[1:]
-        yield k * inst.params.ell + float(sv[0]), verts
+    return k * inst.params.ell + s, build
 
 
-def _golden(f, lo: float, hi: float, iters: int = 60) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
-def _aba_geometry(inst: _Instance, sigmas, ks, phi_u, phi_v):
-    """Vectorized bridge quantities on a (phi_u x phi_v) grid."""
-    th = inst.params.theta
-    (s1, s2), (k1, k2) = sigmas, ks
-    c1, c2 = _chord(inst.params, k1), _chord(inst.params, k2)
-    psi1 = inst.psi_u + phi_u[:, None]
-    mid1 = psi1 + (k1 - 1) * s1 * th / 2.0
-    px = inst.U.point[0] + c1 * np.cos(mid1)
-    py = inst.U.point[1] + c1 * np.sin(mid1)
-    psi2 = inst.psi_v - phi_v[None, :] - (k2 - 1) * s2 * th
-    mid2 = psi2 + (k2 - 1) * s2 * th / 2.0
-    qx = inst.V.point[0] - c2 * np.cos(mid2)
-    qy = inst.V.point[1] - c2 * np.sin(mid2)
-    dx, dy = qx - px, qy - py
-    s = np.hypot(dx, dy)
-    psi_b = np.arctan2(dy, dx)
-    exit1 = psi1 + (k1 - 1) * s1 * th
-    phi_j1 = _norm_arr(psi_b - exit1)
-    phi_j2 = _norm_arr(psi2 - psi_b)
-    return s, psi1, psi2, psi_b, phi_j1, phi_j2
-
-
-def _solve_ABA(inst: _Instance, sigmas, ks, length_cap: float = math.inf):
-    th = inst.params.theta
-    (k1, k2) = ks
-    arcs_len = (k1 + k2) * inst.params.ell
-    grid = np.linspace(-th, th, 33)
-    s, psi1, psi2, psi_b, pj1, pj2 = _aba_geometry(inst, sigmas, ks, grid, grid)
-    ok = (np.abs(pj1) <= th + 5e-10) & (np.abs(pj2) <= th + 5e-10) & (s > 1e-12)
-    if not ok.any():
-        return
-    masked = np.where(ok, s, np.inf)
-    i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-    points = [(float(grid[i]), float(grid[j]))]
-
-    # only refine combos whose scanned minimum can still beat the incumbent
-    c1, c2 = _chord(inst.params, k1), _chord(inst.params, k2)
-    margin = (c1 + c2 + inst.d) * (grid[1] - grid[0])
-    if arcs_len + float(masked[i, j]) <= length_cap + margin:
-        def objective(x):
-            pu = np.array([min(th, max(-th, x[0]))])
-            pv = np.array([min(th, max(-th, x[1]))])
-            sv, *_, j1, j2 = _aba_geometry(inst, sigmas, ks, pu, pv)
-            pen = max(0.0, abs(float(j1[0, 0])) - th) + max(0.0, abs(float(j2[0, 0])) - th)
-            return float(sv[0, 0]) + 1e6 * pen
-
-        from scipy.optimize import minimize
-        x0 = np.array([grid[i], grid[j]])
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-13, "fatol": 1e-14, "maxiter": 250})
-        if res.fun < float(masked[i, j]):
-            points.append((float(min(th, max(-th, res.x[0]))),
-                           float(min(th, max(-th, res.x[1])))))
-    for pu, pv in points:
-        sv, p1, p2, pb, j1, j2 = _aba_geometry(
-            inst, sigmas, ks, np.array([pu]), np.array([pv]))
-        if abs(float(j1[0, 0])) > th + 5e-10 or abs(float(j2[0, 0])) > th + 5e-10:
-            continue
-        s1, s2 = sigmas
-        verts = _build_elements(inst, [
-            ("arc", s1, k1, float(p1[0, 0])),
-            ("bridge", float(sv[0, 0]), float(pb[0, 0])),
-            ("arc", s2, k2, float(p2[0, 0])),
-        ])
-        yield (k1 + k2) * inst.params.ell + float(sv[0, 0]), verts
+# solvers of whole batches of rows, by word
+_ROW_SOLVERS = {
+    "AB": functools.partial(_solve_AB, reverse=False),
+    "BA": functools.partial(_solve_AB, reverse=True),
+    "ABA": _solve_ABA,
+}
 
 
 def _solve_AAA(inst: _Instance, sigmas, ks):
@@ -908,6 +964,29 @@ def plan(U: Configuration, V: Configuration, params: Params,
         if not got:
             diags.append(CandidateDiag(word, sigmas, ks, "infeasible"))
 
+    def push_rows(word, rows):
+        """Solve rows (sigmas then ks) of one word at once, then finish them
+        shortest first until one validates and every row tied with the
+        incumbent is finished."""
+        if not rows:
+            return
+        sigmas, ks = np.hsplit(np.array(rows), 2)
+        lengths, build = _ROW_SOLVERS[word](inst, sigmas, ks)
+        for r in np.argsort(lengths, kind="stable").tolist():
+            row = (word, tuple(sigmas[r].tolist()), tuple(ks[r].tolist()))
+            length = float(lengths[r])
+            if length == math.inf:
+                diags.append(CandidateDiag(*row, "infeasible"))
+            elif length > incumbent + 1e-9 * max(1.0, incumbent):
+                diags.append(CandidateDiag(*row, "pruned", length))
+            else:
+                verts = build(r)
+                path = inst.finish(verts)
+                if path is None:
+                    diags.append(CandidateDiag(*row, "failed", length))
+                else:
+                    record(*row, path, dist(verts[-1], V.point))
+
     seed = _dubins_seed(U, V, params)
     if seed is not None:
         length = path_length(seed)
@@ -945,17 +1024,15 @@ def plan(U: Configuration, V: Configuration, params: Params,
 
     # AB / BA (BA is solved on the reversed instance, whose heading
     # difference is -dpsi)
-    for word, rev in (("AB", False), ("BA", True)):
-        base = -dpsi if rev else dpsi
-        for sigma in (1, -1):
-            for k in _band_values(base, sigma, th, 3.0 * th, k_cap):
-                if k * params.ell > incumbent + params.tol_len:
-                    continue
-                push(word, (sigma,), (k,), _solve_AB(inst, sigma, k, rev))
+    for word, base in (("AB", dpsi), ("BA", -dpsi)):
+        push_rows(word, [(sigma, k) for sigma in (1, -1)
+                         for k in _band_values(base, sigma, th, 3.0 * th, k_cap)
+                         if k * params.ell <= incumbent + params.tol_len])
 
     # ABA
     guided = params.n_sides > 48
     guess = _smooth_guess(U, V, params) if guided else None
+    rows = []
     for s1 in (1, -1):
         for s2 in (1, -1):
             k1_range = (range(1, k_cap + 1) if not guided
@@ -971,11 +1048,9 @@ def plan(U: Configuration, V: Configuration, params: Params,
                 for k2 in k2s:
                     c1, c2 = _chord(params, k1), _chord(params, k2)
                     floor = (k1 + k2) * params.ell + max(0.0, inst.d - c1 - c2)
-                    if floor > incumbent + params.tol_len:
-                        continue
-                    push("ABA", (s1, s2), (k1, k2),
-                         _solve_ABA(inst, (s1, s2), (k1, k2),
-                                    incumbent + params.tol_len))
+                    if floor <= incumbent + params.tol_len:
+                        rows.append((s1, s2, k1, k2))
+    push_rows("ABA", rows)
 
     # AAA (only relevant for nearby configurations)
     if inst.d <= 4.5 * params.circumradius + 2.0 * params.ell:
@@ -1060,8 +1135,7 @@ def plan(U: Configuration, V: Configuration, params: Params,
     for length, path, word in itertools.chain(sorted(tied, key=tie_key), rest):
         if _is_true(word):
             return PlanResult(best=path, type_word=word, length=length,
-                              diagnostics=diags,
-                              residual_norm=0.0)
+                              diagnostics=diags)
         # untypeable or not true-type (e.g. the raw seed won): polish with
         # the rewriter
         polished, _trace = shorten(path, params, budget=4000)
@@ -1069,7 +1143,7 @@ def plan(U: Configuration, V: Configuration, params: Params,
         plen = path_length(polished)
         if plen <= length + tol and _is_true(pword):
             return PlanResult(best=polished, type_word=pword, length=plen,
-                              diagnostics=diags, residual_norm=0.0)
+                              diagnostics=diags)
     raise PlannerError("no candidate produced a true-type feasible path")
 
 
@@ -1151,13 +1225,14 @@ def solve_candidate(spec: CandidateSpec, U: Configuration, V: Configuration,
                     params: Params) -> DiscretePath | None:
     """Best feasible realization of one (word, orientations, ks) candidate."""
     inst = _Instance(U, V, params)
+    if spec.word in _ROW_SOLVERS:
+        lengths, build = _ROW_SOLVERS[spec.word](inst, np.array([spec.orientations]),
+                                                 np.array([spec.ks]))
+        return inst.finish(build(0)) if lengths[0] < math.inf else None
     gens = {
         "B": lambda: _solve_B(inst),
         "A": lambda: _solve_A(inst, spec.orientations[0], spec.ks[0]),
         "AA": lambda: _solve_AA(inst, spec.orientations, spec.ks),
-        "AB": lambda: _solve_AB(inst, spec.orientations[0], spec.ks[0], False),
-        "BA": lambda: _solve_AB(inst, spec.orientations[0], spec.ks[0], True),
-        "ABA": lambda: _solve_ABA(inst, spec.orientations, spec.ks),
         "AAA": lambda: _solve_AAA(inst, spec.orientations, spec.ks),
     }
     if spec.word not in gens:
@@ -1235,4 +1310,5 @@ def oracle_search(U: Configuration, V: Configuration, params: Params,
         ln = path_length(polished)
         if ln < best_len:
             best, best_len = polished, ln
-    return best
+    # the per-seed budget can stop short of a fixed point
+    return shorten(best, params)[0]

@@ -1,9 +1,24 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ddgeo.geometry import add, dist, from_angle, rotate, rotate_about, scale
+import ddgeo
+from ddgeo.geometry import (
+    add,
+    angle_of,
+    circle_circle_intersection,
+    dist,
+    from_angle,
+    rotate,
+    rotate_about,
+    scale,
+    sub,
+)
 from ddgeo.model import (
     Configuration,
     Params,
@@ -15,6 +30,9 @@ from ddgeo.model import (
 from ddgeo.planner import (
     _PARTIAL_SHAPES,
     CandidateSpec,
+    _ab_rows,
+    _aba_rows,
+    _band_values,
     _chord_gap,
     _closure_terms,
     _dubins_seed,
@@ -26,7 +44,7 @@ from ddgeo.planner import (
     plan,
     solve_candidate,
 )
-from ddgeo.rewrite import shorten
+from ddgeo.rewrite import find_applicable, shorten
 from ddgeo.smooth import discretize, dubins_solve
 from ddgeo.structure import find_forbidden_subtype, type_or_none, type_string
 
@@ -279,6 +297,7 @@ def test_zero_displacement_and_antiparallel_table(n, instance):
     assert validate(res.best, params) == []
     assert _true_word(res.type_word)
     orc = oracle_search(U, V, params, budget=1000, rng=2)
+    assert find_applicable(orc, params) is None
     lo = path_length(orc)
     assert res.length <= lo + 1e-6 * max(1.0, lo)
     fixed, trace = shorten(_dubins_seed(U, V, params), params)
@@ -376,3 +395,139 @@ def test_convergence_rows_straight_instance():
         assert r.plan_length == pytest.approx(10.0, abs=1e-9)
         assert r.discretized_length == pytest.approx(10.0, abs=1e-9)
         assert r.dubins_length == pytest.approx(10.0, abs=1e-9)
+
+
+def test_plan_does_not_import_scipy():
+    # a far instance at n = 16, on which plan solves ABA rows
+    code = """if True:
+        import json, math, sys
+        from ddgeo import Configuration, Params, plan
+        params = Params.from_sides(16, 2.0 * math.sin(math.pi / 16))
+        res = plan(Configuration.at_angle((0.0, 0.0), 0.0),
+                   Configuration.at_angle((7.0, 2.0), math.radians(40.0)), params)
+        print(json.dumps({"scipy": "scipy" in sys.modules,
+                          "aba_solved": sum(d.word == "ABA" and d.status == "solved"
+                                            for d in res.diagnostics)}))
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(ddgeo.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["aba_solved"] > 0
+    assert not out["scipy"]
+
+
+def _wrap(a):
+    return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _grid_bridge(inst, sigmas, ks, phi_u, phi_v):
+    """Reference: shortest feasible bridge over sampled end turns, with the
+    joint turns measured from the built chords (inf if none is feasible)."""
+    params = inst.params
+    th = params.theta
+    chords = [params.ell * math.sin(k * th / 2.0) / math.sin(th / 2.0) for k in ks]
+    sweeps = [(k - 1) * s * th for s, k in zip(sigmas, ks)]
+    psi1 = inst.psi_u + phi_u
+    px = inst.U.point[0] + chords[0] * np.cos(psi1 + sweeps[0] / 2.0)
+    py = inst.U.point[1] + chords[0] * np.sin(psi1 + sweeps[0] / 2.0)
+    ok = np.abs(phi_u) <= th
+    if len(ks) == 2:
+        psi2 = inst.psi_v - phi_v - sweeps[1]
+        qx = inst.V.point[0] - chords[1] * np.cos(psi2 + sweeps[1] / 2.0)
+        qy = inst.V.point[1] - chords[1] * np.sin(psi2 + sweeps[1] / 2.0)
+    else:
+        qx, qy = inst.V.point
+    s = np.hypot(qx - px, qy - py)
+    beta = np.arctan2(qy - py, qx - px)
+    ok = ok & (s > 1e-12) & (np.abs(_wrap(beta - psi1 - sweeps[0])) <= th)
+    if len(ks) == 2:
+        ok &= np.abs(_wrap(psi2 - beta)) <= th
+    else:
+        ok &= np.abs(_wrap(inst.psi_v - beta)) <= th
+    return float(np.where(ok, s, np.inf).min())
+
+
+def _arcs_meet(inst, sigmas, ks):
+    """Whether arc 1 can end where arc 2 starts with both end turns within
+    theta, which leaves an ABA row no shortest bridge (it tends to AA)."""
+    params = inst.params
+    th = params.theta
+    c1, c2 = (params.ell * math.sin(k * th / 2.0) / math.sin(th / 2.0) for k in ks)
+    h1, h2 = ((k - 1) * s * th / 2.0 for s, k in zip(sigmas, ks))
+    for x in circle_circle_intersection(inst.U.point, c1, inst.V.point, c2) or ():
+        phi_u = _wrap(angle_of(sub(x, inst.U.point)) - inst.psi_u - h1)
+        phi_v = _wrap(inst.psi_v - h2 - angle_of(sub(inst.V.point, x)))
+        if max(abs(phi_u), abs(phi_v)) <= th:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_arc_bridge_rows_beat_dense_search(n):
+    # the closed-form ABA / AB bridge is no longer than the best point of a
+    # dense grid (257 x 257 end turns) or line (4097 end turns), its turns
+    # are within theta and close on V, and its path validates when the
+    # bridge is long; some rows have their optimum on a joint bound.  Rows
+    # whose arcs can meet have no shortest bridge and are not compared.
+    params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+    th, ell = params.theta, params.ell
+    rng = np.random.default_rng(60 + n)
+    grid = np.linspace(-th, th, 257)
+    line = np.linspace(-th, th, 4097)
+    on_joint = feasible = 0
+    for _ in range(16):
+        U = Configuration.at_angle(tuple(rng.uniform(-1.0, 1.0, 2)),
+                                   float(rng.uniform(0.0, 2.0 * math.pi)))
+        bearing = float(rng.uniform(0.0, 2.0 * math.pi))
+        V = Configuration.at_angle(add(U.point, scale(from_angle(bearing),
+                                                      float(rng.uniform(0.5, 6.0)))),
+                                   float(rng.uniform(0.0, 2.0 * math.pi)))
+        inst = _Instance(U, V, params)
+        dpsi = inst.psi_v - inst.psi_u
+        rows = []
+        for _ in range(10):
+            s1, s2 = (int(x) for x in rng.choice([-1, 1], 2))
+            k1 = int(rng.integers(1, n))
+            k2s = _band_values(dpsi - s1 * (k1 - 1) * th, s2, th, 4.0 * th, n - 1)
+            rows.append((s1, s2, k1, int(rng.choice(k2s))))
+        rows = np.array(rows)
+        sigmas, ks = rows[:, :2], rows[:, 2:]
+        s, psi1, psi_b, psi2 = _aba_rows(inst, sigmas, ks)
+        ab_s, ab_psi1, ab_psi_b = _ab_rows(inst, sigmas[:, 0], ks[:, 0])
+        for r, (s1, s2, k1, k2) in enumerate(rows.tolist()):
+            if not _arcs_meet(inst, (s1, s2), (k1, k2)):
+                ref = _grid_bridge(inst, (s1, s2), (k1, k2), grid[:, None], grid[None, :])
+                assert s[r] <= ref + 1e-9 * ell
+            ab_ref = _grid_bridge(inst, (s1,), (k1,), line, None)
+            assert ab_s[r] <= ab_ref + 1e-9 * ell
+            if s[r] < math.inf:
+                feasible += 1
+                joints = (psi1[r] - inst.psi_u, psi_b[r] - psi1[r] - (k1 - 1) * s1 * th,
+                          psi2[r] - psi_b[r], inst.psi_v - psi2[r] - (k2 - 1) * s2 * th)
+                joints = tuple(float(_wrap(j)) for j in joints)
+                assert max(abs(j) for j in joints) <= th + 1e-9
+                on_joint += max(abs(joints[1]), abs(joints[2])) >= th - 1e-9
+                spec = CandidateSpec("ABA", (s1, s2), (k1, k2), phis=joints, s=float(s[r]))
+                _, miss = forward_construct(spec, U, V, params)
+                assert max(abs(x) for x in miss) <= 1e-9
+                if s[r] > ell * (1.0 + 1e-6):
+                    path = solve_candidate(CandidateSpec("ABA", (s1, s2), (k1, k2)),
+                                           U, V, params)
+                    assert path is not None and validate(path, params) == []
+            if ab_s[r] < math.inf:
+                joints = (ab_psi1[r] - inst.psi_u,
+                          ab_psi_b[r] - ab_psi1[r] - (k1 - 1) * s1 * th,
+                          inst.psi_v - ab_psi_b[r])
+                joints = tuple(float(_wrap(j)) for j in joints)
+                assert max(abs(j) for j in joints) <= th + 1e-9
+                spec = CandidateSpec("AB", (s1,), (k1,), phis=joints, s=float(ab_s[r]))
+                _, miss = forward_construct(spec, U, V, params)
+                assert max(abs(x) for x in miss) <= 1e-9
+                if ab_s[r] > ell * (1.0 + 1e-6):
+                    path = solve_candidate(CandidateSpec("AB", (s1,), (k1,)), U, V, params)
+                    assert path is not None and validate(path, params) == []
+    assert feasible >= 20 and on_joint >= 10
