@@ -14,12 +14,15 @@ lengths solve a linear program with two closure equations).
 
 The true-type words B, A, AB, BA, AA, ABA and AAA over full-edge arcs solve
 position closure in closed form (chord geometry and two-link inverse
-kinematics).  AB, BA and ABA leave a one- or two-parameter family of end
-turns, over which their bridge length is minimized exactly: the minimum
-sits where at most two turn bounds are active, and each such point has a
-tangent-style construction (``_aba_rows``, ``_ab_rows``), evaluated for all
-rows of a word in one vectorized pass.  The members of an AAA family all
-have one length, so a sample of it only looks for a feasible one.
+kinematics).  Each word has a batched row solver (``_ROW_SOLVERS``) that
+takes all rows of arc orientations and edge counts at once and returns the
+shortest realization of each.  AB, BA and ABA leave a one- or two-parameter
+family of end turns, over which their bridge length is minimized exactly:
+the minimum sits where at most two turn bounds are active, and each such
+point has a tangent-style construction (``_aba_rows``, ``_ab_rows``).  The
+members of an AAA family all have one length, so a sample of it only looks
+for a feasible one.  One enumerator (``_word_rows``) builds the rows of
+every word and every partial-arc shape from the heading band.
 
 ``_PARTIAL_SHAPES`` holds every other word over at most three arcs with one
 or two F edges.  Their F lengths solve position closure linearly, and their
@@ -30,9 +33,9 @@ edges, for the turns that close position with one).  Joints strictly inside
 their bounds beyond these are not searched.  F lengths that would leave a
 bridge where no true type has one are left out (``_f_caps``), and so are
 words over four or more arcs, whose types all carry the forbidden factor
-AAAA.  All families are pruned by the incumbent length: the arcs' edges,
-plus for the partial-arc shapes a lower bound on the length the F edges
-must cover (``_chord_gap``).
+AAAA.  All rows are pruned by the incumbent length: the arcs' edges plus a
+lower bound on the length the other edges must cover (what the chords
+leave of |UV|, or for the partial-arc shapes the finer ``_chord_gap``).
 
 A discretization of the smooth Dubins curve between the configurations is
 always included as a candidate, which makes the planned length at most the
@@ -126,9 +129,10 @@ class PlanResult:
 # ---------------------------------------------------------------------------
 # arc chord geometry
 
-def _chord(params: Params, k: int) -> float:
-    """Distance between the two endpoints of an arc of k ell-edges."""
-    return params.ell * math.sin(k * params.theta / 2.0) / math.sin(params.theta / 2.0)
+def _chord(params: Params, k):
+    """Distance between the two endpoints of an arc of k ell-edges (k may be
+    an array of counts)."""
+    return params.ell * np.sin(k * params.theta / 2.0) / math.sin(params.theta / 2.0)
 
 
 def _arc_points(p: Point2, psi1: float, sigma: int, k: int,
@@ -145,8 +149,16 @@ def _arc_points(p: Point2, psi1: float, sigma: int, k: int,
     return pts
 
 
-def _in_bounds(phi: float, theta: float, slack: float = 5e-10) -> bool:
-    return abs(phi) <= theta + slack
+def _norm_arr(a):
+    return (a + math.pi) % TWO_PI - math.pi
+
+
+def _turns_ok(theta: float, *turns):
+    """Mask of the solutions whose turns (arrays) all lie within theta."""
+    ok = True
+    for turn in turns:
+        ok = ok & (np.abs(_norm_arr(turn)) <= theta + 5e-10)
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +172,17 @@ class _Instance:
         self.w = sub(V.point, U.point)
         self.d = dist(U.point, V.point)
         self.snap_tol = 0.3 * params.tol_len
+
+    @functools.cached_property
+    def dubins(self):
+        """The smooth Dubins curve between U and V scaled to unit turning
+        radius (the circumradius), or None where it cannot be solved."""
+        r = self.params.circumradius
+        try:
+            return _smooth.dubins_solve(Configuration(scale(self.U.point, 1.0 / r), self.U.heading),
+                                        Configuration(scale(self.V.point, 1.0 / r), self.V.heading))
+        except Exception:
+            return None
 
     def finish(self, vertices: list[Point2]) -> DiscretePath | None:
         """Snap the built endpoint onto V, dedup, and validate."""
@@ -198,36 +221,57 @@ def _build_elements(inst: _Instance, elements) -> list[Point2]:
     return verts
 
 
+def _first_ok(n_rows: int, rows, ok):
+    """Per row, the index of its first solution with ``ok`` (solutions listed
+    by ascending ``rows``), and the mask of rows that have one."""
+    hit = np.flatnonzero(ok)
+    found, first = np.unique(rows[hit], return_index=True)
+    pick, has = np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=bool)
+    pick[found], has[found] = hit[first], True
+    return pick, has
+
+
+def _arcs_build(inst: _Instance, sigmas, ks, psis):
+    """Builder of rows of consecutive arcs with first edge directions
+    ``psis`` (rows x arcs)."""
+    def build(r: int) -> list[Point2]:
+        return _build_elements(inst, [("arc", s, k, p) for s, k, p in
+                                      zip(sigmas[r].tolist(), ks[r].tolist(),
+                                          psis[r].tolist())])
+    return build
+
+
 # ---------------------------------------------------------------------------
-# per-word solvers (exact position closure by construction)
+# per-word row solvers (exact position closure by construction)
 
-def _solve_B(inst: _Instance):
+# Every solver takes rows of arc orientations ``sigmas`` and edge counts
+# ``ks`` (rows x arcs) and returns each row's length (inf where no
+# realization keeps every turn within theta) and a function building a
+# row's vertices.
+
+def _solve_B(inst: _Instance, sigmas, ks):
+    """The segment from U to V, or U alone where they coincide (rows carry
+    no arcs)."""
     if inst.d <= inst.params.tol_dedup:
-        yield 0.0, [inst.U.point]
-        return
-    yield inst.d, [inst.U.point, inst.V.point]
+        return np.zeros(len(ks)), lambda r: [inst.U.point]
+    return np.full(len(ks), inst.d), lambda r: [inst.U.point, inst.V.point]
 
 
-def _solve_A(inst: _Instance, sigma: int, k: int):
+def _solve_A(inst: _Instance, sigmas, ks):
+    """One arc whose chord spans U to V, within the snap tolerance."""
     th = inst.params.theta
-    c = _chord(inst.params, k)
-    if abs(inst.d - c) > inst.snap_tol:
-        return
-    if inst.d <= inst.params.tol_dedup:
-        return
-    base = angle_of(inst.w)
-    psi1 = base - (k - 1) * sigma * th / 2.0
-    phi_u = normalize_angle(psi1 - inst.psi_u)
-    phi_v = normalize_angle(inst.psi_v - (psi1 + (k - 1) * sigma * th))
-    if not (_in_bounds(phi_u, th) and _in_bounds(phi_v, th)):
-        return
-    verts = [inst.U.point] + _arc_points(inst.U.point, psi1, sigma, k, inst.params)
-    yield k * inst.params.ell, verts
+    (sigma,), (k,) = sigmas.T, ks.T
+    psi1 = math.atan2(inst.w[1], inst.w[0]) - (k - 1) * sigma * th / 2.0
+    ok = (np.abs(inst.d - _chord(inst.params, k)) <= inst.snap_tol) & \
+        (inst.d > inst.params.tol_dedup)
+    ok &= _turns_ok(th, psi1 - inst.psi_u, inst.psi_v - psi1 - (k - 1) * sigma * th)
+    return np.where(ok, k * inst.params.ell, math.inf), \
+        _arcs_build(inst, sigmas, ks, psi1[:, None])
 
 
-def _two_link(wx, wy, c1: float, c2: float):
-    """Chord directions with c1*e^{i a1} + c2*e^{i a2} = w for an array of
-    displacements w = (wx, wy).
+def _two_link(wx, wy, c1, c2):
+    """Chord directions with c1*e^{i a1} + c2*e^{i a2} = w for arrays of
+    displacements w = (wx, wy) and chords c1, c2 (broadcast together).
 
     Returns (rows, a1, a2): per solution, the index of its displacement and
     the two chord directions, ordered by index.  For a zero displacement and
@@ -235,10 +279,10 @@ def _two_link(wx, wy, c1: float, c2: float):
     sample of that family is returned (all its members have equal length, so
     callers keep whichever is feasible).
     """
-    wx, wy = np.atleast_1d(wx), np.atleast_1d(wy)
+    wx, wy, c1, c2 = np.broadcast_arrays(*(np.atleast_1d(x) for x in (wx, wy, c1, c2)))
     d = np.hypot(wx, wy)
     tiny = d < 1e-12
-    reach = ~tiny & (d <= c1 + c2 + 1e-12) & (d >= abs(c1 - c2) - 1e-12)
+    reach = ~tiny & (d <= c1 + c2 + 1e-12) & (d >= np.abs(c1 - c2) - 1e-12)
     g = np.arccos(np.clip((c1 * c1 + d * d - c2 * c2) / (2.0 * c1 * np.where(tiny, 1.0, d)),
                           -1.0, 1.0))
     base = np.arctan2(wy, wx)
@@ -246,13 +290,13 @@ def _two_link(wx, wy, c1: float, c2: float):
     rows = np.repeat(np.arange(len(d)), 2)
     a1 = np.stack([base + g, base - g], axis=1).ravel()
     keep = np.repeat(reach, 2) & (np.tile([True, False], len(d)) | np.repeat(g > 1e-15, 2))
-    circle = np.flatnonzero(tiny & (abs(c1 - c2) <= 1e-12))
+    circle = np.flatnonzero(tiny & (np.abs(c1 - c2) <= 1e-12))
     if len(circle):
         sample = np.linspace(0.0, 2.0 * math.pi, 65, endpoint=False)
         rows = np.concatenate([rows, np.repeat(circle, len(sample))])
         a1 = np.concatenate([a1, np.tile(sample, len(circle))])
         keep = np.concatenate([keep, np.ones(len(circle) * len(sample), dtype=bool)])
-    rx, ry = wx[rows] - c1 * np.cos(a1), wy[rows] - c1 * np.sin(a1)
+    rx, ry = wx[rows] - c1[rows] * np.cos(a1), wy[rows] - c1[rows] * np.sin(a1)
     # a degenerate second chord is only valid if c2 is consumed exactly
     keep = np.flatnonzero(keep & (np.hypot(rx, ry) >= 1e-15))
     if len(circle):
@@ -261,25 +305,20 @@ def _two_link(wx, wy, c1: float, c2: float):
 
 
 def _solve_AA(inst: _Instance, sigmas, ks):
+    """Two arcs whose chords form a two-link chain from U to V
+    (``_two_link``); the first elbow branch that keeps every turn within
+    theta is kept (both have one length)."""
     th = inst.params.theta
-    (s1, s2), (k1, k2) = sigmas, ks
-    c1, c2 = _chord(inst.params, k1), _chord(inst.params, k2)
-    _, a1s, a2s = _two_link(inst.w[0], inst.w[1], c1, c2)
-    for a1, a2 in zip(a1s.tolist(), a2s.tolist()):
-        psi1 = a1 - (k1 - 1) * s1 * th / 2.0
-        psi2 = a2 - (k2 - 1) * s2 * th / 2.0
-        phi_u = normalize_angle(psi1 - inst.psi_u)
-        phi_j = normalize_angle(psi2 - (psi1 + (k1 - 1) * s1 * th))
-        phi_v = normalize_angle(inst.psi_v - (psi2 + (k2 - 1) * s2 * th))
-        if not (_in_bounds(phi_u, th) and _in_bounds(phi_j, th)
-                and _in_bounds(phi_v, th)):
-            continue
-        verts = _build_elements(inst, [("arc", s1, k1, psi1), ("arc", s2, k2, psi2)])
-        yield (k1 + k2) * inst.params.ell, verts
-
-
-def _norm_arr(a):
-    return (a + math.pi) % TWO_PI - math.pi
+    c, h = _chord(inst.params, ks), (ks - 1) * sigmas * th / 2.0
+    rows, a1, a2 = _two_link(inst.w[0], inst.w[1], c[:, 0], c[:, 1])
+    psi1, psi2 = a1 - h[rows, 0], a2 - h[rows, 1]
+    ok = _turns_ok(th, psi1 - inst.psi_u, psi2 - psi1 - 2.0 * h[rows, 0],
+                   inst.psi_v - psi2 - 2.0 * h[rows, 1])
+    pick, has = _first_ok(len(ks), rows, ok)
+    psis = np.zeros((len(ks), 2))
+    psis[has] = np.stack([psi1, psi2], axis=1)[pick[has]]
+    return np.where(has, ks.sum(axis=1) * inst.params.ell, math.inf), \
+        _arcs_build(inst, sigmas, ks, psis)
 
 
 # Arc-bridge rows, solved exactly.  With the arcs' orientations and edge
@@ -336,9 +375,7 @@ def _shortest(s, ok, *values):
 def _row_arcs(params: Params, sigmas, ks):
     """Chords and half sweeps of arcs with orientations ``sigmas`` and edge
     counts ``ks``, as columns."""
-    th = params.theta
-    chord = params.ell * np.sin(ks * th / 2.0) / math.sin(th / 2.0)
-    return chord[:, None], ((ks - 1) * sigmas * th / 2.0)[:, None]
+    return _chord(params, ks)[:, None], ((ks - 1) * sigmas * params.theta / 2.0)[:, None]
 
 
 def _aba_rows(inst: _Instance, sigmas, ks):
@@ -391,9 +428,7 @@ def _aba_rows(inst: _Instance, sigmas, ks):
     b = np.concatenate([y.reshape(len(ks), -1) for _, y in pairs], axis=1)
     bridge = v - c2 * np.exp(1j * b) - u - c1 * np.exp(1j * a)
     s, psi_b = np.abs(bridge), np.angle(bridge)
-    ok = s > 1e-12
-    for turn in (a - a0, b0 - b, psi_b - a - h1, b - h2 - psi_b):
-        ok &= np.abs(_norm_arr(turn)) <= th + 5e-10
+    ok = (s > 1e-12) & _turns_ok(th, a - a0, b0 - b, psi_b - a - h1, b - h2 - psi_b)
     return _shortest(s, ok, a - h1, psi_b, b - h2)
 
 
@@ -415,15 +450,12 @@ def _ab_rows(inst: _Instance, sigmas, ks):
     a = np.concatenate([x.reshape(len(ks), -1) for x in families], axis=1)
     bridge = v - u - c * np.exp(1j * a)
     s, psi_b = np.abs(bridge), np.angle(bridge)
-    ok = s > 1e-12
-    for turn in (a - a0, psi_b - a - h, inst.psi_v - psi_b):
-        ok &= np.abs(_norm_arr(turn)) <= th + 5e-10
+    ok = (s > 1e-12) & _turns_ok(th, a - a0, psi_b - a - h, inst.psi_v - psi_b)
     return _shortest(s, ok, a - h, psi_b)
 
 
 def _solve_ABA(inst: _Instance, sigmas, ks):
-    """Lengths of the shortest ABA realizations of rows (sigmas, ks), inf
-    where none is feasible, and a function building a row's vertices."""
+    """Arc, bridge, arc, with the shortest bridge of ``_aba_rows``."""
     s, psi1, psi_b, psi2 = _aba_rows(inst, sigmas, ks)
 
     def build(r: int) -> list[Point2]:
@@ -436,13 +468,16 @@ def _solve_ABA(inst: _Instance, sigmas, ks):
 
 
 def _solve_AB(inst: _Instance, sigmas, ks, reverse: bool):
-    """AB when reverse is False, BA when True (solved on the reversed
-    instance), over rows (sigmas, ks) of one arc each, as ``_solve_ABA``."""
+    """Arc then bridge (``_ab_rows``) when reverse is False; bridge then arc
+    when True, solved as AB on the reversed instance, where the arc turns
+    the other way."""
     work = inst if not reverse else _Instance(
         Configuration(inst.V.point, scale(inst.V.heading, -1.0)),
         Configuration(inst.U.point, scale(inst.U.heading, -1.0)),
         inst.params)
     (sigma,), (k,) = sigmas.T, ks.T
+    if reverse:
+        sigma = -sigma
     s, psi1, psi_b = _ab_rows(work, sigma, k)
 
     def build(r: int) -> list[Point2]:
@@ -453,42 +488,47 @@ def _solve_AB(inst: _Instance, sigmas, ks, reverse: bool):
     return k * inst.params.ell + s, build
 
 
-# solvers of whole batches of rows, by word
+def _solve_AAA(inst: _Instance, sigmas, ks):
+    """Three arcs: the first arc's start turn is sampled at 65 points over
+    [-theta, theta], and the other two chords close the chain to V
+    (``_two_link``).  All members of a row's family have one length, so the
+    first sample that keeps every turn within theta is kept.  Rows are
+    solved in chunks of ``_BATCH_ROWS`` samples."""
+    th = inst.params.theta
+    c, h = _chord(inst.params, ks), (ks - 1) * sigmas * th / 2.0
+    samples = np.linspace(-th, th, 65)
+    psis, has = np.zeros((len(ks), 3)), np.zeros(len(ks), dtype=bool)
+    # rows out of two-link reach for every first chord direction are skipped
+    live = np.flatnonzero((inst.d - c[:, 0] <= c[:, 1] + c[:, 2] + 1e-12)
+                          & (inst.d + c[:, 0] >= np.abs(c[:, 1] - c[:, 2]) - 1e-12))
+    per = _BATCH_ROWS // len(samples)
+    for chunk in (live[b0:b0 + per] for b0 in range(0, len(live), per)):
+        row = np.repeat(chunk, len(samples))
+        psi1 = inst.psi_u + np.tile(samples, len(chunk))
+        mid1 = psi1 + h[row, 0]
+        at, a2, a3 = _two_link(inst.w[0] - c[row, 0] * np.cos(mid1),
+                               inst.w[1] - c[row, 0] * np.sin(mid1), c[row, 1], c[row, 2])
+        row, psi1 = row[at], psi1[at]
+        psi2, psi3 = a2 - h[row, 1], a3 - h[row, 2]
+        ok = _turns_ok(th, psi2 - psi1 - 2.0 * h[row, 0], psi3 - psi2 - 2.0 * h[row, 1],
+                       inst.psi_v - psi3 - 2.0 * h[row, 2])
+        pick, got = _first_ok(len(chunk), at // len(samples), ok)
+        psis[chunk[got]] = np.stack([psi1, psi2, psi3], axis=1)[pick[got]]
+        has[chunk[got]] = True
+    return np.where(has, ks.sum(axis=1) * inst.params.ell, math.inf), \
+        _arcs_build(inst, sigmas, ks, psis)
+
+
+# the true-type words, in the order plan solves them
 _ROW_SOLVERS = {
+    "B": _solve_B,
+    "A": _solve_A,
+    "AA": _solve_AA,
     "AB": functools.partial(_solve_AB, reverse=False),
     "BA": functools.partial(_solve_AB, reverse=True),
     "ABA": _solve_ABA,
+    "AAA": _solve_AAA,
 }
-
-
-def _solve_AAA(inst: _Instance, sigmas, ks):
-    th = inst.params.theta
-    (s1, s2, s3), (k1, k2, k3) = sigmas, ks
-    c1, c2, c3 = (_chord(inst.params, k) for k in ks)
-    if inst.d - c1 > c2 + c3 + 1e-12 or inst.d + c1 < abs(c2 - c3) - 1e-12:
-        return  # out of two-link reach for every first chord direction
-    psi1 = inst.psi_u + np.linspace(-th, th, 65)
-    mid1 = psi1 + (k1 - 1) * s1 * th / 2.0
-    rows, a2, a3 = _two_link(inst.w[0] - c1 * np.cos(mid1),
-                             inst.w[1] - c1 * np.sin(mid1), c2, c3)
-    psi1 = psi1[rows]
-    psi2 = a2 - (k2 - 1) * s2 * th / 2.0
-    psi3 = a3 - (k3 - 1) * s3 * th / 2.0
-    ok = np.ones(len(rows), dtype=bool)
-    for phi in (psi2 - (psi1 + (k1 - 1) * s1 * th),
-                psi3 - (psi2 + (k2 - 1) * s2 * th),
-                inst.psi_v - (psi3 + (k3 - 1) * s3 * th)):
-        ok &= np.abs(_norm_arr(phi)) <= th + 5e-10
-    hit = np.flatnonzero(ok)
-    if not hit.size:
-        return
-    # all AAA solutions for these (sigmas, ks) have equal length
-    i = int(hit[0])
-    yield (k1 + k2 + k3) * inst.params.ell, _build_elements(inst, [
-        ("arc", s1, k1, float(psi1[i])),
-        ("arc", s2, k2, float(psi2[i])),
-        ("arc", s3, k3, float(psi3[i])),
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +610,7 @@ def _closure_terms(inst: _Instance, shape: str, sigmas, ks, joints, inside=None)
     ``inside`` (rows x tokens, or None for none), and the F token columns.
     """
     params = inst.params
-    th, ell = params.theta, params.ell
+    th = params.theta
     psi = inst.psi_u + np.cumsum(joints[:, :-1], axis=1)
     out_x = np.full(len(joints), float(inst.w[0]))
     out_y = np.full(len(joints), float(inst.w[1]))
@@ -583,7 +623,7 @@ def _closure_terms(inst: _Instance, shape: str, sigmas, ks, joints, inside=None)
             continue
         k, sweep = ks[:, arc_i], (ks[:, arc_i] - 1) * sigmas[:, arc_i] * th
         arc_i += 1
-        chord = ell * np.sin(k * th / 2.0) / math.sin(th / 2.0)
+        chord = _chord(params, k)
         cx = chord * np.cos(psi[:, t] + sweep / 2.0)
         cy = chord * np.sin(psi[:, t] + sweep / 2.0)
         m = False if inside is None else inside[:, t]
@@ -716,7 +756,7 @@ def _chord_gap(inst: _Instance, shape: str, sigmas, ks):
     th = inst.params.theta
     n = len(ks)
     ks = np.asarray(ks, dtype=float)
-    chords = inst.params.ell * np.sin(ks * th / 2.0) / math.sin(th / 2.0)
+    chords = _chord(inst.params, ks)
     half = (ks - 1) * sigmas * th / 2.0
     at = [t for t, letter in enumerate(shape) if letter == "A"]
     # the chord sum T in the frame of the first chord, and the joint turn
@@ -853,71 +893,95 @@ def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _band_values(target: float, sign: int, theta: float, slack: float,
-                 k_cap: int) -> list[int]:
-    """Edge counts k with sign*(k-1)*theta within slack of target (mod 2pi)."""
-    out = set()
-    for wind in (-2, -1, 0, 1, 2):
-        x = sign * (target + wind * TWO_PI) / theta
-        lo = math.floor(x - slack / theta) + 1
-        hi = math.ceil(x + slack / theta)
-        for km1 in range(max(0, lo - 1), hi + 1):
-            k = km1 + 1
+def _word_rows(n_arcs: int, dpsi: float, theta: float, slack: float, counts,
+               ccc: bool, ell: float, cap: float):
+    """Rows (sigmas, ks) of arc orientations and edge counts for a word over
+    ``n_arcs`` arcs, orientation-major and then lexicographic.
+
+    Every arc takes a count from ``counts``, and three arcs take only the CCC
+    orientations when ``ccc`` is set.  The arcs' own turning must lie within
+    ``slack`` of the heading change ``dpsi`` (mod 2 pi), so the last arc's
+    count is read from that heading band, not from the full product; the
+    arcs' edges must fit the length cap, sum(ks) * ell <= cap.  A one-edge
+    arc has no turn of its own, so it keeps one orientation.
+    """
+    def product(values, repeat):
+        rows = list(itertools.product(values, repeat=repeat))
+        return np.array(rows, dtype=int).reshape(len(rows), repeat)
+
+    orient = product((1, -1), n_arcs)
+    if ccc and n_arcs == 3:
+        orient = orient[(orient[:, 0] == -orient[:, 1]) & (orient[:, 1] == -orient[:, 2])]
+    if not n_arcs:
+        n = int(abs(_norm_arr(dpsi)) <= slack + 1e-9)
+        return orient[:n], np.zeros((n, 0), dtype=int)
+    head = product(counts, n_arcs - 1)
+    head = head[(head.sum(axis=1) + 1) * ell <= cap]
+    which = np.repeat(np.arange(len(orient)), len(head))
+    ks, first = np.tile(head, (len(orient), 1)), orient[which, :-1]
+    sigma = orient[which, -1:]
+    turned = ((ks - 1) * first).sum(axis=1)[:, None]  # in steps of theta
+    # the last arc turns sigma (k - 1) theta, within slack of what the
+    # earlier arcs leave of dpsi; a step beyond the band on each side covers
+    # the tolerance, and counts wrap mod n_sides
+    n_sides = round(TWO_PI / theta)
+    band = np.floor((sigma * (dpsi - turned * theta) - slack) / theta) + \
+        np.arange(-1, int(2.0 * slack / theta) + 3)
+    last = np.sort(band.astype(int) % n_sides + 1, axis=1)
+    allowed = np.zeros(n_sides + 1, dtype=bool)
+    allowed[list(counts)] = True
+    keep = allowed[last]
+    # a band wrapping the whole circle reads a count twice
+    keep[:, 1:] &= last[:, 1:] != last[:, :-1]
+    keep &= np.abs(_norm_arr(dpsi - (turned + sigma * (last - 1)) * theta)) <= slack + 1e-9
+    keep &= (ks.sum(axis=1)[:, None] + last) * ell <= cap
+    keep &= ~(np.any((ks == 1) & (first < 0), axis=1)[:, None] | ((last == 1) & (sigma < 0)))
+    r, c = np.nonzero(keep)
+    return orient[which[r]], np.column_stack([ks[r], last[r, c]])
+
+
+def _guided_range(guess, theta: float, k_cap: int) -> list[int]:
+    """Edge counts within a few steps of the smooth arc sweeps, plus the
+    small counts (used on fine grids, where full enumeration is wasteful)."""
+    if not guess:
+        return list(range(1, k_cap + 1))
+    ks = set(range(1, min(8, k_cap) + 1))
+    for o, sweep in guess:
+        if o == 0:
+            continue
+        center = int(sweep / theta)
+        for k in range(center - 4, center + 6):
             if 1 <= k <= k_cap:
-                out.add(k)
-    return sorted(out)
+                ks.add(k)
+    return sorted(ks)
 
 
-def _dubins_seed(U: Configuration, V: Configuration,
-                 params: Params) -> DiscretePath | None:
+def _dubins_seed(inst: _Instance) -> DiscretePath | None:
     """Scaled discretization of the smooth Dubins curve; always feasible
     (chords over arclength steps theta keep every constraint), so it both
     seeds the incumbent and guarantees the planned length never exceeds the
     discretized smooth length."""
-    r = params.circumradius
+    gamma, params = inst.dubins, inst.params
+    if gamma is None or gamma.length <= params.theta * (1.0 + 1e-9):
+        return None
     try:
-        Us = Configuration(scale(U.point, 1.0 / r), U.heading)
-        Vs = Configuration(scale(V.point, 1.0 / r), V.heading)
-        gamma = _smooth.dubins_solve(Us, Vs)
-        if gamma.length <= params.theta * (1.0 + 1e-9):
-            return None
         disc = _smooth.discretize(gamma, params.theta)
     except Exception:
         return None
-    verts = [scale(p, r) for p in disc.vertices]
-    verts[0] = U.point
-    verts[-1] = V.point
-    dedup = [verts[0]]
-    for p in verts[1:]:
-        if dist(dedup[-1], p) > 10.0 * params.tol_dedup:
-            dedup.append(p)
-    dedup[-1] = V.point
-    try:
-        path = DiscretePath(U, V, tuple(dedup))
-    except ValueError:
-        return None
-    if validate(path, params):
+    verts = [scale(p, params.circumradius) for p in disc.vertices]
+    verts[-1] = inst.V.point
+    path = inst.finish(verts)
+    if path is None:
         log.warning("dubins discretization seed failed validation; skipped")
-        return None
     return path
 
 
-def _smooth_guess(U: Configuration, V: Configuration, params: Params):
+def _smooth_guess(inst: _Instance):
     """Arc sweep estimates from the smooth solution, for guided enumeration."""
-    r = params.circumradius
-    try:
-        Us = Configuration(scale(U.point, 1.0 / r), U.heading)
-        Vs = Configuration(scale(V.point, 1.0 / r), V.heading)
-        gamma = _smooth.dubins_solve(Us, Vs)
-    except Exception:
+    if inst.dubins is None:
         return None
-    sweeps = []
-    for seg in gamma.segments:
-        if isinstance(seg, _smooth.ArcSeg):
-            sweeps.append((seg.orientation, seg.sweep))
-        else:
-            sweeps.append((0, seg.length))
-    return sweeps
+    return [(seg.orientation, seg.sweep) if isinstance(seg, _smooth.ArcSeg)
+            else (0, seg.length) for seg in inst.dubins.segments]
 
 
 def plan(U: Configuration, V: Configuration, params: Params,
@@ -937,10 +1001,14 @@ def plan(U: Configuration, V: Configuration, params: Params,
     validates and carries a true type.
     """
     inst = _Instance(U, V, params)
-    th = params.theta
+    th, ell, tol_len = params.theta, params.ell, params.tol_len
     k_cap = params.n_sides - 1
     if k_max is not None:
         k_cap = min(k_cap, k_max)
+    guided = params.n_sides > 48
+    counts = (_guided_range(_smooth_guess(inst), th, k_cap) if guided
+              else list(range(1, k_cap + 1)))
+    dpsi = normalize_angle(inst.psi_v - inst.psi_u)
     diags: list[CandidateDiag] = []
     found: list[tuple[float, DiscretePath, str]] = []
     incumbent = math.inf
@@ -952,25 +1020,12 @@ def plan(U: Configuration, V: Configuration, params: Params,
         diags.append(CandidateDiag(word, sigmas, ks, "solved", real, miss))
         incumbent = min(incumbent, real)
 
-    def push(word, sigmas, ks, gen):
-        got = False
-        for length, verts in gen:
-            path = inst.finish(verts)
-            if path is None:
-                diags.append(CandidateDiag(word, sigmas, ks, "failed", length))
-                continue
-            got = True
-            record(word, sigmas, ks, path, dist(verts[-1], V.point))
-        if not got:
-            diags.append(CandidateDiag(word, sigmas, ks, "infeasible"))
-
-    def push_rows(word, rows):
-        """Solve rows (sigmas then ks) of one word at once, then finish them
-        shortest first until one validates and every row tied with the
-        incumbent is finished."""
-        if not rows:
+    def push_rows(word, sigmas, ks):
+        """Solve rows of one word at once, then finish them shortest first
+        until one validates and every row tied with the incumbent is
+        finished."""
+        if not len(ks):
             return
-        sigmas, ks = np.hsplit(np.array(rows), 2)
         lengths, build = _ROW_SOLVERS[word](inst, sigmas, ks)
         for r in np.argsort(lengths, kind="stable").tolist():
             row = (word, tuple(sigmas[r].tolist()), tuple(ks[r].tolist()))
@@ -987,133 +1042,50 @@ def plan(U: Configuration, V: Configuration, params: Params,
                 else:
                     record(*row, path, dist(verts[-1], V.point))
 
-    seed = _dubins_seed(U, V, params)
+    seed = _dubins_seed(inst)
     if seed is not None:
         length = path_length(seed)
         incumbent = length
         found.append((length, seed, "(seed)"))
         diags.append(CandidateDiag("(seed)", (), (), "solved", length))
 
-    push("B", (), (), _solve_B(inst))
-
-    dpsi = normalize_angle(inst.psi_v - inst.psi_u)
-
-    # A
-    for sigma in (1, -1):
-        for k in _band_values(dpsi, sigma, th, 2.0 * th, k_cap):
-            if k * params.ell > incumbent + params.tol_len:
-                continue
-            push("A", (sigma,), (k,), _solve_A(inst, sigma, k))
-
-    # AA
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for k1 in range(1, k_cap + 1):
-                if k1 * params.ell > incumbent + params.tol_len:
-                    break
-                t1 = dpsi - s1 * (k1 - 1) * th
-                for k2 in _band_values(t1, s2, th, 3.0 * th, k_cap):
-                    if (k1 + k2) * params.ell > incumbent + params.tol_len:
-                        continue
-                    c1, c2 = _chord(params, k1), _chord(params, k2)
-                    if inst.d > c1 + c2 + inst.snap_tol:
-                        continue
-                    if inst.d < abs(c1 - c2) - inst.snap_tol:
-                        continue
-                    push("AA", (s1, s2), (k1, k2), _solve_AA(inst, (s1, s2), (k1, k2)))
-
-    # AB / BA (BA is solved on the reversed instance, whose heading
-    # difference is -dpsi)
-    for word, base in (("AB", dpsi), ("BA", -dpsi)):
-        push_rows(word, [(sigma, k) for sigma in (1, -1)
-                         for k in _band_values(base, sigma, th, 3.0 * th, k_cap)
-                         if k * params.ell <= incumbent + params.tol_len])
-
-    # ABA
-    guided = params.n_sides > 48
-    guess = _smooth_guess(U, V, params) if guided else None
-    rows = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            k1_range = (range(1, k_cap + 1) if not guided
-                        else _guided_range(guess, th, k_cap))
-            for k1 in k1_range:
-                if (k1 + 1) * params.ell > incumbent + params.tol_len:
-                    continue
-                t1 = dpsi - s1 * (k1 - 1) * th
-                k2s = _band_values(t1, s2, th, 4.0 * th, k_cap)
-                if guided:
-                    allowed = set(_guided_range(guess, th, k_cap))
-                    k2s = [k for k in k2s if k in allowed]
-                for k2 in k2s:
-                    c1, c2 = _chord(params, k1), _chord(params, k2)
-                    floor = (k1 + k2) * params.ell + max(0.0, inst.d - c1 - c2)
-                    if floor <= incumbent + params.tol_len:
-                        rows.append((s1, s2, k1, k2))
-    push_rows("ABA", rows)
-
-    # AAA (only relevant for nearby configurations)
-    if inst.d <= 4.5 * params.circumradius + 2.0 * params.ell:
-        sigma_triples = [(a, b, c) for a in (1, -1) for b in (1, -1)
-                         for c in (1, -1)]
-        for sigmas in sigma_triples:
-            s1, s2, s3 = sigmas
-            if guided and not (s1 == -s2 == s3):
-                continue  # fine grids: smooth-limit CCC shape only
-            k1_range = (range(1, k_cap + 1) if not guided
-                        else _guided_range(guess, th, k_cap))
-            for k1 in k1_range:
-                if (k1 + 2) * params.ell > incumbent + params.tol_len:
-                    continue
-                k2_range = (range(1, k_cap + 1) if not guided
-                            else _guided_range(guess, th, k_cap))
-                for k2 in k2_range:
-                    if (k1 + k2 + 1) * params.ell > incumbent + params.tol_len:
-                        continue
-                    t2 = dpsi - s1 * (k1 - 1) * th - s2 * (k2 - 1) * th
-                    for k3 in _band_values(t2, s3, th, 4.0 * th, k_cap):
-                        if (k1 + k2 + k3) * params.ell > incumbent + params.tol_len:
-                            continue
-                        push("AAA", sigmas, (k1, k2, k3),
-                             _solve_AAA(inst, sigmas, (k1, k2, k3)))
-
-    # arcs with partial end edges, pruned by the length floor (the arcs'
-    # edges plus what their chords leave of the displacement for the F
-    # edges) and, when no F may be a bridge, by the reach of chords and F caps
-    for shape in _PARTIAL_SHAPES:
-        n_arcs = shape.count("A")
-        f_reach = sum(_f_caps(shape, params.ell))
-        if inst.d > n_arcs * 2.0 * params.circumradius + f_reach + params.tol_len:
+    # Every word's rows come from the heading band, pruned by the length
+    # floor: the arcs' edges plus what their chords leave of the
+    # displacement for the other edges, which must reach V (a bridge
+    # reaches anywhere, F edges as far as ``_f_caps``).
+    for word in itertools.chain(_ROW_SOLVERS, _PARTIAL_SHAPES):
+        n_arcs = word.count("A")
+        reach = math.inf if "B" in word else sum(_f_caps(word, ell))
+        if inst.d > n_arcs * 2.0 * params.circumradius + reach + tol_len:
             continue  # out of reach for every edge count
-        patterns = _joint_patterns(shape, th)
+        sigmas, ks = _word_rows(n_arcs, dpsi, th, (len(word) + 1) * th, counts, guided,
+                                ell, incumbent + tol_len)
+        chords = _chord(params, ks).sum(axis=1)
+        near = inst.d <= chords + reach + tol_len
+        sigmas, ks, chords = sigmas[near], ks[near], chords[near]
+        if word in _ROW_SOLVERS:
+            floors = ks.sum(axis=1) * ell + np.maximum(0.0, inst.d - chords)
+            live = floors <= incumbent + tol_len
+            push_rows(word, sigmas[live], ks[live])
+            continue
+        # partial-arc shapes: a finer floor, and batches of joint rows
+        patterns = _joint_patterns(word, th)
         per_batch = max(1, _BATCH_ROWS // len(patterns.vals))
-        slack = (len(shape) + 1) * th
-        counts = [_guided_range(guess, th, k_cap) if guided
-                  else range(1, k_cap + 1)] * n_arcs
-        orientations = [o for o in itertools.product((1, -1), repeat=n_arcs)
-                        # fine grids: smooth-limit CCC shape only, like AAA
-                        if not (guided and n_arcs == 3 and not o[0] == -o[1] == o[2])]
-        sigmas, all_ks = _partial_ks(orientations, dpsi, th, slack, counts, params.ell,
-                                     incumbent + params.tol_len)
-        chords = params.ell * np.sin(all_ks * th / 2.0) / math.sin(th / 2.0)
-        near = inst.d <= chords.sum(axis=1) + f_reach + params.tol_len
-        sigmas, all_ks = sigmas[near], all_ks[near]
-        gap = _chord_gap(inst, shape, sigmas, all_ks)
-        floors = all_ks.sum(axis=1) * params.ell + gap
-        floors[gap > f_reach + params.tol_len] = math.inf
-        for b0 in range(0, len(all_ks), per_batch):
-            live = floors[b0:b0 + per_batch] <= incumbent + params.tol_len
+        gap = _chord_gap(inst, word, sigmas, ks)
+        floors = ks.sum(axis=1) * ell + gap
+        floors[gap > reach + tol_len] = math.inf
+        for b0 in range(0, len(ks), per_batch):
+            live = floors[b0:b0 + per_batch] <= incumbent + tol_len
             if not live.any():
                 continue
-            got = _solve_partial(inst, shape, sigmas[b0:b0 + per_batch][live],
-                                 all_ks[b0:b0 + per_batch][live], patterns,
-                                 incumbent + params.tol_len)
+            got = _solve_partial(inst, word, sigmas[b0:b0 + per_batch][live],
+                                 ks[b0:b0 + per_batch][live], patterns, incumbent + tol_len)
             if got is None:
                 first = b0 + int(np.argmax(live))
-                diags.append(CandidateDiag(shape, tuple(sigmas[first].tolist()),
-                                           tuple(all_ks[first].tolist()), "infeasible"))
+                diags.append(CandidateDiag(word, tuple(sigmas[first].tolist()),
+                                           tuple(ks[first].tolist()), "infeasible"))
             else:
-                record(shape, *got)
+                record(word, *got)
 
     if not found:
         raise PlannerError("no candidate solved; this instance needs investigation")
@@ -1149,40 +1121,6 @@ def plan(U: Configuration, V: Configuration, params: Params,
 
 def _is_true(word: str | None) -> bool:
     return word is not None and (word == "" or find_forbidden_subtype(word) is None)
-
-
-def _partial_ks(orientations, dpsi: float, theta: float, slack: float, counts,
-                ell: float, cap: float):
-    """Rows (sigmas, ks) of arc orientations and edge counts for a
-    partial-arc shape, orientation-major and then lexicographic: one count
-    per arc from ``counts``, the arcs' own turning within the joint slack of
-    the heading change (mod 2 pi), and the length floor sum(ks) * ell <= cap.
-    A one-edge arc has no turn of its own, so it keeps one orientation."""
-    n_arcs = len(counts)
-    ks = np.stack(np.meshgrid(*counts, indexing="ij"), axis=-1).reshape(-1, n_arcs)
-    ks = ks[ks.sum(axis=1) * ell <= cap]
-    sigmas = np.repeat(np.array(orientations).reshape(-1, n_arcs), len(ks), axis=0)
-    ks = np.tile(ks, (len(orientations), 1))
-    turned = ((ks - 1) * sigmas).sum(axis=1) * theta
-    keep = (np.abs(_norm_arr(dpsi - turned)) <= slack + 1e-9) & \
-        ~np.any((ks == 1) & (sigmas < 0), axis=1)
-    return sigmas[keep], ks[keep]
-
-
-def _guided_range(guess, theta: float, k_cap: int) -> list[int]:
-    """Edge counts within a few steps of the smooth arc sweeps, plus the
-    small counts (used on fine grids, where full enumeration is wasteful)."""
-    if not guess:
-        return list(range(1, k_cap + 1))
-    ks = set(range(1, min(8, k_cap) + 1))
-    for o, sweep in guess:
-        if o == 0:
-            continue
-        center = int(sweep / theta)
-        for k in range(center - 4, center + 6):
-            if 1 <= k <= k_cap:
-                ks.add(k)
-    return sorted(ks)
 
 
 # ---------------------------------------------------------------------------
@@ -1224,27 +1162,13 @@ def forward_construct(spec: CandidateSpec, U: Configuration, V: Configuration,
 def solve_candidate(spec: CandidateSpec, U: Configuration, V: Configuration,
                     params: Params) -> DiscretePath | None:
     """Best feasible realization of one (word, orientations, ks) candidate."""
-    inst = _Instance(U, V, params)
-    if spec.word in _ROW_SOLVERS:
-        lengths, build = _ROW_SOLVERS[spec.word](inst, np.array([spec.orientations]),
-                                                 np.array([spec.ks]))
-        return inst.finish(build(0)) if lengths[0] < math.inf else None
-    gens = {
-        "B": lambda: _solve_B(inst),
-        "A": lambda: _solve_A(inst, spec.orientations[0], spec.ks[0]),
-        "AA": lambda: _solve_AA(inst, spec.orientations, spec.ks),
-        "AAA": lambda: _solve_AAA(inst, spec.orientations, spec.ks),
-    }
-    if spec.word not in gens:
+    if spec.word not in _ROW_SOLVERS:
         raise ValueError(f"not a true type word: {spec.word!r}")
-    best = None
-    for _, verts in gens[spec.word]():
-        path = inst.finish(verts)
-        if path is None:
-            continue
-        if best is None or path_length(path) < path_length(best):
-            best = path
-    return best
+    inst = _Instance(U, V, params)
+    lengths, build = _ROW_SOLVERS[spec.word](
+        inst, np.array([spec.orientations], dtype=int).reshape(1, -1),
+        np.array([spec.ks], dtype=int).reshape(1, -1))
+    return inst.finish(build(0)) if lengths[0] < math.inf else None
 
 
 # ---------------------------------------------------------------------------

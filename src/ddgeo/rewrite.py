@@ -505,20 +505,14 @@ _LOCAL_RULES = [
 # ---------------------------------------------------------------------------
 # canonical structure context
 
-class _Struct:
+class _Struct(_Ctx):
     """Canonicalized path with its decomposition and free-site indices."""
 
     def __init__(self, cp: DiscretePath, params: Params):
-        self.cp = cp
+        super().__init__(cp, params)
         self.params = params
         self.st = structure_of(cp, params)
-        self.verts = list(cp.vertices)
-        self.lens = edge_lengths(cp)
-        self.classes = [classify_edge(ln, params) for ln in self.lens]
-        self.turns = vertex_turns(cp)
-        self.dirs = [unit(sub(self.verts[i + 1], self.verts[i]))
-                     for i in range(len(self.verts) - 1)]
-        self.infl = [j for j in range(len(self.lens)) if is_inflection(cp, j)]
+        self.infl_edges = [j for j, flag in enumerate(self.infl) if flag]
         self.longs = [j for j, c in enumerate(self.classes) if c is EdgeClass.LONG]
         self.bridges = []
         acc, spans = 0.0, []
@@ -637,9 +631,9 @@ def _block_slide_builder(sc: _Struct, src_edge: int, sink_edge: int, mode: str):
 def _pair_sites(sc: _Struct, kind: RuleKind):
     turns, dirs = sc.turns, sc.dirs
     if kind is RuleKind.TWO_INFLECTION_SLIDE:
-        for x in range(len(sc.infl)):
-            for y in range(x + 1, len(sc.infl)):
-                i, j = sc.infl[x], sc.infl[y]
+        for x in range(len(sc.infl_edges)):
+            for y in range(x + 1, len(sc.infl_edges)):
+                i, j = sc.infl_edges[x], sc.infl_edges[y]
                 if (turns[i] > 0) != (turns[j] > 0):
                     continue  # turns not similar
                 if abs(cross(dirs[i], dirs[j])) < 1e-12:
@@ -647,12 +641,12 @@ def _pair_sites(sc: _Struct, kind: RuleKind):
                 yield (i, j, "direct")
                 yield (j, i, "direct")
     elif kind is RuleKind.INFLECTION_SLIDE:
-        for i in sc.infl:
+        for i in sc.infl_edges:
             for b in sc.bridges:
                 if b != i:
                     yield (i, b, "direct")
     elif kind is RuleKind.LONG_BREAK_SLIDE:
-        for i in sc.infl:
+        for i in sc.infl_edges:
             for l in sc.longs:
                 if l == i:
                     continue
@@ -951,14 +945,14 @@ def _aaaa_attempt(sc: _Struct, params: Params, loc, allow_circ: bool = True):
     edges = _span_edges(sc, arcs[0].start_s, arcs[3].end_s)
     targets = [j for j in edges
                if j < len(sc.classes)
-               and (is_inflection(sc.cp, j) or sc.classes[j] is EdgeClass.LONG)]
+               and (sc.infl[j] or sc.classes[j] is EdgeClass.LONG)]
     if targets:
         for j in targets:
-            fwd = _trio_slide_any(sc.cp, params, j)
+            fwd = _trio_slide_any(sc.path, params, j)
             if fwd is not None:
                 return fwd[0], fwd[1], "trio"
-            rev_cp = reverse(sc.cp)
-            rj = len(sc.cp.vertices) - 2 - j
+            rev_cp = reverse(sc.path)
+            rj = len(sc.path.vertices) - 2 - j
             bwd = _trio_slide_any(rev_cp, params, rj)
             if bwd is not None:
                 return reverse(bwd[0]), bwd[1], "trio_rev"
@@ -983,7 +977,7 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
     verts = sc.verts
     w1, w2, w3, w4 = verts[p1], verts[p2], verts[p3], verts[p4]
     r12, r23 = dist(w1, w2), dist(w2, w3)
-    cp = sc.cp
+    cp = sc.path
     base_len = path_length(cp)
     base_type = len(sc.st.type_word)
 
@@ -1097,7 +1091,7 @@ def _find_shortening(path: DiscretePath, params: Params):
             if made is None:
                 continue
             builder, events = made
-            got = _attempt(sc.cp, params, builder, _pair_cap(sc, loc[0]),
+            got = _attempt(sc.path, params, builder, _pair_cap(sc, loc[0]),
                            events=events)
             if got is not None:
                 return got[0], kind, loc, got[1]
@@ -1106,7 +1100,7 @@ def _find_shortening(path: DiscretePath, params: Params):
         if make is None:
             continue
         for sign in (1.0, -1.0):
-            got = _attempt(sc.cp, params, make(sign), cap)
+            got = _attempt(sc.path, params, make(sign), cap)
             if got is not None:
                 return got[0], RuleKind.AAB_ELIM, loc + (sign,), got[1]
     return None
@@ -1171,7 +1165,7 @@ def apply(path: DiscretePath, rule: RewriteRule, location: tuple,
         if made is None:
             raise RuleNotApplicableError(f"{kind.value} at {location}")
         builder, events = made
-        got = _attempt(sc.cp, params, builder, _pair_cap(sc, location[0]),
+        got = _attempt(sc.path, params, builder, _pair_cap(sc, location[0]),
                        events=events)
         if got is None:
             raise RuleNotApplicableError(f"{kind.value} at {location}")
@@ -1182,7 +1176,7 @@ def apply(path: DiscretePath, rule: RewriteRule, location: tuple,
             raise RuleNotApplicableError(f"{kind.value} at {location}")
         signs = (location[2],) if len(location) > 2 else (1.0, -1.0)
         for sign in signs:
-            got = _attempt(sc.cp, params, make(sign), cap)
+            got = _attempt(sc.path, params, make(sign), cap)
             if got is not None:
                 return got[0]
         raise RuleNotApplicableError(f"{kind.value} at {location}")
@@ -1214,12 +1208,14 @@ def shorten(path: DiscretePath, params: Params, budget: int = 10_000,
         if got is None:
             return current, trace
         new_path, kind, loc, step = got
+        # each path is typed once: a move's type before is the last one's after
+        word = trace.entries[-1].type_after if trace.entries else type_or_none(current, params)
         trace.entries.append(TraceEntry(
             rule=RewriteRule(kind, step),
             location=loc,
             length_before=path_length(current),
             length_after=path_length(new_path),
-            type_before=type_or_none(current, params),
+            type_before=word,
             type_after=type_or_none(new_path, params),
         ))
         current = new_path

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -28,17 +29,19 @@ from ddgeo.model import (
     validate,
 )
 from ddgeo.planner import (
+    _BATCH_ROWS,
     _PARTIAL_SHAPES,
+    _ROW_SOLVERS,
     CandidateSpec,
     _ab_rows,
     _aba_rows,
-    _band_values,
     _chord_gap,
     _closure_terms,
     _dubins_seed,
     _f_caps,
     _family_coeffs,
     _Instance,
+    _word_rows,
     forward_construct,
     oracle_search,
     plan,
@@ -270,7 +273,7 @@ def test_uturn_n8_reaches_bridge_arc_bridge_optimum():
 
 
 def test_uturn_n8_seed_shortens_to_true_type():
-    fixed, trace = shorten(_dubins_seed(*U_TURN, P8), P8)
+    fixed, trace = shorten(_dubins_seed(_Instance(*U_TURN, P8)), P8)
     assert not trace.budget_exhausted
     assert _true_word(type_string(fixed, P8))
 
@@ -279,7 +282,7 @@ def test_plan_polishes_untypeable_seed():
     # with arcs capped at one edge the raw Dubins seed wins the sort; it is
     # outside the typing domain, so plan must send it to the rewriter
     params = Params.from_sides(16, 2.0 * math.sin(math.pi / 16))
-    seed = _dubins_seed(*LOOP, params)
+    seed = _dubins_seed(_Instance(*LOOP, params))
     assert type_or_none(seed, params) is None
     res = plan(*LOOP, params, k_max=1)
     assert validate(res.best, params) == []
@@ -300,7 +303,7 @@ def test_zero_displacement_and_antiparallel_table(n, instance):
     assert find_applicable(orc, params) is None
     lo = path_length(orc)
     assert res.length <= lo + 1e-6 * max(1.0, lo)
-    fixed, trace = shorten(_dubins_seed(U, V, params), params)
+    fixed, trace = shorten(_dubins_seed(_Instance(U, V, params)), params)
     assert not trace.budget_exhausted
     assert _true_word(type_string(fixed, params))
 
@@ -424,6 +427,20 @@ def _wrap(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _band_values(target, sign, theta, slack, k_cap):
+    """Edge counts k with sign*(k-1)*theta within slack of target (mod 2pi),
+    a step wider on each side: the rows the arc-bridge test draws from."""
+    out = set()
+    for wind in (-2, -1, 0, 1, 2):
+        x = sign * (target + wind * 2.0 * math.pi) / theta
+        lo = math.floor(x - slack / theta) + 1
+        hi = math.ceil(x + slack / theta)
+        for km1 in range(max(0, lo - 1), hi + 1):
+            if 1 <= km1 + 1 <= k_cap:
+                out.add(km1 + 1)
+    return sorted(out)
+
+
 def _grid_bridge(inst, sigmas, ks, phi_u, phi_v):
     """Reference: shortest feasible bridge over sampled end turns, with the
     joint turns measured from the built chords (inf if none is feasible)."""
@@ -531,3 +548,82 @@ def test_arc_bridge_rows_beat_dense_search(n):
                     path = solve_candidate(CandidateSpec("AB", (s1,), (k1,)), U, V, params)
                     assert path is not None and validate(path, params) == []
     assert feasible >= 20 and on_joint >= 10
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_word_rows_match_brute_force(n):
+    # the heading-band enumerator gives exactly the rows of a brute-force
+    # filter over the full product of orientations and counts, once each and
+    # in the same order (orientation-major, then lexicographic); at n = 4 the
+    # band of three arcs with slack 4 theta wraps the whole circle
+    th, ell = 2.0 * math.pi / n, 1.0
+    full = list(range(1, n))
+    rng = np.random.default_rng(70 + n)
+    rows = 0
+    for n_arcs in (0, 1, 2, 3):
+        for letters, guided in itertools.product(range(n_arcs, n_arcs + 3), (False, True)):
+            for _ in range(3):
+                dpsi = float(rng.uniform(-math.pi, math.pi))
+                counts = full if not guided else sorted(
+                    int(k) for k in rng.choice(full, max(2, n // 2), replace=False))
+                cap = math.inf if rng.random() < 0.5 else float(rng.uniform(1.0, 2.0 * n))
+                slack = (letters + 1) * th
+                sigmas, ks = _word_rows(n_arcs, dpsi, th, slack, counts, guided, ell, cap)
+                got = list(zip(map(tuple, sigmas.tolist()), map(tuple, ks.tolist())))
+                want = []
+                for o in itertools.product((1, -1), repeat=n_arcs):
+                    if guided and n_arcs == 3 and not o[0] == -o[1] == o[2]:
+                        continue
+                    for k in itertools.product(counts, repeat=n_arcs):
+                        turned = sum((a - 1) * b for a, b in zip(k, o)) * th
+                        if (abs(_wrap(dpsi - turned)) <= slack + 1e-9
+                                and not any(a == 1 and b < 0 for a, b in zip(k, o))
+                                and sum(k) * ell <= cap):
+                            want.append((o, k))
+                assert got == want
+                rows += len(got)
+    assert rows >= 500
+
+
+@pytest.mark.parametrize("word", list(_ROW_SOLVERS))
+def test_row_solvers_batch_matches_single_rows(word):
+    # every row of a batch gets the length a one-row call and solve_candidate
+    # give it; the AAA batch is longer than one chunk of _BATCH_ROWS samples
+    n = 16
+    params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+    th = params.theta
+    rng = np.random.default_rng(80)
+    instances = [U_TURN, LOOP, ANTIPARALLEL,
+                 (Configuration.at_angle((0.0, 0.0), 0.1),
+                  Configuration.at_angle((6.0, 1.0), math.atan2(1.0, 6.0)))]
+    U = Configuration.at_angle((0.0, 0.0), 0.0)
+    arc, _ = forward_construct(CandidateSpec("A", (1,), (5,), phis=(0.1, -0.2)), U, U, params)
+    instances.append((U, arc.end))
+    for d in (1.0, 2.5, 6.0):
+        bearing, h_u, h_v = rng.uniform(0.0, 2.0 * math.pi, 3)
+        instances.append((Configuration.at_angle((0.0, 0.0), float(h_u)),
+                          Configuration.at_angle((d * math.cos(bearing), d * math.sin(bearing)),
+                                                 float(h_v))))
+    longest = built = 0
+    for U, V in instances:
+        inst = _Instance(U, V, params)
+        dpsi = _wrap(inst.psi_v - inst.psi_u)
+        sigmas, ks = _word_rows(word.count("A"), dpsi, th, (len(word) + 1) * th,
+                                range(1, n), False, params.ell, math.inf)
+        lengths, _ = _ROW_SOLVERS[word](inst, sigmas, ks)
+        longest = max(longest, len(ks))
+        # one-row calls on a sample of the rows, spread over every chunk
+        for r in sorted(rng.choice(len(ks), min(len(ks), 60), replace=False).tolist()):
+            one, _ = _ROW_SOLVERS[word](inst, sigmas[r:r + 1], ks[r:r + 1])
+            assert one[0] == pytest.approx(lengths[r], rel=1e-12)
+            spec = CandidateSpec(word, tuple(sigmas[r].tolist()), tuple(ks[r].tolist()))
+            path = solve_candidate(spec, U, V, params)
+            if lengths[r] == math.inf:
+                assert path is None
+            elif path is not None:
+                assert path_length(path) == pytest.approx(lengths[r], rel=1e-9)
+                built += 1
+    assert built >= 1
+    if word == "AAA":
+        assert longest > _BATCH_ROWS // 65
+
