@@ -30,7 +30,6 @@ from .geometry import (
     rotate,
     scale,
     sub,
-    turn_angle,
 )
 
 TOL_ANG = 1e-9  # absolute tolerance on turn comparisons, radians
@@ -136,7 +135,7 @@ class DiscretePath:
     canonical: bool = False
 
     def __post_init__(self):
-        verts = tuple(tuple(p) for p in self.vertices)
+        verts = tuple(map(tuple, self.vertices))
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 1:
             raise ValueError("path needs at least one vertex")
@@ -154,8 +153,7 @@ class DiscretePath:
 
     def with_vertices(self, vertices, canonical: bool = False) -> "DiscretePath":
         """Same boundary configurations over a new vertex list (endpoints must agree)."""
-        verts = tuple(tuple(p) for p in vertices)
-        return DiscretePath(self.start, self.end, verts, canonical)
+        return DiscretePath(self.start, self.end, vertices, canonical)
 
 
 def classify_edge(length: float, params: Params) -> EdgeClass:
@@ -186,26 +184,50 @@ def augmented(path: DiscretePath, params: Params) -> list[Point2]:
     return [u_pre, *path.vertices, v_post]
 
 
+def _lengths_and_turns(path: DiscretePath, tol: float) -> tuple[list[float], list[float]]:
+    """Edge lengths and signed vertex turns in one walk over the path.
+
+    The turn at vertex i is ``atan2(cross, dot)`` of the raw edge vectors
+    into and out of it, with the start/end headings standing in for the
+    pre/post-edges.  Raises DegenerateGeometryError at the first edge whose
+    length is at most ``tol``.
+    """
+    v = path.vertices
+    ax, ay = path.start.heading
+    lengths: list[float] = []
+    turns: list[float] = []
+    atan2, hypot = math.atan2, math.hypot
+    px, py = v[0]
+    for i in range(1, len(v)):
+        qx, qy = v[i]
+        bx, by = qx - px, qy - py
+        ln = hypot(bx, by)
+        if ln <= tol:
+            raise DegenerateGeometryError(f"repeated vertex at index {i - 1}")
+        lengths.append(ln)
+        turns.append(atan2(ax * by - ay * bx, ax * bx + ay * by))
+        ax, ay, px, py = bx, by, qx, qy
+    bx, by = path.end.heading
+    turns.append(atan2(ax * by - ay * bx, ax * bx + ay * by))
+    return lengths, turns
+
+
 def vertex_turns(path: DiscretePath) -> list[float]:
     """Signed turn at every path vertex.
 
     The turn at the first vertex is measured from the start heading (the
     pre-edge direction) and the turn at the last vertex is measured onto the
     end heading.  For a single-vertex path this is the lone turn from the
-    start heading to the end heading.
+    start heading to the end heading.  Raises DegenerateGeometryError only
+    on an exactly repeated vertex.
     """
-    v = path.vertices
-    n = len(v)
-    if n == 1:
-        return [turn_angle(path.start.heading, path.end.heading)]
-    dirs = [path.start.heading]
-    for i in range(n - 1):
-        d = sub(v[i + 1], v[i])
-        if d == (0.0, 0.0):
-            raise DegenerateGeometryError(f"repeated vertex at index {i}")
-        dirs.append(d)
-    dirs.append(path.end.heading)
-    return [turn_angle(dirs[i], dirs[i + 1]) for i in range(n)]
+    return _lengths_and_turns(path, 0.0)[1]
+
+
+def turns_inflect(a: float, b: float) -> bool:
+    """True iff the turns at the two ends of an edge have opposite signs,
+    each beyond TOL_ANG (zero turns count as non-inflection)."""
+    return (a > TOL_ANG and b < -TOL_ANG) or (a < -TOL_ANG and b > TOL_ANG)
 
 
 def is_inflection(path: DiscretePath, edge_index: int) -> bool:
@@ -218,63 +240,66 @@ def is_inflection(path: DiscretePath, edge_index: int) -> bool:
     if not (0 <= edge_index < n_edges):
         raise IndexError(f"edge index {edge_index} out of range [0, {n_edges})")
     t = vertex_turns(path)
-    a, b = t[edge_index], t[edge_index + 1]
-    return (a > TOL_ANG and b < -TOL_ANG) or (a < -TOL_ANG and b > TOL_ANG)
+    return turns_inflect(t[edge_index], t[edge_index + 1])
+
+
+def measure(path: DiscretePath,
+            params: Params) -> tuple[list[float], list[float], list[Violation]]:
+    """Edge lengths, vertex turns and every constraint violation of the path.
+
+    The single source of the three constraints, checked on the pre/post-
+    augmented vertex sequence: the turn bound at every vertex, the
+    no-adjacent-short-edges rule, and turn-over-length for every short
+    non-inflection edge (the signed-turn sum at its two ends, which for a
+    non-inflection edge equals the exterior angle between the supporting
+    lines of its neighbors).  The pre/post-edges are normal by construction,
+    so only path edges can be short, and their neighbor turns always exist.
+
+    Raises DegenerateGeometryError for an edge of length at most
+    ``tol_dedup`` and, failing that, for the first non-finite edge length.
+    Violations are listed turn kinds first (by vertex), then LENGTH, then
+    TURN_OVER_LENGTH (by edge).
+    """
+    lengths, turns = _lengths_and_turns(path, params.tol_dedup)
+    theta, ell = params.theta, params.ell
+    bound = theta + TOL_ANG
+    violations: list[Violation] = []
+    last = len(turns) - 1
+    for i, t in enumerate(turns):
+        if abs(t) > bound:
+            kind = (ViolationKind.PRE_EDGE if i == 0 else
+                    ViolationKind.POST_EDGE if i == last else ViolationKind.TURN)
+            violations.append(Violation(kind, i, abs(t) - theta))
+
+    short_below = ell - params.tol_len  # classify_edge's SHORT bound
+    over: list[Violation] = []
+    prev_short = False
+    for j, ln in enumerate(lengths):
+        if not math.isfinite(ln):
+            raise DegenerateGeometryError(f"edge length must be positive, got {ln}")
+        if not ln < short_below:
+            prev_short = False
+            continue
+        if prev_short:
+            violations.append(Violation(ViolationKind.LENGTH, j - 1,
+                                        ell - max(lengths[j - 1], ln)))
+        prev_short = True
+        a, b = turns[j], turns[j + 1]
+        if turns_inflect(a, b):
+            continue
+        total = abs(a + b)
+        if total > bound:
+            over.append(Violation(ViolationKind.TURN_OVER_LENGTH, j, total - theta))
+    violations += over
+    return lengths, turns, violations
 
 
 def validate(path: DiscretePath, params: Params) -> list[Violation]:
     """All constraint violations of the path; an empty list means feasible.
 
-    Checks, on the pre/post-augmented vertex sequence: the turn bound at every
-    vertex, the no-adjacent-short-edges rule, and turn-over-length for every
-    short non-inflection edge (the signed-turn sum at its two ends, which for
-    a non-inflection edge equals the exterior angle between the supporting
-    lines of its neighbors).
+    See ``measure`` for the checks and the order of the list.
     """
-    v = path.vertices
-    lengths = edge_lengths(path)
-    for i, ln in enumerate(lengths):
-        if ln <= params.tol_dedup:
-            raise DegenerateGeometryError(f"repeated vertex at index {i}")
-
-    turns = vertex_turns(path)
-    violations: list[Violation] = []
-
-    for i, t in enumerate(turns):
-        if abs(t) > params.theta + TOL_ANG:
-            if i == 0:
-                kind = ViolationKind.PRE_EDGE
-            elif i == len(v) - 1:
-                kind = ViolationKind.POST_EDGE
-            else:
-                kind = ViolationKind.TURN
-            violations.append(Violation(kind, i, abs(t) - params.theta))
-
-    classes = [classify_edge(ln, params) for ln in lengths]
-    for j in range(len(classes) - 1):
-        if classes[j] is EdgeClass.SHORT and classes[j + 1] is EdgeClass.SHORT:
-            violations.append(Violation(
-                ViolationKind.LENGTH, j,
-                params.ell - max(lengths[j], lengths[j + 1])))
-
-    # Turn-over-length: the pre/post-edges are normal by construction, so
-    # only path edges can be short; their neighbor turns always exist in the
-    # augmented sequence.  Short inflection edges are exempt.
-    for j, cls in enumerate(classes):
-        if cls is not EdgeClass.SHORT:
-            continue
-        a, b = turns[j], turns[j + 1]
-        if (a > TOL_ANG and b < -TOL_ANG) or (a < -TOL_ANG and b > TOL_ANG):
-            continue
-        total = abs(a + b)
-        if total > params.theta + TOL_ANG:
-            violations.append(Violation(ViolationKind.TURN_OVER_LENGTH, j,
-                                        total - params.theta))
-    return violations
-
-
-def is_feasible(path: DiscretePath, params: Params) -> bool:
-    return not validate(path, params)
+    return measure(path, params)[2]
 
 
 def reverse(path: DiscretePath) -> DiscretePath:

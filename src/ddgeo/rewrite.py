@@ -60,10 +60,11 @@ from .model import (
     Params,
     classify_edge,
     edge_lengths,
-    is_inflection,
+    measure,
     path_length,
     reverse,
     transform,
+    turns_inflect,
     validate,
     vertex_turns,
 )
@@ -136,13 +137,10 @@ def _tidy(path: DiscretePath, params: Params) -> DiscretePath:
             if abs(turns[i]) > TOL_ANG:
                 continue
             verts = cur.vertices[:i] + cur.vertices[i + 1:]
-            try:
-                cand = cur.with_vertices(verts)
-                if validate(cand, params):
-                    continue
-            except ValueError:
+            got = _eval_step(cur, params, lambda _d: verts, 0.0)
+            if got is None:
                 continue
-            cur = cand
+            cur = got[0]
             changed = True
             break
     return cur
@@ -158,25 +156,27 @@ def _turn_cap(base_path: DiscretePath, params: Params) -> float:
 
 def _eval_step(base_path: DiscretePath, params: Params, builder, d: float,
                cap: float | None = None):
-    """Candidate path for one step, or None if infeasible.
+    """(candidate path, its length) for one step, or None if infeasible.
 
-    With ``cap`` the turn bound is tightened slightly below the validator's
-    tolerance, so that boundary-landed steps survive the float drift of
-    later re-derivations (canonicalization splits edges and recomputes the
-    same turns from different vectors).
+    One ``measure`` pass gives the violations, the turns for the cap and the
+    edge lengths.  With ``cap`` the turn bound is tightened slightly below
+    the validator's tolerance, so that boundary-landed steps survive the
+    float drift of later re-derivations (canonicalization splits edges and
+    recomputes the same turns from different vectors).
     """
     verts = builder(d)
     if verts is None:
         return None
     try:
         cand = base_path.with_vertices(verts)
-        if validate(cand, params):
-            return None
-        if cap is not None and any(abs(t) > cap for t in vertex_turns(cand)):
-            return None
+        lengths, turns, violations = measure(cand, params)
     except ValueError:
         return None
-    return cand
+    if violations:
+        return None
+    if cap is not None and any(abs(t) > cap for t in turns):
+        return None
+    return cand, sum(lengths)
 
 
 def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
@@ -194,20 +194,18 @@ def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
     base = path_length(base_path)
 
     if discrete:
-        cand = _eval_step(base_path, params, builder, d_max)
-        if cand is not None and path_length(cand) <= base - improve:
-            return _tidy(cand, params), d_max
+        got = _eval_step(base_path, params, builder, d_max)
+        if got is not None and got[1] <= base - improve:
+            return _tidy(got[0], params), d_max
         return None
 
     best = None  # (length, path, step)
     for d in events:
         if not (0.0 < d <= d_max * (1.0 + 1e-12)):
             continue
-        cand = _eval_step(base_path, params, builder, d)
-        if cand is not None:
-            ln = path_length(cand)
-            if best is None or ln < best[0]:
-                best = (ln, cand, d)
+        got = _eval_step(base_path, params, builder, d)
+        if got is not None and (best is None or got[1] < best[0]):
+            best = (got[1], got[0], d)
 
     if d_max <= 0.0:
         if best is not None and best[0] <= base - improve:
@@ -216,12 +214,12 @@ def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
     d_min = STEP_MIN_FRACTION * params.ell
 
     # find any feasible step by halving
-    d_feas, cand_feas = None, None
+    d_feas, feas = None, None
     d = d_max
     for _ in range(HALVINGS):
-        cand = _eval_step(base_path, params, builder, d)
-        if cand is not None:
-            d_feas, cand_feas = d, cand
+        got = _eval_step(base_path, params, builder, d)
+        if got is not None:
+            d_feas, feas = d, got
             break
         d *= 0.5
         if d < d_min:
@@ -231,7 +229,7 @@ def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
             return _tidy(best[1], params), best[2]
         return None
 
-    best_d, best_cand, best_len = d_feas, cand_feas, path_length(cand_feas)
+    best_d, (best_cand, best_len) = d_feas, feas
     if best is not None and best[0] < best_len:
         best_len, best_cand, best_d = best
 
@@ -254,18 +252,16 @@ def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
                 else:
                     hi = mid
         boundary = _eval_step(base_path, params, builder, lo, cap=cap)
-        if boundary is not None:
-            ln = path_length(boundary)
-            if ln < best_len:
-                best_d, best_cand, best_len = lo, boundary, ln
+        if boundary is not None and boundary[1] < best_len:
+            best_d, (best_cand, best_len) = lo, boundary
         upper = lo
     else:
         upper = d_max
 
     # golden search the interior for the best improving step
     def objective(d):
-        cand = _eval_step(base_path, params, builder, d)
-        return math.inf if cand is None else path_length(cand)
+        got = _eval_step(base_path, params, builder, d)
+        return math.inf if got is None else got[1]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 0.0, upper
@@ -282,11 +278,9 @@ def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
             c2 = a + invphi * (b - a)
             f2 = objective(c2)
     d_gold = 0.5 * (a + b)
-    cand = _eval_step(base_path, params, builder, d_gold)
-    if cand is not None:
-        ln = path_length(cand)
-        if ln < best_len:
-            best_d, best_cand, best_len = d_gold, cand, ln
+    got = _eval_step(base_path, params, builder, d_gold)
+    if got is not None and got[1] < best_len:
+        best_d, (best_cand, best_len) = d_gold, got
 
     if best_len <= base - improve:
         return _tidy(best_cand, params), best_d
@@ -318,7 +312,8 @@ class _Ctx:
         self.turns = vertex_turns(path)
         self.dirs = [unit(sub(self.verts[i + 1], self.verts[i]))
                      for i in range(len(self.verts) - 1)]
-        self.infl = [is_inflection(path, j) for j in range(len(self.lens))]
+        self.infl = [turns_inflect(self.turns[j], self.turns[j + 1])
+                     for j in range(len(self.lens))]
 
 
 def _collapse_sites(ctx: _Ctx, params: Params):
@@ -357,17 +352,14 @@ def _collapse_sites(ctx: _Ctx, params: Params):
 
 def _collapse_attempt(path: DiscretePath, params: Params, j: int):
     """Remove the near-flat vertex j+1; never lengthens, strictly flattens."""
-    verts = list(path.vertices)
-    out = verts[:j + 1] + verts[j + 2:]
-    try:
-        cand = path.with_vertices(out)
-        if validate(cand, params):
-            return None
-    except ValueError:
+    verts = path.vertices
+    got = _eval_step(path, params, lambda _d: verts[:j + 1] + verts[j + 2:], 0.0)
+    if got is None:
         return None
-    if path_length(cand) > path_length(path) + 1e-15 * max(1.0, path_length(path)):
+    base = path_length(path)
+    if got[1] > base + 1e-15 * max(1.0, base):
         return None
-    return _tidy(cand, params), abs(vertex_turns(path)[j + 1])
+    return _tidy(got[0], params), abs(vertex_turns(path)[j + 1])
 
 
 def _long_long_sites(ctx: _Ctx):
@@ -1003,20 +995,10 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
     cap = _turn_cap(cp, params)
 
     def feasible(eps):
-        vs = build(eps)
-        if vs is None:
+        got = _eval_step(cp, params, build, eps, cap=cap)
+        if got is None or abs(got[1] - base_len) > 1e-9 * max(1.0, base_len):
             return None
-        try:
-            cand = cp.with_vertices(vs)
-        except ValueError:
-            return None
-        if validate(cand, params):
-            return None
-        if any(abs(t) > cap for t in vertex_turns(cand)):
-            return None
-        if abs(path_length(cand) - base_len) > 1e-9 * max(1.0, base_len):
-            return None
-        return cand
+        return got[0]
 
     for sign in (1.0, -1.0):
         lo, hi = 0.0, None

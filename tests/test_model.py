@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ddgeo.geometry import (
     DegenerateGeometryError,
     add,
+    dist,
     from_angle,
     line_intersection,
     scale,
@@ -18,10 +20,12 @@ from ddgeo.model import (
     DiscretePath,
     EdgeClass,
     Params,
+    Violation,
     ViolationKind,
     augmented,
     classify_edge,
     is_inflection,
+    measure,
     path_length,
     reverse,
     validate,
@@ -262,3 +266,174 @@ def test_turn_over_length_matches_supporting_line_angle():
         ang_acb = abs(turn_angle(sub(a, c), sub(b, c)))
         supplement = math.pi - ang_acb
         assert supplement == pytest.approx(t_a + t_b, abs=1e-9)
+
+
+# -- the one-pass kernel against the helper-based validator it replaced ------
+
+def _old_edge_lengths(path):
+    v = path.vertices
+    return [dist(v[i], v[i + 1]) for i in range(len(v) - 1)]
+
+
+def _old_vertex_turns(path):
+    v = path.vertices
+    if len(v) == 1:
+        return [turn_angle(path.start.heading, path.end.heading)]
+    dirs = [path.start.heading]
+    for i in range(len(v) - 1):
+        d = sub(v[i + 1], v[i])
+        if d == (0.0, 0.0):
+            raise DegenerateGeometryError(f"repeated vertex at index {i}")
+        dirs.append(d)
+    dirs.append(path.end.heading)
+    return [turn_angle(dirs[i], dirs[i + 1]) for i in range(len(v))]
+
+
+def _old_validate(path, params):
+    v = path.vertices
+    lengths = _old_edge_lengths(path)
+    for i, ln in enumerate(lengths):
+        if ln <= params.tol_dedup:
+            raise DegenerateGeometryError(f"repeated vertex at index {i}")
+    turns = _old_vertex_turns(path)
+    violations = []
+    for i, t in enumerate(turns):
+        if abs(t) > params.theta + 1e-9:
+            if i == 0:
+                kind = ViolationKind.PRE_EDGE
+            elif i == len(v) - 1:
+                kind = ViolationKind.POST_EDGE
+            else:
+                kind = ViolationKind.TURN
+            violations.append(Violation(kind, i, abs(t) - params.theta))
+    classes = [classify_edge(ln, params) for ln in lengths]
+    for j in range(len(classes) - 1):
+        if classes[j] is EdgeClass.SHORT and classes[j + 1] is EdgeClass.SHORT:
+            violations.append(Violation(ViolationKind.LENGTH, j,
+                                        params.ell - max(lengths[j], lengths[j + 1])))
+    for j, cls in enumerate(classes):
+        if cls is not EdgeClass.SHORT:
+            continue
+        a, b = turns[j], turns[j + 1]
+        if (a > 1e-9 and b < -1e-9) or (a < -1e-9 and b > 1e-9):
+            continue
+        total = abs(a + b)
+        if total > params.theta + 1e-9:
+            violations.append(Violation(ViolationKind.TURN_OVER_LENGTH, j,
+                                        total - params.theta))
+    return violations
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DegenerateGeometryError as exc:
+        return ("DegenerateGeometryError", str(exc))
+
+
+def _same(a, b) -> bool:
+    """Exact equality; NaN turns (non-finite coordinates) compare by repr,
+    which round-trips every float exactly."""
+    return a == b or repr(a) == repr(b)
+
+
+def _kernel_path(n_sides, ell, heading, edges, end_turn, corrupt=()):
+    """Path from the start heading through (turn before, length) edges and a
+    final turn onto the end heading.  Each (mode, index) of ``corrupt`` then
+    repeats that vertex ("repeat"), inserts a copy a hair away from it
+    ("near"), or sets its x to NaN or inf (interior vertices only)."""
+    params = Params.from_sides(n_sides, ell)
+    ang, verts = heading, [(0.3, -0.7)]
+    for t, ln in edges:
+        ang += t
+        verts.append(add(verts[-1], scale(from_angle(ang), ln)))
+    for mode, at in corrupt:
+        at = min(at, len(verts) - 1)
+        if mode == "repeat":
+            verts.insert(at, verts[at])
+        elif mode == "near":
+            verts.insert(at, (verts[at][0] + 1e-13 * ell, verts[at][1]))
+        elif 0 < at < len(verts) - 1:
+            verts[at] = (float(mode), verts[at][1])
+    path = DiscretePath.from_vertices(verts, from_angle(heading),
+                                      from_angle(ang + end_turn))
+    return path, params
+
+
+@st.composite
+def _kernel_cases(draw):
+    n_sides = draw(st.sampled_from([4, 6, 8, 16]))
+    ell = draw(st.sampled_from([1.0, 0.37]))
+    th = 2.0 * math.pi / n_sides
+    turn = st.one_of(
+        st.sampled_from([0.0, th, -th, th + 2e-9, -th - 5e-10, 1e-10]),
+        st.floats(-1.6 * th, 1.6 * th))
+    short_below = ell - 1e-9 * ell  # the SHORT bound, and one ulp under it
+    length = st.one_of(
+        st.sampled_from([ell, short_below, math.nextafter(short_below, 0.0),
+                         ell + 5e-10 * ell]),
+        st.floats(0.2, 0.99).map(lambda f: f * ell),
+        st.floats(1.01, 3.0).map(lambda f: f * ell))
+    edges = draw(st.lists(st.tuples(turn, length), max_size=7))
+    heading = draw(st.floats(-math.pi, math.pi))
+    corrupt = draw(st.lists(st.tuples(
+        st.sampled_from(["repeat", "near", "nan", "inf"]), st.integers(0, 7)), max_size=2))
+    return _kernel_path(n_sides, ell, heading, edges, draw(turn), corrupt)
+
+
+K = ViolationKind
+# name -> (_kernel_path arguments, the violation kinds or the error expected)
+_KERNEL_EXAMPLES = {
+    "single_vertex": ((8, 1.0, 0.4, [], 0.5), set()),
+    "single_vertex_pre_edge": ((8, 1.0, 0.4, [], 2.0), {K.PRE_EDGE}),
+    "short_short": ((8, 1.0, 0.0, [(0.0, 1.0), (0.1, 0.5), (0.2, 0.6), (0.0, 1.0)], 0.0),
+                    {K.LENGTH}),
+    "turn_over_length": ((8, 1.0, 1.0, [(0.0, 1.0), (0.6, 0.5), (0.6, 1.0)], 0.0),
+                         {K.TURN_OVER_LENGTH}),
+    "short_inflection": ((8, 1.0, 1.0, [(0.0, 1.0), (0.7, 0.5), (-0.7, 1.0)], 0.0), set()),
+    "pre_and_post_edge": ((6, 0.37, -2.0, [(1.2, 0.5), (0.3, 0.8)], -1.3),
+                          {K.PRE_EDGE, K.POST_EDGE}),
+    "repeated_vertex": ((8, 1.0, 0.0, [(0.0, 1.0), (0.1, 1.0)], 0.0, [("repeat", 1)]),
+                        "repeated vertex at index 1"),
+    "near_repeat": ((8, 1.0, 0.0, [(0.0, 1.0), (0.1, 1.0)], 0.0, [("near", 1)]),
+                    "repeated vertex at index 1"),
+    "nan_coordinate": ((8, 1.0, 0.0, [(0.0, 1.0), (0.1, 1.0)], 0.0, [("nan", 1)]),
+                       "edge length must be positive, got nan"),
+    "inf_coordinate": ((16, 1.0, 0.0, [(0.0, 0.5), (0.1, 1.0), (0.0, 0.6)], 0.0,
+                        [("inf", 2)]), "edge length must be positive, got inf"),
+    # a repeat is reported before an earlier non-finite edge
+    "nan_then_repeat": ((8, 1.0, 0.0, [(0.0, 1.0), (0.1, 1.0), (0.1, 1.0)], 0.0,
+                         [("nan", 1), ("repeat", 2)]), "repeated vertex at index 2"),
+}
+
+
+def _check_kernel(path, params):
+    old = _outcome(lambda: (_old_validate(path, params),
+                            _old_edge_lengths(path), _old_vertex_turns(path)))
+    if len(old) == 3:
+        violations, lengths, turns = old
+        old = (lengths, turns, violations)
+    assert _same(_outcome(lambda: measure(path, params)), old)
+    assert _same(_outcome(lambda: validate(path, params)),
+                 _outcome(lambda: _old_validate(path, params)))
+    assert _same(_outcome(lambda: vertex_turns(path)),
+                 _outcome(lambda: _old_vertex_turns(path)))
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_EXAMPLES))
+def test_measure_matches_helper_validator_on_named_paths(name):
+    args, expect = _KERNEL_EXAMPLES[name]
+    path, params = _kernel_path(*args)
+    _check_kernel(path, params)
+    if isinstance(expect, str):
+        with pytest.raises(DegenerateGeometryError) as err:
+            validate(path, params)
+        assert str(err.value) == expect
+    else:
+        assert {v.kind for v in validate(path, params)} == expect
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_cases())
+def test_measure_matches_helper_validator(case):
+    _check_kernel(*case)
