@@ -37,6 +37,18 @@ AAAA.  All rows are pruned by the incumbent length: the arcs' edges plus a
 lower bound on the length the other edges must cover (what the chords
 leave of |UV|, or for the partial-arc shapes the finer ``_chord_gap``).
 
+The partial-arc solve (``_solve_partial``) takes batches of rows against
+the joint patterns of ``_joint_patterns``.  Patterns that fix both joints of
+a partial end edge at one turn bound can never close and are dropped once
+per shape and theta; the heading test runs once per pattern sum.  At the
+family parameter t = 0 every token direction is a lead angle of the row
+(from psi_u or psi_v) turned by the pattern's joints, so one small complex
+product gives the chord sums of every row under every arc layout the
+patterns share.  A joint row whose floor, the arcs' edges plus what turning
+its family by at most theta leaves of the F edges' displacement, exceeds
+the incumbent is dropped before its family is solved, and the solved rows
+turn their t = 0 vectors rather than evaluate the closure again.
+
 A discretization of the smooth Dubins curve between the configurations is
 always included as a candidate, which makes the planned length at most the
 discretized smooth length on every instance.
@@ -559,11 +571,32 @@ class _Patterns:
     ``vals`` holds turn-bound values, with 0 in the column of the joint
     closed by the heading (``head``) and, on rows of a one-parameter family,
     in the column of the joint that parameterizes it (``scan``, else -1).
+    Rows with one sum of ``vals`` and one reach of their free joints (theta
+    for one, 2 theta for a family) form a ``group``, whose ``sums`` and
+    ``reach`` the heading test reads once.  ``per_batch`` rows of arc
+    orientations and edge counts are solved together.
+
+    At t = 0 a token's direction is a lead angle of the arc row (from psi_u
+    before the heading joint, after it from psi_v) turned by the joints on
+    the way.  Patterns whose arcs agree in this, and in which of them lie in
+    the family's turning block, share a ``chords`` column; ``mix`` takes the
+    arcs' lead chords (side-major, from ``_leads``) to the chord sum of each
+    column and then to its sum over the turning block.  ``f_after``,
+    ``f_turn`` and ``f_inside`` give the same for each F edge.
     """
 
     vals: np.ndarray
     head: np.ndarray
     scan: np.ndarray
+    group: np.ndarray
+    sums: np.ndarray
+    reach: np.ndarray
+    per_batch: int
+    chords: np.ndarray
+    mix: np.ndarray
+    f_after: np.ndarray
+    f_turn: np.ndarray
+    f_inside: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -579,6 +612,12 @@ def _joint_patterns(shape: str, theta: float) -> _Patterns:
     stationary points, and the rows with only the heading joint free are
     kept too; with one F edge, position closure leaves one equation that
     the family solves.
+
+    An F capped below ell (``_f_caps``) is shorter than a full edge and no
+    inflection, so its two joints must turn by at most theta together: rows
+    fixing both at one bound, +theta or -theta, never close and are dropped.
+    Batches are sized by the rows before this, which leaves every batch's
+    outcome as it was.
     """
     n_joints = len(shape) + 1
     choices = []
@@ -597,24 +636,66 @@ def _joint_patterns(shape: str, theta: float) -> _Patterns:
             rows.append([0.0 if i in free else next(values) for i in range(n_joints)])
             head.append(free[-1])
             scan.append(free[0] if len(free) == 2 else -1)
-    return _Patterns(np.array(rows), np.array(head), np.array(scan))
+    vals, head, scan = np.array(rows), np.array(head), np.array(scan)
+    per_batch = max(1, _BATCH_ROWS // len(vals))
+    # free joints hold 0, so only fixed joints can match a nonzero bound
+    short = [t for t, cap in zip((t for t, c in enumerate(shape) if c == "F"),
+                                 _f_caps(shape, 1.0)) if cap < 1.0]
+    live = np.ones(len(vals), dtype=bool)
+    for t in short:
+        live &= (vals[:, t] == 0.0) | (vals[:, t] != vals[:, t + 1])
+    vals, head, scan = vals[live], head[live], scan[live]
+    keys = np.column_stack([vals.sum(axis=1), np.where(scan < 0, theta, 2.0 * theta) + 5e-10])
+    groups, group = np.unique(keys, axis=0, return_inverse=True)
+    tokens = np.arange(len(shape))
+    after = tokens >= head[:, None]
+    inside = (scan[:, None] >= 0) & (tokens >= scan[:, None]) & ~after
+    # in steps of theta: the joints up to each token, less all of them past
+    # the heading joint (the turns from psi_v back to the token)
+    steps = np.rint(vals / theta).astype(int)
+    turned = np.cumsum(steps, axis=1)[:, :-1] - after * steps.sum(axis=1)[:, None]
+    arcs = tokens[np.array(list(shape)) == "A"]
+    f_cols = tokens[np.array(list(shape)) == "F"]
+    cols, chords = np.unique(np.hstack([after[:, arcs], turned[:, arcs], inside[:, arcs]]),
+                             axis=0, return_inverse=True)
+    c_after, c_turned, c_inside = np.split(cols, 3, axis=1)
+    turn = np.exp(1j * theta * c_turned)
+    on = np.hstack([np.where(c_after, 0.0, turn), np.where(c_after, turn, 0.0)])
+    mix = np.vstack([on, on * np.tile(c_inside, 2)]).T
+    return _Patterns(vals, head, scan, group.ravel(), *groups.T, per_batch, chords.ravel(),
+                     mix, after[:, f_cols], np.exp(1j * theta * turned[:, f_cols]),
+                     inside[:, f_cols])
 
 
-def _closure_terms(inst: _Instance, shape: str, sigmas, ks, joints, inside=None):
+def _leads(inst: _Instance, shape: str, sigmas, ks):
+    """Per row of arc orientations and edge counts (rows x 2 x tokens): the
+    chord of each arc and the unit vector of each F at its lead angle, from
+    psi_u and from psi_v.  From psi_u the lead adds the sweeps before the
+    token, from psi_v it takes off the sweeps from the token on; an arc's
+    chord also turns by half its own sweep."""
+    arcs = [t for t, letter in enumerate(shape) if letter == "A"]
+    sweep = np.zeros((len(ks), len(shape)))
+    sweep[:, arcs] = (ks - 1) * sigmas * inst.params.theta
+    lead = np.cumsum(sweep, axis=1) - sweep / 2.0
+    size = np.ones_like(sweep)
+    size[:, arcs] = _chord(inst.params, ks)
+    return size[:, None, :] * np.exp(1j * np.stack(
+        [inst.psi_u + lead, inst.psi_v + lead - sweep.sum(axis=1, keepdims=True)], axis=1))
+
+
+def _closure_terms(inst: _Instance, shape: str, sigmas, ks, joints):
     """Closure pieces of partial-arc candidates, one per row of arc
     orientations, edge counts and joint turns.
 
     Returns the element entry directions, the unit vectors of the F edges,
-    the displacement the F edges must cover (w minus the arc chords) as
-    r_out - r_in, where r_in sums the chords of the tokens flagged
-    ``inside`` (rows x tokens, or None for none), and the F token columns.
+    the displacement r the F edges must cover (w minus the arc chords), and
+    the F token columns.
     """
     params = inst.params
     th = params.theta
     psi = inst.psi_u + np.cumsum(joints[:, :-1], axis=1)
-    out_x = np.full(len(joints), float(inst.w[0]))
-    out_y = np.full(len(joints), float(inst.w[1]))
-    in_x, in_y = np.zeros(len(joints)), np.zeros(len(joints))
+    r_x = np.full(len(joints), float(inst.w[0]))
+    r_y = np.full(len(joints), float(inst.w[1]))
     f_cols = []
     arc_i = 0
     for t, letter in enumerate(shape):
@@ -624,16 +705,11 @@ def _closure_terms(inst: _Instance, shape: str, sigmas, ks, joints, inside=None)
         k, sweep = ks[:, arc_i], (ks[:, arc_i] - 1) * sigmas[:, arc_i] * th
         arc_i += 1
         chord = _chord(params, k)
-        cx = chord * np.cos(psi[:, t] + sweep / 2.0)
-        cy = chord * np.sin(psi[:, t] + sweep / 2.0)
-        m = False if inside is None else inside[:, t]
-        out_x -= np.where(m, 0.0, cx)
-        out_y -= np.where(m, 0.0, cy)
-        in_x += np.where(m, cx, 0.0)
-        in_y += np.where(m, cy, 0.0)
+        r_x -= chord * np.cos(psi[:, t] + sweep / 2.0)
+        r_y -= chord * np.sin(psi[:, t] + sweep / 2.0)
         psi[:, t + 1:] += sweep[:, None]
     f_dirs = [(np.cos(psi[:, t]), np.sin(psi[:, t])) for t in f_cols]
-    return psi, f_dirs, (out_x, out_y), (in_x, in_y), f_cols
+    return psi, f_dirs, (r_x, r_y), f_cols
 
 
 def _f_caps(shape: str, ell: float) -> list[float]:
@@ -668,9 +744,10 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1]
 
 
-def _partial_closure(inst: _Instance, shape: str, sigmas, ks, joints):
-    """Entry directions, F lengths, total lengths and feasibility mask of
-    partial-arc candidates whose joint rows close the heading.
+def _partial_closure(inst: _Instance, shape: str, ks, joints, f_dirs, r, f_cols):
+    """F lengths, total lengths and feasibility mask of partial-arc
+    candidates whose joint rows close the heading, from their F edge
+    directions ``f_dirs`` and the displacement ``r`` the F edges must cover.
 
     Two F lengths solve position closure as a 2x2 linear system.  One F
     length is the displacement's projection on its direction, which closes
@@ -682,7 +759,6 @@ def _partial_closure(inst: _Instance, shape: str, sigmas, ks, joints):
     """
     params = inst.params
     th, ell = params.theta, params.ell
-    psi, f_dirs, r, _, f_cols = _closure_terms(inst, shape, sigmas, ks, joints)
     if len(f_dirs) == 1:
         (e,) = f_dirs
         lens = [_dot(e, r)]
@@ -699,7 +775,7 @@ def _partial_closure(inst: _Instance, shape: str, sigmas, ks, joints):
         infl = ((a > TOL_ANG) & (b < -TOL_ANG)) | ((a < -TOL_ANG) & (b > TOL_ANG))
         ok &= (ln > 10.0 * params.tol_dedup) & (ln < cap)
         ok &= (ln >= ell * (1.0 - 1e-12)) | infl | (np.abs(a + b) <= th + 1e-12)
-    return psi, lens, ks.sum(axis=1) * ell + sum(lens), ok
+    return lens, ks.sum(axis=1) * ell + sum(lens), ok
 
 
 def _family_coeffs(f_dirs, r_out, r_in, rotating):
@@ -810,6 +886,10 @@ def _trig_roots(a, b, c):
     return (arc - phase, math.pi - arc - phase), has
 
 
+def _xy(z):
+    return z.real, z.imag
+
+
 def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
                    patterns: _Patterns, length_cap: float):
     """Shortest feasible closed-form realization of a partial-arc shape over
@@ -821,34 +901,45 @@ def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
     c0 + c1 cos t + c2 sin t.  With two F edges the F length sum is
     (X1 - X2) / D for X_f = cross(e_f, r) and D = cross(e1, e2), so its
     stationary points solve (N / D)' = 0 in closed form; with one F edge the
-    family closes position where X1 = 0.
+    family closes position where X1 = 0.  A solved row's F directions and
+    displacement are its t = 0 vectors turned by t: e_f(t) = R(t) e_f on the
+    turning block, r(t) = r_out - R(t) r_in.
     """
-    th = inst.params.theta
+    th, ell = inst.params.theta, inst.params.ell
     need = inst.psi_v - inst.psi_u - ((ks_batch - 1) * sigma_batch).sum(axis=1) * th
-    # the free joints must be able to close the heading at all
-    reach = np.where(patterns.scan < 0, th, 2.0 * th) + 5e-10
-    left = _norm_arr(need[:, None] - patterns.vals.sum(axis=1)[None, :])
-    tup, pat = np.nonzero(np.abs(left) <= reach)
-    sigmas, ks = sigma_batch[tup], ks_batch[tup]
+    # the free joints must be able to close the heading at all; the test
+    # depends on a pattern only through its group
+    left = _norm_arr(need[:, None] - patterns.sums[None, :])
+    fits = (np.abs(left) <= patterns.reach)[:, patterns.group]
+    # every row against every chords column at t = 0: r = r_out - r_in is
+    # w less all chords, r_in the chord sum of the turning block (einsum's
+    # own loop, as a BLAS product of this size would start threads)
+    vec = _leads(inst, shape, sigma_batch, ks_batch)
+    arcs = [t for t, letter in enumerate(shape) if letter == "A"]
+    both = np.einsum("rk,kc->rc", vec[:, :, arcs].reshape(len(vec), -1), patterns.mix)
+    r, r_in = np.hsplit(both, 2)
+    r = complex(*inst.w) - r
+    # the F edges must cover |r_out - R(t) r_in|, which turning a family by
+    # |t| <= theta (+ 1e-12) moves by at most 2 |r_in| sin(theta / 2)
+    # (+ |r_in| 1e-12): within their caps, and within the length cap after
+    # the arcs' edges (one F edge may miss r by the snap tolerance)
+    gap = np.abs(r) - np.abs(r_in) * (2.0 * math.sin(th / 2.0) + 1e-12) - inst.snap_tol
+    floor = (ks_batch.sum(axis=1) * ell)[:, None] + gap
+    near = (gap <= sum(_f_caps(shape, ell))) & (floor <= length_cap + 1e-9 * max(1.0, length_cap))
+    tup, pat = np.nonzero(fits & near[:, patterns.chords])
     head, scan = patterns.head[pat], patterns.scan[pat]
     joints = patterns.vals[pat]
-    rows = np.arange(len(pat))
-    joints[rows, head] = _norm_arr(need[tup] - joints.sum(axis=1))
-    # rows at t = 0, with each family's turning block flagged
-    tokens = np.arange(len(shape))[None, :]
-    inside = (scan[:, None] >= 0) & (tokens >= scan[:, None]) & (tokens < head[:, None])
-    _, f_dirs, r_out, r_in, f_cols = _closure_terms(inst, shape, sigmas, ks, joints, inside)
-    # the F edges must cover r_out - R(t) r_in, which turning a family by
-    # |t| <= theta moves by at most 2 |r_in| sin(theta / 2)
-    cover = (sum(_f_caps(shape, inst.params.ell)) + inst.snap_tol
-             + 2.0 * np.hypot(*r_in) * math.sin(th / 2.0))
-    near = np.hypot(r_out[0] - r_in[0], r_out[1] - r_in[1]) <= cover
-    single = np.flatnonzero(near & (scan < 0))  # only for two F edges
-    family = np.flatnonzero(near & (scan >= 0))
-    coeffs = _family_coeffs([(e[0][family], e[1][family]) for e in f_dirs],
-                            (r_out[0][family], r_out[1][family]),
-                            (r_in[0][family], r_in[1][family]),
-                            [inside[family, t] for t in f_cols])
+    joints[np.arange(len(pat)), head] = left[tup, patterns.group[pat]]
+    col = patterns.chords[pat]
+    r_in = r_in[tup, col]
+    r_out = r[tup, col] + r_in
+    f_cols = [t for t, letter in enumerate(shape) if letter == "F"]
+    f_dirs = [vec[tup, patterns.f_after[pat, i].astype(int), t] * patterns.f_turn[pat, i]
+              for i, t in enumerate(f_cols)]
+    inside = patterns.f_inside[pat]
+    family = np.flatnonzero(scan >= 0)
+    coeffs = _family_coeffs([_xy(e[family]) for e in f_dirs], _xy(r_out[family]),
+                            _xy(r_in[family]), list(inside[family].T))
     if len(coeffs) == 3:
         x1, x2, (d0, d1, d2) = coeffs
         n0, n1, n2 = (a - b for a, b in zip(x1, x2))
@@ -858,34 +949,43 @@ def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
     else:
         ((x0, xc, xs),) = coeffs
         roots, has_root = _trig_roots(xs, xc, x0)
-    solved, sig_rows, ks_rows = [joints[single]], [sigmas[single]], [ks[single]]
+    # rows with only the heading joint free (two F edges) are solved at t = 0
+    rows = [np.flatnonzero(scan < 0)]
+    solved, turns = [joints[rows[0]]], [np.zeros(len(rows[0]))]
     at = np.arange(len(family))
     for root in roots:
         v = joints[family]
         v[at, scan[family]] = _norm_arr(root)
         v[at, head[family]] = _norm_arr(v[at, head[family]] - root)
         live = has_root & np.all(np.abs(v) <= th + 1e-12, axis=1)
+        rows.append(family[live])
         solved.append(v[live])
-        sig_rows.append(sigmas[family][live])
-        ks_rows.append(ks[family][live])
-    sigmas, ks = np.concatenate(sig_rows), np.concatenate(ks_rows)
-    psi, lens, total, ok = _partial_closure(inst, shape, sigmas, ks,
-                                            np.concatenate(solved))
+        turns.append(v[live, scan[family][live]])
+    rows, joints = np.concatenate(rows), np.concatenate(solved)
+    spin = np.exp(1j * np.concatenate(turns))
+    r = _xy(r_out[rows] - spin * r_in[rows])
+    dirs = [_xy(np.where(m, spin * e[rows], e[rows])) for e, m in zip(f_dirs, inside[rows].T)]
+    sigmas, ks = sigma_batch[tup[rows]], ks_batch[tup[rows]]
+    _, total, ok = _partial_closure(inst, shape, ks, joints, dirs, r, f_cols)
     ok &= total <= length_cap
-    for r in np.flatnonzero(ok)[np.argsort(total[ok], kind="stable")]:
-        lengths = (float(ln[r]) for ln in lens)
-        arcs = zip(sigmas[r].tolist(), ks[r].tolist())
+    for i in np.flatnonzero(ok)[np.argsort(total[ok], kind="stable")]:
+        # the row is built from its own direct closure
+        one = slice(i, i + 1)
+        psi, e, r, _ = _closure_terms(inst, shape, sigmas[one], ks[one], joints[one])
+        lengths = (float(ln[0]) for ln in
+                   _partial_closure(inst, shape, ks[one], joints[one], e, r, f_cols)[0])
+        arcs = zip(sigmas[i].tolist(), ks[i].tolist())
         elements = []
         for t, letter in enumerate(shape):
             if letter == "A":
                 s, k = next(arcs)
-                elements.append(("arc", s, k, float(psi[r, t])))
+                elements.append(("arc", s, k, float(psi[0, t])))
             else:
-                elements.append(("bridge", next(lengths), float(psi[r, t])))
+                elements.append(("bridge", next(lengths), float(psi[0, t])))
         verts = _build_elements(inst, elements)
         path = inst.finish(verts)
         if path is not None:
-            return (tuple(sigmas[r].tolist()), tuple(ks[r].tolist()), path,
+            return (tuple(sigmas[i].tolist()), tuple(ks[i].tolist()), path,
                     dist(verts[-1], inst.V.point))
     return None
 
@@ -1070,7 +1170,7 @@ def plan(U: Configuration, V: Configuration, params: Params,
             continue
         # partial-arc shapes: a finer floor, and batches of joint rows
         patterns = _joint_patterns(word, th)
-        per_batch = max(1, _BATCH_ROWS // len(patterns.vals))
+        per_batch = patterns.per_batch
         gap = _chord_gap(inst, word, sigmas, ks)
         floors = ks.sum(axis=1) * ell + gap
         floors[gap > reach + tol_len] = math.inf
@@ -1175,8 +1275,7 @@ def solve_candidate(spec: CandidateSpec, U: Configuration, V: Configuration,
 # independent check: randomized search
 
 def oracle_search(U: Configuration, V: Configuration, params: Params,
-                  n_vertices_max: int | None = None, budget: int = 4000,
-                  rng=None) -> DiscretePath:
+                  budget: int = 4000, rng=None) -> DiscretePath:
     """Best path found by perturb-and-polish search; an independent check on
     the planner, never the primary answer."""
     rng = np.random.default_rng(rng)

@@ -73,17 +73,29 @@ class SmoothPath:
 
     def eval(self, t: float) -> tuple[Point2, Vec2]:
         """Point and unit tangent at arclength t in [0, length]."""
-        if t < -1e-12 or t > self.length + 1e-12:
-            raise ValueError(f"t={t} outside [0, {self.length}]")
-        t = min(max(t, 0.0), self.length)
-        p, h = self.start.point, self.start.heading
-        rest = t
+        return self.sample((t,))[0]
+
+    def sample(self, ts) -> list[tuple[Point2, Vec2]]:
+        """Points and unit tangents at the arclengths ts, each in [0, length],
+        from one walk along the segments."""
+        total = self.length
+        starts, p, h = [], self.start.point, self.start.heading
         for seg in self.segments:
-            if rest <= seg.length:
-                return _advance(p, h, seg, rest)
+            starts.append((p, h))
             p, h = _advance(p, h, seg, seg.length)
-            rest -= seg.length
-        return p, h
+        out = []
+        for t in ts:
+            if t < -1e-12 or t > total + 1e-12:
+                raise ValueError(f"t={t} outside [0, {total}]")
+            rest = min(max(t, 0.0), total)
+            for seg, (q, g) in zip(self.segments, starts):
+                if rest <= seg.length:
+                    out.append(_advance(q, g, seg, rest))
+                    break
+                rest -= seg.length
+            else:
+                out.append((p, h))
+        return out
 
     def end_configuration(self) -> Configuration:
         p, h = self.eval(self.length)
@@ -161,14 +173,11 @@ def discretize(gamma: SmoothPath, theta: float) -> DiscretePath:
     (theta, ell = 2 sin(theta/2)): middle edges are chords over arclength
     exactly theta, hence non-short, and every turn stays within theta.
     """
-    params = Params(theta=theta, ell=2.0 * math.sin(theta / 2.0))
     plan = DiscretizationPlan.for_length(gamma.length, theta)
-    vertices = [gamma.eval(t)[0] for t in plan.breakpoints]
-    start = Configuration(vertices[0], gamma.start.heading)
-    ep, eh = gamma.eval(gamma.length)
-    end = Configuration(vertices[-1], eh)
-    path = DiscretePath(start=start, end=end, vertices=tuple(vertices))
-    return path
+    samples = gamma.sample(plan.breakpoints)  # the last one is the end
+    vertices = tuple(p for p, _ in samples)
+    return DiscretePath(start=Configuration(vertices[0], gamma.start.heading),
+                        end=Configuration(vertices[-1], samples[-1][1]), vertices=vertices)
 
 
 def discretization_params(theta: float) -> Params:

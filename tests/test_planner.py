@@ -21,6 +21,7 @@ from ddgeo.geometry import (
     sub,
 )
 from ddgeo.model import (
+    TOL_ANG,
     Configuration,
     Params,
     path_length,
@@ -35,12 +36,19 @@ from ddgeo.planner import (
     CandidateSpec,
     _ab_rows,
     _aba_rows,
+    _chord,
     _chord_gap,
     _closure_terms,
     _dubins_seed,
     _f_caps,
     _family_coeffs,
     _Instance,
+    _build_elements,
+    _joint_patterns,
+    _norm_arr,
+    _partial_closure,
+    _solve_partial,
+    _trig_roots,
     _word_rows,
     forward_construct,
     oracle_search,
@@ -308,6 +316,22 @@ def test_zero_displacement_and_antiparallel_table(n, instance):
     assert _true_word(type_string(fixed, params))
 
 
+def _chord_sum(inst, shape, sigmas, ks, psi, inside):
+    """Sum of the chords of the arcs flagged ``inside`` (rows x tokens),
+    from the entry directions ``psi`` of ``_closure_terms``."""
+    th = inst.params.theta
+    x, y = np.zeros(len(ks)), np.zeros(len(ks))
+    arc_i = 0
+    for t, letter in enumerate(shape):
+        if letter == "A":
+            k, sigma = ks[:, arc_i], sigmas[:, arc_i]
+            a = psi[:, t] + (k - 1) * sigma * th / 2.0
+            x += np.where(inside[:, t], _chord(inst.params, k) * np.cos(a), 0.0)
+            y += np.where(inside[:, t], _chord(inst.params, k) * np.sin(a), 0.0)
+            arc_i += 1
+    return x, y
+
+
 def test_partial_family_coefficients_match_direct_closure():
     # along a two-joint family the closure cross products are degree-one
     # trigonometric polynomials; compare them with direct evaluation
@@ -330,16 +354,16 @@ def test_partial_family_coefficients_match_direct_closure():
             # them rotate rigidly
             tokens = np.arange(len(shape))
             inside = ((tokens >= a) & (tokens < b))[None, :]
-            _, f_dirs, r_out, r_in, f_cols = _closure_terms(
-                inst, shape, sigmas, ks, base[None, :], inside)
+            psi, f_dirs, r, f_cols = _closure_terms(inst, shape, sigmas, ks, base[None, :])
+            r_in = _chord_sum(inst, shape, sigmas, ks, psi, inside)
+            r_out = (r[0] + r_in[0], r[1] + r_in[1])
             coeffs = _family_coeffs(f_dirs, r_out, r_in,
                                     [inside[:, t] for t in f_cols])
             for t in rng.uniform(-1.0, 1.0, 4):
                 joints = base.copy()
                 joints[a] += t
                 joints[b] -= t
-                _, f_dirs, r, _, _ = _closure_terms(inst, shape, sigmas, ks,
-                                                    joints[None, :])
+                _, f_dirs, r, _ = _closure_terms(inst, shape, sigmas, ks, joints[None, :])
                 direct = [e[0] * r[1] - e[1] * r[0] for e in f_dirs]
                 if len(f_dirs) == 2:
                     (e1, e2) = f_dirs
@@ -381,7 +405,7 @@ def test_chord_gap_bounds_what_free_edges_cover():
             if shape[-1] == "F" and caps[-1] < params.ell:
                 keep &= np.abs(joints[:, -2] + joints[:, -1]) <= th
             joints = joints[keep]
-            _, _, r, _, _ = _closure_terms(inst, shape,
+            _, _, r, _ = _closure_terms(inst, shape,
                                            np.repeat(sigmas, len(joints), axis=0),
                                            np.repeat(ks, len(joints), axis=0), joints)
             if len(joints):
@@ -627,3 +651,231 @@ def test_row_solvers_batch_matches_single_rows(word):
     if word == "AAA":
         assert longest > _BATCH_ROWS // 65
 
+
+
+# ---------------------------------------------------------------------------
+# Reference partial-arc solve: every joint pattern, a dense heading test, and
+# a second closure pass over the solved family rows.  The planner's solve
+# prunes dead patterns, filters headings per pattern sum, floors each joint
+# row and evaluates the families in one pass; it must decide the same.
+
+def _ref_joint_patterns(shape, theta):
+    n_joints = len(shape) + 1
+    choices = []
+    for i in range(n_joints):
+        terminal_f = (i == 0 and shape[0] == "F") or \
+                     (i == n_joints - 1 and shape[-1] == "F")
+        choices.append((-theta, 0.0, theta) if terminal_f else (-theta, theta))
+    frees = list(itertools.combinations(range(n_joints), 2))
+    if shape.count("F") == 2:
+        frees = [(f,) for f in range(n_joints)] + frees
+    rows, head, scan = [], [], []
+    for free in frees:
+        others = [choices[i] for i in range(n_joints) if i not in free]
+        for combo in itertools.product(*others):
+            values = iter(combo)
+            rows.append([0.0 if i in free else next(values) for i in range(n_joints)])
+            head.append(free[-1])
+            scan.append(free[0] if len(free) == 2 else -1)
+    return np.array(rows), np.array(head), np.array(scan)
+
+
+def _ref_closure_terms(inst, shape, sigmas, ks, joints, inside=None):
+    th = inst.params.theta
+    psi = inst.psi_u + np.cumsum(joints[:, :-1], axis=1)
+    out_x = np.full(len(joints), float(inst.w[0]))
+    out_y = np.full(len(joints), float(inst.w[1]))
+    in_x, in_y = np.zeros(len(joints)), np.zeros(len(joints))
+    f_cols = []
+    arc_i = 0
+    for t, letter in enumerate(shape):
+        if letter == "F":
+            f_cols.append(t)
+            continue
+        k, sweep = ks[:, arc_i], (ks[:, arc_i] - 1) * sigmas[:, arc_i] * th
+        arc_i += 1
+        chord = _chord(inst.params, k)
+        cx = chord * np.cos(psi[:, t] + sweep / 2.0)
+        cy = chord * np.sin(psi[:, t] + sweep / 2.0)
+        m = False if inside is None else inside[:, t]
+        out_x -= np.where(m, 0.0, cx)
+        out_y -= np.where(m, 0.0, cy)
+        in_x += np.where(m, cx, 0.0)
+        in_y += np.where(m, cy, 0.0)
+        psi[:, t + 1:] += sweep[:, None]
+    f_dirs = [(np.cos(psi[:, t]), np.sin(psi[:, t])) for t in f_cols]
+    return psi, f_dirs, (out_x, out_y), (in_x, in_y), f_cols
+
+
+def _ref_partial_closure(inst, shape, sigmas, ks, joints):
+    params = inst.params
+    th, ell = params.theta, params.ell
+    psi, f_dirs, r, _, f_cols = _ref_closure_terms(inst, shape, sigmas, ks, joints)
+    if len(f_dirs) == 1:
+        (e,) = f_dirs
+        lens = [e[0] * r[0] + e[1] * r[1]]
+        ok = np.abs(e[0] * r[1] - e[1] * r[0]) <= inst.snap_tol
+    else:
+        e1, e2 = f_dirs
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        ok = np.abs(det) > 1e-12
+        safe = np.where(ok, det, 1.0)
+        lens = [(r[0] * e2[1] - r[1] * e2[0]) / safe, (e1[0] * r[1] - e1[1] * r[0]) / safe]
+    ok &= np.all(np.abs(joints) <= th + 1e-12, axis=1)
+    for t, ln, cap in zip(f_cols, lens, _f_caps(shape, ell)):
+        a, b = joints[:, t], joints[:, t + 1]
+        infl = ((a > TOL_ANG) & (b < -TOL_ANG)) | ((a < -TOL_ANG) & (b > TOL_ANG))
+        ok &= (ln > 10.0 * params.tol_dedup) & (ln < cap)
+        ok &= (ln >= ell * (1.0 - 1e-12)) | infl | (np.abs(a + b) <= th + 1e-12)
+    return psi, lens, ks.sum(axis=1) * ell + sum(lens), ok
+
+
+def _ref_solve_partial(inst, shape, sigma_batch, ks_batch, length_cap):
+    th = inst.params.theta
+    vals, p_head, p_scan = _ref_joint_patterns(shape, th)
+    need = inst.psi_v - inst.psi_u - ((ks_batch - 1) * sigma_batch).sum(axis=1) * th
+    reach = np.where(p_scan < 0, th, 2.0 * th) + 5e-10
+    left = _norm_arr(need[:, None] - vals.sum(axis=1)[None, :])
+    tup, pat = np.nonzero(np.abs(left) <= reach)
+    sigmas, ks = sigma_batch[tup], ks_batch[tup]
+    head, scan = p_head[pat], p_scan[pat]
+    joints = vals[pat]
+    rows = np.arange(len(pat))
+    joints[rows, head] = _norm_arr(need[tup] - joints.sum(axis=1))
+    tokens = np.arange(len(shape))[None, :]
+    inside = (scan[:, None] >= 0) & (tokens >= scan[:, None]) & (tokens < head[:, None])
+    _, f_dirs, r_out, r_in, f_cols = _ref_closure_terms(inst, shape, sigmas, ks, joints, inside)
+    cover = (sum(_f_caps(shape, inst.params.ell)) + inst.snap_tol
+             + 2.0 * np.hypot(*r_in) * math.sin(th / 2.0))
+    near = np.hypot(r_out[0] - r_in[0], r_out[1] - r_in[1]) <= cover
+    single = np.flatnonzero(near & (scan < 0))
+    family = np.flatnonzero(near & (scan >= 0))
+    coeffs = _family_coeffs([(e[0][family], e[1][family]) for e in f_dirs],
+                            (r_out[0][family], r_out[1][family]),
+                            (r_in[0][family], r_in[1][family]),
+                            [inside[family, t] for t in f_cols])
+    if len(coeffs) == 3:
+        x1, x2, (d0, d1, d2) = coeffs
+        n0, n1, n2 = (a - b for a, b in zip(x1, x2))
+        roots, has_root = _trig_roots(n0 * d1 - n1 * d0, n2 * d0 - n0 * d2,
+                                      n2 * d1 - n1 * d2)
+    else:
+        ((x0, xc, xs),) = coeffs
+        roots, has_root = _trig_roots(xs, xc, x0)
+    solved, sig_rows, ks_rows = [joints[single]], [sigmas[single]], [ks[single]]
+    at = np.arange(len(family))
+    for root in roots:
+        v = joints[family]
+        v[at, scan[family]] = _norm_arr(root)
+        v[at, head[family]] = _norm_arr(v[at, head[family]] - root)
+        live = has_root & np.all(np.abs(v) <= th + 1e-12, axis=1)
+        solved.append(v[live])
+        sig_rows.append(sigmas[family][live])
+        ks_rows.append(ks[family][live])
+    sigmas, ks = np.concatenate(sig_rows), np.concatenate(ks_rows)
+    psi, lens, total, ok = _ref_partial_closure(inst, shape, sigmas, ks, np.concatenate(solved))
+    ok &= total <= length_cap
+    for r in np.flatnonzero(ok)[np.argsort(total[ok], kind="stable")]:
+        lengths = (float(ln[r]) for ln in lens)
+        arcs = zip(sigmas[r].tolist(), ks[r].tolist())
+        elements = []
+        for t, letter in enumerate(shape):
+            if letter == "A":
+                sigma, k = next(arcs)
+                elements.append(("arc", sigma, k, float(psi[r, t])))
+            else:
+                elements.append(("bridge", next(lengths), float(psi[r, t])))
+        path = inst.finish(_build_elements(inst, elements))
+        if path is not None:
+            return tuple(sigmas[r].tolist()), tuple(ks[r].tolist()), path
+    return None
+
+
+@pytest.mark.parametrize("n", [6, 8, 12, 16])
+def test_partial_solve_matches_reference(n):
+    # the same batches, under no cap, just above the best length and just
+    # below it: None exactly when the reference gives None, else the same
+    # length (the chosen row may differ only among rows of one length)
+    params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+    th, ell = params.theta, params.ell
+    rng = np.random.default_rng(90 + n)
+    solved = capped = 0
+    for shape in _PARTIAL_SHAPES:
+        patterns = _joint_patterns(shape, th)
+        for trial in range(4):
+            d = float(rng.uniform(0.0, 7.0)) * params.circumradius
+            bearing, h_u, h_v = rng.uniform(0.0, 2.0 * math.pi, 3)
+            U = Configuration.at_angle(tuple(rng.uniform(-2.0, 2.0, 2)), float(h_u))
+            V = Configuration.at_angle(add(U.point, scale(from_angle(float(bearing)), d)),
+                                       float(h_v))
+            inst = _Instance(U, V, params)
+            sigmas, ks = _word_rows(shape.count("A"), _wrap(inst.psi_v - inst.psi_u), th,
+                                    (len(shape) + 1) * th, range(1, n), False, ell, math.inf)
+            floors = ks.sum(axis=1) * ell + _chord_gap(inst, shape, sigmas, ks)
+            size = min(len(ks), patterns.per_batch)
+            # the most promising rows, or a random batch
+            pick = (np.argsort(floors, kind="stable")[:size] if trial % 2 == 0
+                    else rng.choice(len(ks), size, replace=False))
+            batch = sigmas[np.sort(pick)], ks[np.sort(pick)]
+
+            def same(cap):
+                want = _ref_solve_partial(inst, shape, *batch, cap)
+                got = _solve_partial(inst, shape, *batch, patterns, cap)
+                assert (got is None) == (want is None), (shape, n, trial, cap)
+                if want is None:
+                    return None
+                assert path_length(got[2]) == pytest.approx(path_length(want[2]), rel=1e-9)
+                assert validate(got[2], params) == []
+                return path_length(want[2])
+
+            best = same(math.inf)
+            if best is not None:
+                solved += 1
+                capped += same(best * (1.0 + 1e-9)) is not None
+                same(best * (1.0 - 1e-6))
+    assert solved >= 12 and capped >= 12
+
+
+_DROPPED = {"FAAA": 12, "AAAF": 12, "FAAAF": 276,
+            "FAFAA": 112, "FAAFA": 112, "AFAAF": 112, "AAFAF": 112}
+
+
+@pytest.mark.parametrize("n", [6, 8, 16])
+def test_joint_pattern_pruning_drops_only_dead_rows(n):
+    # the dropped patterns fix both joints of an F capped below ell at one
+    # bound (never the heading joint or the family's joint), and the
+    # closure rejects them for any F lengths below the caps
+    params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+    th, ell = params.theta, params.ell
+    rng = np.random.default_rng(60 + n)
+    inst = _Instance(Configuration.at_angle((0.0, 0.0), 0.0),
+                     Configuration.at_angle((1.0, 2.0), 1.0), params)
+    for shape in _PARTIAL_SHAPES:
+        vals, head, scan = _ref_joint_patterns(shape, th)
+        kept = _joint_patterns(shape, th)
+        rows = [(tuple(v), h, c) for v, h, c in zip(vals.tolist(), head.tolist(), scan.tolist())]
+        kept_rows = set(zip(map(tuple, kept.vals.tolist()), kept.head.tolist(),
+                            kept.scan.tolist()))
+        # the kept patterns keep their order
+        assert [r for r in rows if r in kept_rows] == \
+            list(zip(map(tuple, kept.vals.tolist()), kept.head.tolist(), kept.scan.tolist()))
+        dropped = [i for i, r in enumerate(rows) if r not in kept_rows]
+        assert len(dropped) == _DROPPED.get(shape, 0), shape
+        f_cols = [t for t, letter in enumerate(shape) if letter == "F"]
+        caps = _f_caps(shape, ell)
+        short = [t for t, cap in zip(f_cols, caps) if cap < ell]
+        m = 200
+        for i in dropped:
+            assert any(vals[i, t] == vals[i, t + 1] != 0.0
+                       and {head[i], scan[i]}.isdisjoint({t, t + 1}) for t in short)
+            joints = np.repeat(vals[i:i + 1], m, axis=0)
+            for j in {head[i], scan[i]} - {-1}:
+                joints[:, j] = rng.uniform(-th, th, m)
+            angles = rng.uniform(0.0, 2.0 * math.pi, (len(f_cols), m))
+            dirs = [(np.cos(a), np.sin(a)) for a in angles]
+            lens = [rng.uniform(0.0, min(cap, 3.0 * ell), m) for cap in caps]
+            r = (sum(ln * e[0] for ln, e in zip(lens, dirs)),
+                 sum(ln * e[1] for ln, e in zip(lens, dirs)))
+            ks = rng.integers(1, n, (m, shape.count("A")))
+            _, _, ok = _partial_closure(inst, shape, ks, joints, dirs, r, f_cols)
+            assert not ok.any()

@@ -10,6 +10,7 @@ from ddgeo.smooth import (
     DiscretizationPlan,
     LineSeg,
     SmoothPath,
+    _advance,
     angle_bound_check,
     chord_bound_check,
     discretization_params,
@@ -251,6 +252,44 @@ def test_discretize_always_feasible():
                 continue
             d = discretize(g, theta)
             assert validate(d, discretization_params(theta)) == []
+
+
+def _walk_eval(g, t):
+    """Point and tangent at arclength t by walking every segment from the
+    start, subtracting each length in turn (the reference for ``sample``)."""
+    t = min(max(t, 0.0), g.length)
+    p, h = g.start.point, g.start.heading
+    rest = t
+    for seg in g.segments:
+        if rest <= seg.length:
+            return _advance(p, h, seg, rest)
+        p, h = _advance(p, h, seg, seg.length)
+        rest -= seg.length
+    return p, h
+
+
+def test_discretize_matches_per_breakpoint_walk():
+    # one walk along the curve gives every vertex bit for bit, and the end
+    # heading, as walking from the start once per breakpoint
+    rng = np.random.default_rng(43)
+    curves = [random_smooth_path(rng) for _ in range(30)]
+    for _ in range(30):
+        U, V = (Configuration.at_angle(tuple(rng.uniform(-5.0, 5.0, 2)),
+                                       float(rng.uniform(0.0, 2.0 * math.pi))) for _ in range(2))
+        curves.append(dubins_solve(U, V))
+    for g in curves:
+        for n in (8, 64, 360):
+            theta = 2 * math.pi / n
+            if theta >= g.length:
+                continue
+            ts = DiscretizationPlan.for_length(g.length, theta).breakpoints
+            d = discretize(g, theta)
+            assert d.vertices == tuple(_walk_eval(g, t)[0] for t in ts)
+            assert d.start.heading == g.start.heading
+            assert d.end.heading == _walk_eval(g, g.length)[1]
+        ts = [float(t) for t in rng.uniform(0.0, g.length, 20)] + [0.0, g.length]
+        assert g.sample(ts) == [_walk_eval(g, t) for t in ts]
+        assert [g.eval(t) for t in ts] == [_walk_eval(g, t) for t in ts]
 
 
 # --- dubins solver -----------------------------------------------------------
