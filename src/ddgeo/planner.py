@@ -68,7 +68,9 @@ from .geometry import (
     Point2,
     add,
     angle_of,
+    cross,
     dist,
+    dot,
     from_angle,
     normalize_angle,
     scale,
@@ -736,14 +738,6 @@ def _f_caps(shape: str, ell: float) -> list[float]:
     return caps
 
 
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1]
-
-
 def _partial_closure(inst: _Instance, shape: str, ks, joints, f_dirs, r, f_cols):
     """F lengths, total lengths and feasibility mask of partial-arc
     candidates whose joint rows close the heading, from their F edge
@@ -761,14 +755,14 @@ def _partial_closure(inst: _Instance, shape: str, ks, joints, f_dirs, r, f_cols)
     th, ell = params.theta, params.ell
     if len(f_dirs) == 1:
         (e,) = f_dirs
-        lens = [_dot(e, r)]
-        ok = np.abs(_cross(e, r)) <= inst.snap_tol
+        lens = [dot(e, r)]
+        ok = np.abs(cross(e, r)) <= inst.snap_tol
     else:
         e1, e2 = f_dirs
-        det = _cross(e1, e2)
+        det = cross(e1, e2)
         ok = np.abs(det) > 1e-12
         safe = np.where(ok, det, 1.0)
-        lens = [_cross(r, e2) / safe, _cross(e1, r) / safe]
+        lens = [cross(r, e2) / safe, cross(e1, r) / safe]
     ok &= np.all(np.abs(joints) <= th + 1e-12, axis=1)
     for t, ln, cap in zip(f_cols, lens, _f_caps(shape, ell)):
         a, b = joints[:, t], joints[:, t + 1]
@@ -797,7 +791,7 @@ def _family_coeffs(f_dirs, r_out, r_in, rotating):
         return x, zero, zero
 
     def turning(u, v, sign):  # cross(u, R(t) v) for sign 1, cross(R(t) u, v) for -1
-        return zero, _cross(u, v), sign * _dot(u, v)
+        return zero, cross(u, v), sign * dot(u, v)
 
     def minus(p, q):
         return tuple(a - b for a, b in zip(p, q))
@@ -805,12 +799,12 @@ def _family_coeffs(f_dirs, r_out, r_in, rotating):
     def pick(cond, when_true, when_false):
         return tuple(np.where(cond, a, b) for a, b in zip(when_true, when_false))
 
-    out = [pick(m, minus(turning(e, r_out, -1.0), const(_cross(e, r_in))),
-                minus(const(_cross(e, r_out)), turning(e, r_in, 1.0)))
+    out = [pick(m, minus(turning(e, r_out, -1.0), const(cross(e, r_in))),
+                minus(const(cross(e, r_out)), turning(e, r_in, 1.0)))
            for e, m in zip(f_dirs, rotating)]
     if len(f_dirs) == 2:
         (e1, e2), (m1, m2) = f_dirs, rotating
-        out.append(pick(m1 == m2, const(_cross(e1, e2)),
+        out.append(pick(m1 == m2, const(cross(e1, e2)),
                         pick(m2, turning(e1, e2, 1.0), turning(e1, e2, -1.0))))
     return out
 

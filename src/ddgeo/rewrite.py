@@ -1,11 +1,19 @@
 """Local shortening and restructuring moves on feasible paths.
 
-Every move follows the same discipline: build a candidate vertex list for a
-trial step, check full feasibility with the validator, and halve the step on
-failure down to a minimum before declaring the move inapplicable.  Applied
-moves strictly decrease (length, type length) lexicographically, so repeated
-application drives a path toward a fixed point whose type word carries no
-forbidden factor.
+Every move is a one-parameter family of candidate vertex lists in a step d.
+The step harness ``_attempt`` checks full feasibility of each trial step
+with one ``model.measure`` pass: it tries the move's exact event steps
+(edge lengths crossing ell, edges shrinking to nothing), halves from the
+largest step until one is feasible, bisects up to the boundary where a turn
+reaches theta, and golden-searches the interior; the shortest feasible
+improving step wins.  Applied moves strictly decrease (length, type length)
+lexicographically, so repeated application drives a path toward a fixed
+point whose type word carries no forbidden factor.
+
+The moves sit in one ordered table, ``_MOVES``: per rule kind, a site
+generator and one attempt.  ``find_applicable`` and ``shorten`` take the
+first site whose attempt succeeds; ``apply`` runs the same attempt at a
+given site.
 
 Move catalogue (structure-rule locations refer to the canonicalized path):
 
@@ -125,6 +133,12 @@ class RewriteTrace:
 # ---------------------------------------------------------------------------
 # step harness
 
+def _drop_vertex(path: DiscretePath, params: Params, i: int):
+    """(path without vertex i, its length), or None if that is infeasible."""
+    verts = path.vertices
+    return _eval_step(path, params, lambda _d: verts[:i] + verts[i + 1:], 0.0)
+
+
 def _tidy(path: DiscretePath, params: Params) -> DiscretePath:
     """Drop zero-turn internal vertices, one at a time, keeping only drops
     that leave the path feasible."""
@@ -136,8 +150,7 @@ def _tidy(path: DiscretePath, params: Params) -> DiscretePath:
         for i in range(1, len(cur.vertices) - 1):
             if abs(turns[i]) > TOL_ANG:
                 continue
-            verts = cur.vertices[:i] + cur.vertices[i + 1:]
-            got = _eval_step(cur, params, lambda _d: verts, 0.0)
+            got = _drop_vertex(cur, params, i)
             if got is None:
                 continue
             cur = got[0]
@@ -180,7 +193,7 @@ def _eval_step(base_path: DiscretePath, params: Params, builder, d: float,
 
 
 def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
-             discrete: bool = False, events=()):
+             events=()):
     """Find the best feasible improving step of a move.
 
     The step is optimized, not just halved: exact event steps (edge lengths
@@ -192,12 +205,6 @@ def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
     """
     improve = IMPROVE_FRACTION * params.ell
     base = path_length(base_path)
-
-    if discrete:
-        got = _eval_step(base_path, params, builder, d_max)
-        if got is not None and got[1] <= base - improve:
-            return _tidy(got[0], params), d_max
-        return None
 
     best = None  # (length, path, step)
     for d in events:
@@ -300,12 +307,28 @@ def _ell_cross_events(moving: Point2, direction, fixed: Point2,
     return [d for d in ((-b - sq) / 2.0, (-b + sq) / 2.0) if d > 0.0]
 
 
+def _shift_block(verts: list, lo: int, hi: int, t) -> list[Point2]:
+    """The vertex list with vertices lo..hi-1 translated by t."""
+    return verts[:lo] + [add(p, t) for p in verts[lo:hi]] + verts[hi:]
+
+
+def _rotate_block(verts: list, lo: int, hi: int, pivot: Point2,
+                  angle: float) -> list[Point2]:
+    """The vertex list with vertices lo..hi-1 rotated by angle about pivot."""
+    return verts[:lo] + [rotate_about(p, pivot, angle) for p in verts[lo:hi]] + verts[hi:]
+
+
 # ---------------------------------------------------------------------------
 # local edge rules (raw path)
+#
+# Site generators yield (kind, location); an attempt takes the context and a
+# location and returns (new_path, step, *outcome) or None, where outcome
+# (AAAA only) is appended to the reported location.
 
 class _Ctx:
     def __init__(self, path: DiscretePath, params: Params):
         self.path = path
+        self.params = params
         self.verts = list(path.vertices)
         self.lens = edge_lengths(path)
         self.classes = [classify_edge(ln, params) for ln in self.lens]
@@ -316,7 +339,7 @@ class _Ctx:
                      for j in range(len(self.lens))]
 
 
-def _collapse_sites(ctx: _Ctx, params: Params):
+def _collapse_sites(ctx: _Ctx):
     """Near-flat corners whose removal completes a stalled slide.
 
     A corner qualifies when the turn is tiny, or when the corner rules have
@@ -337,11 +360,11 @@ def _collapse_sites(ctx: _Ctx, params: Params):
         if t <= COLLAPSE_TOL:
             stalled = True
         elif t <= 0.15 and EdgeClass.NORMAL not in pair:
-            slack = min(ln - params.ell for ln, c in
+            slack = min(ln - ctx.params.ell for ln, c in
                         ((ctx.lens[j], ctx.classes[j]),
                          (ctx.lens[j + 1], ctx.classes[j + 1]))
                         if c is EdgeClass.LONG)
-            stalled = slack <= 1e-3 * params.ell
+            stalled = slack <= 1e-3 * ctx.params.ell
         if not stalled:
             continue
         if pair == (EdgeClass.LONG, EdgeClass.LONG):
@@ -350,16 +373,16 @@ def _collapse_sites(ctx: _Ctx, params: Params):
             yield RuleKind.LONG_SHORT_SLIDE, (j, "collapse")
 
 
-def _collapse_attempt(path: DiscretePath, params: Params, j: int):
+def _collapse_attempt(ctx: _Ctx, loc):
     """Remove the near-flat vertex j+1; never lengthens, strictly flattens."""
-    verts = path.vertices
-    got = _eval_step(path, params, lambda _d: verts[:j + 1] + verts[j + 2:], 0.0)
+    j = loc[0]
+    got = _drop_vertex(ctx.path, ctx.params, j + 1)
     if got is None:
         return None
-    base = path_length(path)
+    base = path_length(ctx.path)
     if got[1] > base + 1e-15 * max(1.0, base):
         return None
-    return _tidy(got[0], params), abs(vertex_turns(path)[j + 1])
+    return _tidy(got[0], ctx.params), abs(ctx.turns[j + 1])
 
 
 def _long_long_sites(ctx: _Ctx):
@@ -367,11 +390,12 @@ def _long_long_sites(ctx: _Ctx):
         if (ctx.classes[j] is EdgeClass.LONG
                 and ctx.classes[j + 1] is EdgeClass.LONG
                 and abs(ctx.turns[j + 1]) > 1e-12):
-            yield (j,)
+            yield RuleKind.LONG_LONG_SHORTCUT, (j,)
 
 
-def _long_long_builder(ctx: _Ctx, params: Params, loc):
+def _long_long_attempt(ctx: _Ctx, loc):
     (j,) = loc
+    params = ctx.params
     d_max = min(ctx.lens[j] - params.ell, ctx.lens[j + 1] - params.ell,
                 0.49 * params.ell)
     verts = ctx.verts
@@ -388,7 +412,7 @@ def _long_long_builder(ctx: _Ctx, params: Params, loc):
     if math.cos(half) > 1e-9:
         events.append(params.ell / (2.0 * math.cos(half)))
     events += [ctx.lens[j] - params.ell, ctx.lens[j + 1] - params.ell]
-    return d_max, builder, False, events
+    return _attempt(ctx.path, params, builder, d_max, events)
 
 
 def _long_short_sites(ctx: _Ctx):
@@ -396,13 +420,14 @@ def _long_short_sites(ctx: _Ctx):
         if abs(ctx.turns[j + 1]) <= 1e-12:
             continue
         if ctx.classes[j] is EdgeClass.LONG and ctx.classes[j + 1] is EdgeClass.SHORT:
-            yield (j, 0)
+            yield RuleKind.LONG_SHORT_SLIDE, (j, 0)
         if ctx.classes[j] is EdgeClass.SHORT and ctx.classes[j + 1] is EdgeClass.LONG:
-            yield (j, 1)
+            yield RuleKind.LONG_SHORT_SLIDE, (j, 1)
 
 
-def _long_short_builder(ctx: _Ctx, params: Params, loc):
+def _long_short_attempt(ctx: _Ctx, loc):
     j, side = loc
+    params = ctx.params
     verts = ctx.verts
     if side == 0:  # long then short: pull the shared vertex back along the long edge
         d_max = ctx.lens[j] - params.ell
@@ -422,7 +447,7 @@ def _long_short_builder(ctx: _Ctx, params: Params, loc):
     # arc layer as a normal edge), plus the long edge reaching ell
     events = _ell_cross_events(verts[j + 1], move, far, params.ell)
     events.append(d_max)
-    return d_max, builder, False, events
+    return _attempt(ctx.path, params, builder, d_max, events)
 
 
 def _inflection_rotate_sites(ctx: _Ctx):
@@ -431,20 +456,22 @@ def _inflection_rotate_sites(ctx: _Ctx):
         if not ctx.infl[j]:
             continue
         if j + 1 < n_edges and ctx.classes[j + 1] is not EdgeClass.NORMAL:
-            yield (j, +1)
+            yield RuleKind.INFLECTION_ROTATE, (j, +1)
         if j - 1 >= 0 and ctx.classes[j - 1] is not EdgeClass.NORMAL:
-            yield (j, -1)
+            yield RuleKind.INFLECTION_ROTATE, (j, -1)
         if j + 1 < n_edges and ctx.infl[j + 1]:
-            yield (j, 0)  # bypass the shared vertex
+            yield RuleKind.INFLECTION_ROTATE, (j, 0)  # bypass the shared vertex
 
 
-def _inflection_rotate_builder(ctx: _Ctx, params: Params, loc):
+def _inflection_rotate_attempt(ctx: _Ctx, loc):
     j, mode = loc
+    params = ctx.params
     verts = ctx.verts
     if mode == 0:
-        def bypass(_d):
-            return verts[:j + 1] + verts[j + 2:]
-        return 1.0, bypass, True, ()
+        got = _drop_vertex(ctx.path, params, j + 1)
+        if got is not None and got[1] <= path_length(ctx.path) - IMPROVE_FRACTION * params.ell:
+            return _tidy(got[0], params), 1.0
+        return None
     if mode == +1:
         nb, moving = j + 1, j + 1
         move = ctx.dirs[nb]
@@ -484,14 +511,7 @@ def _inflection_rotate_builder(ctx: _Ctx, params: Params, loc):
         events = [cap]
     # the inflection edge itself grows; crossing ell exactly keeps typing clean
     events += _ell_cross_events(verts[moving], move, opposite, params.ell)
-    return cap, builder, False, events
-
-
-_LOCAL_RULES = [
-    (RuleKind.LONG_LONG_SHORTCUT, _long_long_sites, _long_long_builder),
-    (RuleKind.LONG_SHORT_SLIDE, _long_short_sites, _long_short_builder),
-    (RuleKind.INFLECTION_ROTATE, _inflection_rotate_sites, _inflection_rotate_builder),
-]
+    return _attempt(ctx.path, params, builder, cap, events)
 
 
 # ---------------------------------------------------------------------------
@@ -502,24 +522,20 @@ class _Struct(_Ctx):
 
     def __init__(self, cp: DiscretePath, params: Params):
         super().__init__(cp, params)
-        self.params = params
         self.st = structure_of(cp, params)
         self.infl_edges = [j for j, flag in enumerate(self.infl) if flag]
         self.longs = [j for j, c in enumerate(self.classes) if c is EdgeClass.LONG]
-        self.bridges = []
-        acc, spans = 0.0, []
-        for j, ln in enumerate(self.lens):
-            spans.append((acc, acc + ln))
-            acc += ln
-        tol = 1e-6 * max(1.0, params.ell)
-        for b in self.st.bridges:
-            for j, (s0, s1) in enumerate(spans):
-                if abs(s0 - b.start_s) <= tol and abs(s1 - b.end_s) <= tol:
-                    self.bridges.append(j)
-                    break
         self.vertex_s = [0.0]
         for ln in self.lens:
             self.vertex_s.append(self.vertex_s[-1] + ln)
+        self.bridges = []
+        tol = 1e-6 * max(1.0, params.ell)
+        for b in self.st.bridges:
+            for j in range(len(self.lens)):
+                if (abs(self.vertex_s[j] - b.start_s) <= tol
+                        and abs(self.vertex_s[j + 1] - b.end_s) <= tol):
+                    self.bridges.append(j)
+                    break
 
     def vertex_at(self, pt: Point2) -> int | None:
         tol = 1e-6 * max(1.0, self.params.ell)
@@ -566,31 +582,27 @@ def _make_struct(path: DiscretePath, params: Params) -> _Struct | None:
 # ---------------------------------------------------------------------------
 # block slides between two free sites
 
-def _block_slide_builder(sc: _Struct, src_edge: int, sink_edge: int, mode: str):
+def _block_slide_attempt(sc: _Struct, loc):
     """Translate the subpath between two edges along the source edge
     (shrinking it), reconnecting at the sink edge either directly or by
     breaking the sink at distance ell from one of its ends.
 
-    Returns (builder, events) or None.  At a step equal to the source length
-    the source edge is consumed and its endpoints merge.
+    At a step equal to the source length the source edge is consumed and
+    its endpoints merge.
     """
+    src_edge, sink_edge, mode = loc
     verts = sc.verts
     ell = sc.params.ell
-    n = len(verts)
-    if src_edge == sink_edge:
-        return None
     if src_edge < sink_edge:
-        block = set(range(src_edge + 1, sink_edge + 1))
+        lo, hi = src_edge + 1, sink_edge + 1
         t_dir = unit(sub(verts[src_edge], verts[src_edge + 1]))
         anchor, moving = sink_edge + 1, sink_edge
-        src_keep, src_gone = src_edge, src_edge + 1
+        src_gone = src_edge + 1
     else:
-        block = set(range(sink_edge + 1, src_edge + 1))
+        lo, hi = sink_edge + 1, src_edge + 1
         t_dir = unit(sub(verts[src_edge + 1], verts[src_edge]))
         anchor, moving = sink_edge, sink_edge + 1
-        src_keep, src_gone = src_edge + 1, src_edge
-    if not block or min(block) <= 0 or max(block) >= n - 1:
-        return None
+        src_gone = src_edge
     sink_len = sc.lens[sink_edge]
     src_len = sc.lens[src_edge]
     to_anchor = unit(sub(verts[anchor], verts[moving]))
@@ -598,85 +610,80 @@ def _block_slide_builder(sc: _Struct, src_edge: int, sink_edge: int, mode: str):
 
     if mode != "direct" and sink_len <= ell:
         return None
+    moving_break = add(verts[moving], scale(to_anchor, ell))
+    anchor_break = add(verts[anchor], scale(to_anchor, -ell))
 
     def builder(d):
         t = scale(t_dir, d)
-        merging = d >= merge_at
-        out = []
-        for i, p in enumerate(verts):
-            if i == src_gone and merging:
-                continue  # source edge fully consumed; endpoints merge
-            out.append(add(p, t) if i in block else p)
-            if i == sink_edge:
-                if mode == "break_moving":
-                    out.append(add(add(verts[moving], scale(to_anchor, ell)), t))
-                elif mode == "break_anchor":
-                    out.append(add(verts[anchor], scale(to_anchor, -ell)))
+        out = _shift_block(verts, lo, hi, t)
+        at = sink_edge + 1  # a break vertex follows the sink's first vertex
+        if d >= merge_at:
+            # source edge fully consumed: its endpoints merge, and a break
+            # vertex that would follow the merged-away vertex goes with it
+            del out[src_gone]
+            if src_gone == sink_edge:
+                return out
+            at -= src_gone < at
+        if mode == "break_moving":
+            out.insert(at, add(moving_break, t))
+        elif mode == "break_anchor":
+            out.insert(at, anchor_break)
         return out
 
     events = [src_len]
     if mode == "direct":
         events += _ell_cross_events(verts[moving], t_dir, verts[anchor], ell)
-    return builder, events
+    cap = src_len - ell if sc.classes[src_edge] is EdgeClass.LONG else src_len
+    return _attempt(sc.path, sc.params, builder, cap, events)
 
 
-def _pair_sites(sc: _Struct, kind: RuleKind):
-    turns, dirs = sc.turns, sc.dirs
-    if kind is RuleKind.TWO_INFLECTION_SLIDE:
-        for x in range(len(sc.infl_edges)):
-            for y in range(x + 1, len(sc.infl_edges)):
-                i, j = sc.infl_edges[x], sc.infl_edges[y]
-                if (turns[i] > 0) != (turns[j] > 0):
-                    continue  # turns not similar
-                if abs(cross(dirs[i], dirs[j])) < 1e-12:
-                    continue  # parallel edges: no strict gain
-                yield (i, j, "direct")
-                yield (j, i, "direct")
-    elif kind is RuleKind.INFLECTION_SLIDE:
-        for i in sc.infl_edges:
-            for b in sc.bridges:
-                if b != i:
-                    yield (i, b, "direct")
-    elif kind is RuleKind.LONG_BREAK_SLIDE:
-        for i in sc.infl_edges:
-            for l in sc.longs:
-                if l == i:
-                    continue
-                yield (i, l, "break_moving")
-                yield (i, l, "break_anchor")
-        for l1 in sc.longs:
-            for l2 in sc.longs:
-                if abs(l1 - l2) <= 1:
-                    continue  # adjacent longs belong to the corner shortcut
-                yield (l1, l2, "break_moving")
-                yield (l1, l2, "break_anchor")
-    elif kind is RuleKind.BRIDGE_TRANSLATE:
+def _two_inflection_sites(sc: _Struct):
+    for x in range(len(sc.infl_edges)):
+        for y in range(x + 1, len(sc.infl_edges)):
+            i, j = sc.infl_edges[x], sc.infl_edges[y]
+            if (sc.turns[i] > 0) != (sc.turns[j] > 0):
+                continue  # turns not similar
+            if abs(cross(sc.dirs[i], sc.dirs[j])) < 1e-12:
+                continue  # parallel edges: no strict gain
+            yield RuleKind.TWO_INFLECTION_SLIDE, (i, j, "direct")
+            yield RuleKind.TWO_INFLECTION_SLIDE, (j, i, "direct")
+
+
+def _inflection_slide_sites(sc: _Struct):
+    for i in sc.infl_edges:
+        for b in sc.bridges:
+            if b != i:
+                yield RuleKind.INFLECTION_SLIDE, (i, b, "direct")
+
+
+def _long_break_sites(sc: _Struct):
+    for i in sc.infl_edges:
         for l in sc.longs:
-            for b in sc.bridges:
-                if abs(l - b) >= 1:
-                    yield (l, b, "direct")
-        for b1 in sc.bridges:
-            for b2 in sc.bridges:
-                if b1 == b2:
-                    continue
-                if abs(cross(dirs[b1], dirs[b2])) < 1e-12 and \
-                        dot(dirs[b1], dirs[b2]) > 0.0:
-                    continue  # similar direction: sliding gains nothing
-                yield (b1, b2, "direct")
+            if l == i:
+                continue
+            yield RuleKind.LONG_BREAK_SLIDE, (i, l, "break_moving")
+            yield RuleKind.LONG_BREAK_SLIDE, (i, l, "break_anchor")
+    for l1 in sc.longs:
+        for l2 in sc.longs:
+            if abs(l1 - l2) <= 1:
+                continue  # adjacent longs belong to the corner shortcut
+            yield RuleKind.LONG_BREAK_SLIDE, (l1, l2, "break_moving")
+            yield RuleKind.LONG_BREAK_SLIDE, (l1, l2, "break_anchor")
 
 
-def _pair_cap(sc: _Struct, src: int) -> float:
-    if sc.classes[src] is EdgeClass.LONG:
-        return sc.lens[src] - sc.params.ell
-    return sc.lens[src]
-
-
-_PAIR_RULES = [
-    RuleKind.TWO_INFLECTION_SLIDE,
-    RuleKind.INFLECTION_SLIDE,
-    RuleKind.LONG_BREAK_SLIDE,
-    RuleKind.BRIDGE_TRANSLATE,
-]
+def _bridge_translate_sites(sc: _Struct):
+    for l in sc.longs:
+        for b in sc.bridges:
+            if abs(l - b) >= 1:
+                yield RuleKind.BRIDGE_TRANSLATE, (l, b, "direct")
+    for b1 in sc.bridges:
+        for b2 in sc.bridges:
+            if b1 == b2:
+                continue
+            if abs(cross(sc.dirs[b1], sc.dirs[b2])) < 1e-12 and \
+                    dot(sc.dirs[b1], sc.dirs[b2]) > 0.0:
+                continue  # similar direction: sliding gains nothing
+            yield RuleKind.BRIDGE_TRANSLATE, (b1, b2, "direct")
 
 
 # ---------------------------------------------------------------------------
@@ -686,57 +693,47 @@ def _aab_sites(sc: _Struct):
     elements = sc.elements()
     for pos in range(len(elements) - 2):
         kinds = "".join(e[0] for e in elements[pos:pos + 3])
-        if kinds == "AAB":
-            yield (pos, +1)
-        if kinds == "BAA":
-            yield (pos, -1)
+        direction = +1 if kinds == "AAB" else -1 if kinds == "BAA" else 0
+        if direction:
+            for sign in (1.0, -1.0):
+                yield RuleKind.AAB_ELIM, (pos, direction, sign)
 
 
-def _aab_builder(sc: _Struct, loc):
-    pos, direction = loc
-    elements = sc.elements()
-    if pos + 2 >= len(elements):
-        return None, None
-    trip = elements[pos:pos + 3]
+def _aab_attempt(sc: _Struct, loc):
+    pos, direction, sign = loc
+    trip = sc.elements()[pos:pos + 3]
     first, second = (trip[0], trip[1]) if direction == +1 else (trip[1], trip[2])
     a1, a2 = sc.st.arcs[first[1]], sc.st.arcs[second[1]]
     verts = sc.verts
     tol = 1e-3 * sc.params.ell
     if a2.start_s < a1.end_s - tol:
-        return _aab_overlap_slide(sc, a1, a2, direction)
+        return _aab_overlap_slide(sc, a1, a2, direction, sign)
     # arcs joined at a vertex, or within a micro-short connector edge that a
     # stalled slide left behind; the rotation then pivots on the connector's
     # far endpoint and lets the connector absorb the mismatch
     if dist(a1.end_pt, a2.start_pt) > tol:
-        return None, None  # arcs connect through real structure
+        return None  # arcs connect through real structure
     if direction == +1:
         w = sc.vertex_at(a1.end_pt)
         q = sc.vertex_at(a2.end_pt)
         if w is None or q is None or q <= w:
-            return None, None
-        block = range(w + 1, q + 1)
+            return None
+        lo, hi = w + 1, q + 1
     else:
         w = sc.vertex_at(a2.start_pt)
         q = sc.vertex_at(a1.start_pt)
         if w is None or q is None or q >= w:
-            return None, None
-        block = range(q, w)
-    if not block or min(block) <= 0 or max(block) >= len(verts) - 1:
-        return None, None
+            return None
+        lo, hi = q, w
+    if lo <= 0 or hi >= len(verts):
+        return None
     pivot = verts[w]
-
-    def make(sign):
-        def builder(d):
-            out = list(verts)
-            for i in block:
-                out[i] = rotate_about(verts[i], pivot, sign * d)
-            return out
-        return builder
-
-    return 0.45 * sc.params.theta, make
+    return _attempt(sc.path, sc.params,
+                    lambda d: _rotate_block(verts, lo, hi, pivot, sign * d),
+                    0.45 * sc.params.theta)
 
 
-def _aab_overlap_slide(sc: _Struct, a1, a2, direction: int):
+def _aab_overlap_slide(sc: _Struct, a1, a2, direction: int, sign: float):
     """AAB/BAA elimination when the two arcs overlap inside a long edge.
 
     The arc next to the bridge takes in the ell-tail (or ell-head) of that
@@ -752,36 +749,25 @@ def _aab_overlap_slide(sc: _Struct, a1, a2, direction: int):
         hinge = sc.vertex_at_s(a2.start_s + ell)  # first theta-turn of a2
         last = sc.vertex_at(a2.end_pt)
         if hinge is None or last is None or last < hinge:
-            return None, None
-        block, edge = range(hinge, last + 1), hinge - 1
+            return None
+        lo, hi, edge = hinge, last + 1, hinge - 1
         move = unit(sub(verts[hinge - 1], verts[hinge]))
     else:
         hinge = sc.vertex_at_s(a1.end_s - ell)  # last theta-turn of a1
         first = sc.vertex_at(a1.start_pt)
         if hinge is None or first is None or first > hinge:
-            return None, None
-        block, edge = range(first, hinge + 1), hinge
+            return None
+        lo, hi, edge = first, hinge + 1, hinge
         move = unit(sub(verts[hinge + 1], verts[hinge]))
-    if min(block) <= 0 or max(block) >= len(verts) - 1:
-        return None, None
-
-    def make(sign):
-        def builder(d):
-            out = list(verts)
-            for i in block:
-                out[i] = add(verts[i], scale(move, sign * d))
-            return out
-        return builder
-
-    return sc.lens[edge] - 20.0 * sc.params.tol_dedup, make
+    if lo <= 0 or hi >= len(verts):
+        return None
+    return _attempt(sc.path, sc.params,
+                    lambda d: _shift_block(verts, lo, hi, scale(move, sign * d)),
+                    sc.lens[edge] - 20.0 * sc.params.tol_dedup)
 
 
 # ---------------------------------------------------------------------------
 # trio slide (used inside four-arc runs containing an inflection/long edge)
-
-def _mirror(path: DiscretePath) -> DiscretePath:
-    return transform(path, reflect=True)
-
 
 def _angle_between(a, b, c) -> float:
     """Unsigned angle at b in the triangle a-b-c."""
@@ -802,17 +788,6 @@ def _in_wedge(v, lo, hi) -> bool:
     return cross(lo, v) <= 1e-12 and cross(v, hi) <= 1e-12
 
 
-def _line_circle(p0, d, center, r):
-    f = sub(p0, center)
-    b = 2.0 * dot(f, d)
-    c = dot(f, f) - r * r
-    disc = b * b - 4.0 * c
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    return [(-b - sq) / 2.0, (-b + sq) / 2.0]
-
-
 def _trio_slide(cp: DiscretePath, params: Params, b_idx: int, c_idx: int):
     """One shortening move around the edge (c_idx, c_idx+1), anchored at the
     junction vertex b_idx, for a right-turning run; callers mirror
@@ -828,73 +803,50 @@ def _trio_slide(cp: DiscretePath, params: Params, b_idx: int, c_idx: int):
     ex = (ey[1], -ey[0])
     qd = (dot(sub(d, c), ex), dot(sub(d, c), ey))
 
-    def attempt(builder, cap):
-        return _attempt(cp, params, builder, cap)
-
     if qd[0] < 0.0 and qd[1] < 0.0:
         # target edge leaves into the third quadrant: rotate the block after
         # b clockwise about b
-        block = list(range(b_idx + 1, c_idx + 1))
-
-        def rot_cw(phi):
-            out = list(verts)
-            for i in block:
-                out[i] = rotate_about(verts[i], b, -phi)
-            return out
-
-        return attempt(rot_cw, 0.4 * params.theta)
+        return _attempt(cp, params,
+                        lambda phi: _rotate_block(verts, b_idx + 1, c_idx + 1, b, -phi),
+                        0.4 * params.theta)
 
     if qd[0] >= 0.0:
         return None  # not the configuration this move targets
 
     cd_dir = unit(sub(d, c))
-    block_bc = list(range(b_idx, c_idx + 1))
 
-    def slide_cd(dd):
-        out = list(verts)
-        for i in block_bc:
-            out[i] = add(verts[i], scale(cd_dir, dd))
-        return out
-
-    def rotate_ab(phi):
-        b_new = rotate_about(b, a, phi)
-        t = sub(b_new, b)
-        out = list(verts)
-        for i in block_bc:
-            out[i] = add(verts[i], t)
-        return out
+    def rotate_ab(phi):  # b rotates about a; the block b..c follows it
+        return _shift_block(verts, b_idx, c_idx + 1, sub(rotate_about(b, a, phi), b))
 
     if _angle_between(a, b, c) <= math.pi / 2.0 + 1e-12:
         foot = _foot_on_line(c, a, b)
         if dist(foot, c) > 1e-12 and _in_wedge(cd_dir, ey, unit(sub(foot, c))):
-            return attempt(slide_cd, 0.5 * dist(c, d))
-        return attempt(rotate_ab, 0.4 * params.theta)
+            return _attempt(cp, params,
+                            lambda dd: _shift_block(verts, b_idx, c_idx + 1,
+                                                    scale(cd_dir, dd)),
+                            0.5 * dist(c, d))
+        return _attempt(cp, params, rotate_ab, 0.4 * params.theta)
 
     ab_dir = unit(sub(b, a))
     if _in_wedge(cd_dir, ey, ab_dir):
-        return attempt(rotate_ab, 0.4 * params.theta)
+        return _attempt(cp, params, rotate_ab, 0.4 * params.theta)
 
     # obtuse angle at b and the target edge outside the wedge: rotate the
     # block clockwise about b, then rotate about a to bring c back onto the
     # target edge's supporting line
     def double_rotation(phi_b):
-        out = list(verts)
-        for i in range(b_idx + 1, c_idx + 1):
-            out[i] = rotate_about(verts[i], b, -phi_b)
+        out = _rotate_block(verts, b_idx + 1, c_idx + 1, b, -phi_b)
         c1 = out[c_idx]
-        roots = _line_circle(c, cd_dir, a, dist(a, c1))
-        ts = sorted(t for t in roots if t > 1e-15)
+        ts = [t for t in _ell_cross_events(c, cd_dir, a, dist(a, c1)) if t > 1e-15]
         if not ts:
             return None
         c2 = add(c, scale(cd_dir, ts[0]))
         phi_a = turn_angle(sub(c1, a), sub(c2, a))
         if not (0.0 < phi_a < phi_b):
             return None
-        for i in range(b_idx, c_idx + 1):
-            out[i] = rotate_about(out[i], a, phi_a)
-        return out
+        return _rotate_block(out, b_idx, c_idx + 1, a, phi_a)
 
-    return attempt(double_rotation, 0.3 * params.theta)
+    return _attempt(cp, params, double_rotation, 0.3 * params.theta)
 
 
 def _trio_slide_any(cp: DiscretePath, params: Params, c_idx: int):
@@ -902,12 +854,12 @@ def _trio_slide_any(cp: DiscretePath, params: Params, c_idx: int):
     the run's own orientation (mirroring when it turns left)."""
     turns = vertex_turns(cp)
     sign = 1.0 if turns[c_idx] > 0 else -1.0
-    work = cp if sign < 0 else _mirror(cp)
+    work = cp if sign < 0 else transform(cp, reflect=True)
     for b_idx in range(c_idx - 1, max(0, c_idx - 7), -1):
         res = _trio_slide(work, params, b_idx, c_idx)
         if res is not None:
             out, step = res
-            return (out if sign < 0 else _mirror(out)), step
+            return (out if sign < 0 else transform(out, reflect=True)), step
     return None
 
 
@@ -917,7 +869,7 @@ def _trio_slide_any(cp: DiscretePath, params: Params, c_idx: int):
 def _aaaa_sites(sc: _Struct):
     for run in sc.arc_runs():
         if len(run) >= 4:
-            yield (run[0],)
+            yield RuleKind.AAAA_TO_AAA, (run[0],)
 
 
 def _span_edges(sc: _Struct, s0: float, s1: float):
@@ -929,10 +881,10 @@ def _span_edges(sc: _Struct, s0: float, s1: float):
     return out
 
 
-def _aaaa_attempt(sc: _Struct, params: Params, loc, allow_circ: bool = True):
-    run = next((r for r in sc.arc_runs() if len(r) >= 4 and r[0] == loc[0]), None)
-    if run is None:
-        return None
+def _aaaa_attempt(sc: _Struct, loc, allow_circ: bool = True):
+    """(new_path, step, how) for the run starting at arc loc[0], or None."""
+    params = sc.params
+    run = next(r for r in sc.arc_runs() if len(r) >= 4 and r[0] == loc[0])
     arcs = [sc.st.arcs[i] for i in run[:4]]
     edges = _span_edges(sc, arcs[0].start_s, arcs[3].end_s)
     targets = [j for j in edges
@@ -1000,6 +952,9 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
             return None
         return got[0]
 
+    # the follow-up: every move but this one, with the run's trio slides
+    follow_moves = _MOVES[:-1] + (
+        (True, _aaaa_sites, lambda sc2, loc2: _aaaa_attempt(sc2, loc2, allow_circ=False)),)
     for sign in (1.0, -1.0):
         lo, hi = 0.0, None
         eps = sign * 1e-3
@@ -1030,15 +985,7 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
         # swept to a boundary without a merge: collinearity produced an
         # inflection or long edge, so a strict shortening (possibly a trio
         # slide inside the run) must now exist
-        follow = _find_shortening(cand, params)
-        if follow is None:
-            sc2 = _make_struct(cand, params)
-            if sc2 is not None:
-                for loc2 in _aaaa_sites(sc2):
-                    res2 = _aaaa_attempt(sc2, params, loc2, allow_circ=False)
-                    if res2 is not None:
-                        follow = (res2[0], None, None, res2[1])
-                        break
+        follow = _first_move(cand, params, follow_moves)
         if follow is not None:
             out, _k, _l, step = follow
             if path_length(out) < base_len - IMPROVE_FRACTION * params.ell:
@@ -1047,59 +994,46 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
 
 
 # ---------------------------------------------------------------------------
-# orchestration
+# the move table and its walkers
 
-def _find_shortening(path: DiscretePath, params: Params):
-    """First applicable strictly-shortening rule, applied.  Returns
-    (new_path, kind, location, step) or None."""
+# (structured, site generator, attempt), in priority order.  Local rules read
+# the raw path; structured ones read its canonical structure, so they all
+# come after the local ones.
+_MOVES = (
+    (False, _collapse_sites, _collapse_attempt),
+    (False, _long_long_sites, _long_long_attempt),
+    (False, _long_short_sites, _long_short_attempt),
+    (False, _inflection_rotate_sites, _inflection_rotate_attempt),
+    (True, _two_inflection_sites, _block_slide_attempt),
+    (True, _inflection_slide_sites, _block_slide_attempt),
+    (True, _long_break_sites, _block_slide_attempt),
+    (True, _bridge_translate_sites, _block_slide_attempt),
+    (True, _aab_sites, _aab_attempt),
+    (True, _aaaa_sites, _aaaa_attempt),
+)
+
+
+def _sites(path: DiscretePath, params: Params, moves=_MOVES):
+    """(kind, location, attempt, context) for every site of the moves, in
+    table order.  The structure is built once, at the first structured row;
+    a path without one has no structured sites."""
     ctx = _Ctx(path, params)
-    for kind, loc in _collapse_sites(ctx, params):
-        got = _collapse_attempt(path, params, loc[0])
+    for structured, sites, attempt in moves:
+        if structured and not isinstance(ctx, _Struct):
+            ctx = _make_struct(path, params)
+            if ctx is None:
+                return
+        for kind, loc in sites(ctx):
+            yield kind, loc, attempt, ctx
+
+
+def _first_move(path: DiscretePath, params: Params, moves=_MOVES):
+    """First site, in table order, whose attempt succeeds, applied:
+    (new_path, kind, location, step), or None."""
+    for kind, loc, attempt, ctx in _sites(path, params, moves):
+        got = attempt(ctx, loc)
         if got is not None:
-            return got[0], kind, loc, got[1]
-    for kind, sites, build in _LOCAL_RULES:
-        for loc in sites(ctx):
-            d_max, builder, discrete, events = build(ctx, params, loc)
-            got = _attempt(path, params, builder, d_max, discrete=discrete,
-                           events=events)
-            if got is not None:
-                return got[0], kind, loc, got[1]
-    sc = _make_struct(path, params)
-    if sc is None:
-        return None
-    for kind in _PAIR_RULES:
-        for loc in _pair_sites(sc, kind):
-            made = _block_slide_builder(sc, loc[0], loc[1], loc[2])
-            if made is None:
-                continue
-            builder, events = made
-            got = _attempt(sc.path, params, builder, _pair_cap(sc, loc[0]),
-                           events=events)
-            if got is not None:
-                return got[0], kind, loc, got[1]
-    for loc in _aab_sites(sc):
-        cap, make = _aab_builder(sc, loc)
-        if make is None:
-            continue
-        for sign in (1.0, -1.0):
-            got = _attempt(sc.path, params, make(sign), cap)
-            if got is not None:
-                return got[0], RuleKind.AAB_ELIM, loc + (sign,), got[1]
-    return None
-
-
-def _find_and_apply(path: DiscretePath, params: Params):
-    got = _find_shortening(path, params)
-    if got is not None:
-        return got
-    sc = _make_struct(path, params)
-    if sc is None:
-        return None
-    for loc in _aaaa_sites(sc):
-        res = _aaaa_attempt(sc, params, loc)
-        if res is not None:
-            out, step, how = res
-            return out, RuleKind.AAAA_TO_AAA, loc + (how,), step
+            return got[0], kind, loc + got[2:], got[1]
     return None
 
 
@@ -1107,7 +1041,7 @@ def find_applicable(path: DiscretePath,
                     params: Params) -> tuple[RewriteRule, tuple] | None:
     """First applicable rule under the fixed priority (shortcuts before
     slides before equal-length transforms), or None at a fixed point."""
-    got = _find_and_apply(path, params)
+    got = _first_move(path, params)
     if got is None:
         return None
     _, kind, loc, step = got
@@ -1116,58 +1050,22 @@ def find_applicable(path: DiscretePath,
 
 def apply(path: DiscretePath, rule: RewriteRule, location: tuple,
           params: Params) -> DiscretePath:
-    """Apply one rule at a location, halving the step on infeasibility.
+    """Apply one rule at a location by running that site's attempt from the
+    move table (``_attempt``'s events, halving, bisection to the turn
+    boundary and golden search).  ``rule.step`` is not read.
 
-    Raises RuleNotApplicableError when no feasible improving step exists down
-    to the minimum step.
+    The location must be one that ``find_applicable`` can report for this
+    path; an AAAA_TO_AAA location may leave out its outcome tag.  Raises
+    RuleNotApplicableError for any other location, or when the attempt
+    finds no feasible improving step.
     """
-    kind = rule.kind
-    if len(location) >= 2 and location[1] == "collapse":
-        got = _collapse_attempt(path, params, location[0])
-        if got is None:
-            raise RuleNotApplicableError(f"{kind.value} at {location}")
-        return got[0]
-    for k, _sites, build in _LOCAL_RULES:
-        if k is kind:
-            ctx = _Ctx(path, params)
-            try:
-                d_max, builder, discrete, events = build(ctx, params, location)
-            except IndexError:
-                raise RuleNotApplicableError(f"{kind.value} at {location}")
-            got = _attempt(path, params, builder, d_max, discrete=discrete,
-                           events=events)
-            if got is None:
-                raise RuleNotApplicableError(f"{kind.value} at {location}")
-            return got[0]
-    sc = _make_struct(path, params)
-    if sc is None:
-        raise RuleNotApplicableError(f"{kind.value}: path has no clean structure")
-    if kind in _PAIR_RULES:
-        made = _block_slide_builder(sc, location[0], location[1], location[2])
-        if made is None:
-            raise RuleNotApplicableError(f"{kind.value} at {location}")
-        builder, events = made
-        got = _attempt(sc.path, params, builder, _pair_cap(sc, location[0]),
-                       events=events)
-        if got is None:
-            raise RuleNotApplicableError(f"{kind.value} at {location}")
-        return got[0]
-    if kind is RuleKind.AAB_ELIM:
-        cap, make = _aab_builder(sc, location[:2])
-        if make is None:
-            raise RuleNotApplicableError(f"{kind.value} at {location}")
-        signs = (location[2],) if len(location) > 2 else (1.0, -1.0)
-        for sign in signs:
-            got = _attempt(sc.path, params, make(sign), cap)
-            if got is not None:
+    for kind, loc, attempt, ctx in _sites(path, params):
+        if kind is rule.kind and location[:len(loc)] == loc:
+            got = attempt(ctx, loc)
+            if got is not None and location in (loc, loc + got[2:]):
                 return got[0]
-        raise RuleNotApplicableError(f"{kind.value} at {location}")
-    if kind is RuleKind.AAAA_TO_AAA:
-        res = _aaaa_attempt(sc, params, location[:1])
-        if res is None:
-            raise RuleNotApplicableError(f"{kind.value} at {location}")
-        return res[0]
-    raise ValueError(f"unknown rule kind {kind}")
+            break
+    raise RuleNotApplicableError(f"{rule.kind.value} at {location}")
 
 
 def shorten(path: DiscretePath, params: Params, budget: int = 10_000,
@@ -1186,7 +1084,7 @@ def shorten(path: DiscretePath, params: Params, budget: int = 10_000,
     if observer is not None:
         observer(0, current)
     for _ in range(budget):
-        got = _find_and_apply(current, params)
+        got = _first_move(current, params)
         if got is None:
             return current, trace
         new_path, kind, loc, step = got

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ddgeo.model import Params, path_length, validate
+from ddgeo.geometry import from_angle
+from ddgeo.model import Configuration, Params, path_length, validate
 from ddgeo.rewrite import (
     RewriteRule,
     RuleKind,
@@ -12,6 +13,7 @@ from ddgeo.rewrite import (
     find_applicable,
     shorten,
 )
+from ddgeo.smooth import discretize, dubins_solve
 from ddgeo.structure import (
     InternalInconsistencyError,
     find_forbidden_subtype,
@@ -195,10 +197,61 @@ def test_lexicographic_progress():
                     assert len(e.type_after) <= len(e.type_before)
 
 
-def test_apply_inapplicable_raises():
-    path = build_path([0.0, 0.0], [5.0])
+# a path with an inflection edge between two long edges
+_INFL = build_path([0.0, 0.6 * TH, -0.6 * TH, 0.0], [2.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("path, kind, loc", [
+    pytest.param(build_path([0.0, 0.0], [5.0]), RuleKind.LONG_LONG_SHORTCUT, (0,),
+                 id="long_long_on_straight"),
+    pytest.param(_INFL, RuleKind.LONG_SHORT_SLIDE, (0,), id="long_short_short_loc"),
+    pytest.param(_INFL, RuleKind.AAB_ELIM, (0,), id="aab_short_loc"),
+    pytest.param(_INFL, RuleKind.TWO_INFLECTION_SLIDE, (1,), id="two_inflection_short_loc"),
+    pytest.param(_INFL, RuleKind.BRIDGE_TRANSLATE, (99, 0, "direct"), id="bridge_edge_range"),
+    pytest.param(_INFL, RuleKind.LONG_BREAK_SLIDE, (9, 0, "break_anchor"),
+                 id="long_break_edge_range"),
+    pytest.param(_INFL, RuleKind.INFLECTION_ROTATE, (1, 5), id="inflection_rotate_mode"),
+    pytest.param(_INFL, RuleKind.AAB_ELIM, (0, 1, 1.0, 9), id="aab_extra_item"),
+])
+def test_apply_inapplicable_raises(path, kind, loc):
+    assert validate(path, P8) == []
     with pytest.raises(RuleNotApplicableError):
-        apply_rule(path, RewriteRule(RuleKind.LONG_LONG_SHORTCUT, 0.0), (0,), P8)
+        apply_rule(path, RewriteRule(kind, 0.0), loc, P8)
+
+
+def _cfg(x, y, deg):
+    return Configuration((x, y), from_angle(math.radians(deg)))
+
+
+def _replay_inputs():
+    """Random criterion-3 paths, the AAAA witness, and the theta-discretized
+    Dubins curves F1 and F2 (n = 16, circumradius 1), whose fixed points are
+    faulty (ROADMAP item 1)."""
+    for n in (6, 8, 12):
+        params = Params.from_sides(n, 1.0)
+        rng = np.random.default_rng(7000 + n)
+        for _ in range(30):
+            yield params, random_feasible_path(params, rng)
+    yield P8, build_path([0.0, 0.6 * TH, 0.3 * TH, 0.9 * TH, 0.5 * TH, 0.0], [1.0] * 5)
+    p16 = Params.from_sides(16, 2.0 * math.sin(math.pi / 16))
+    for U, V in ((_cfg(-1.1024, 0.7410, -108.23), _cfg(9.4036, -3.8864, 176.87)),
+                 (_cfg(1.4182, 1.9902, 67.83), _cfg(9.0431, 4.1089, 143.17))):
+        yield p16, discretize(dubins_solve(U, V), p16.theta)
+
+
+def test_apply_replays_shorten_trace():
+    # every traced move is what find_applicable reports on its frame, and
+    # apply at that rule and location rebuilds the next frame exactly
+    kinds = set()
+    for params, path in _replay_inputs():
+        frames = []
+        _, trace = shorten(path, params, observer=lambda _i, p: frames.append(p))
+        assert len(frames) == len(trace.entries) + 1
+        for i, e in enumerate(trace.entries):
+            assert find_applicable(frames[i], params) == (e.rule, e.location)
+            assert apply_rule(frames[i], e.rule, e.location, params) == frames[i + 1]
+            kinds.add(e.rule.kind)
+    assert kinds == set(RuleKind)
 
 
 def test_shorten_requires_feasible():
