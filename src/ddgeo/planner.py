@@ -38,16 +38,22 @@ lower bound on the length the other edges must cover (what the chords
 leave of |UV|, or for the partial-arc shapes the finer ``_chord_gap``).
 
 The partial-arc solve (``_solve_partial``) takes batches of rows against
-the joint patterns of ``_joint_patterns``.  Patterns that fix both joints of
-a partial end edge at one turn bound can never close and are dropped once
-per shape and theta; the heading test runs once per pattern sum.  At the
-family parameter t = 0 every token direction is a lead angle of the row
-(from psi_u or psi_v) turned by the pattern's joints, so one small complex
-product gives the chord sums of every row under every arc layout the
-patterns share.  A joint row whose floor, the arcs' edges plus what turning
-its family by at most theta leaves of the F edges' displacement, exceeds
-the incumbent is dropped before its family is solved, and the solved rows
-turn their t = 0 vectors rather than evaluate the closure again.
+the joint patterns of ``_joint_patterns``.  ``plan`` cuts the batches from
+the rows whose floor the incumbent leaves live, so they are full, and
+filters each again by the incumbent when its turn comes.  Patterns that fix
+both joints of a partial end edge at one turn bound can never close and are
+dropped once per shape and theta; the heading test runs once per pattern
+sum.  At the family parameter t = 0 every token direction is a lead angle
+of the row (from psi_u or psi_v) turned by the pattern's joints, so one
+small complex product gives the chord sums of every row under every arc
+layout the patterns share.  A joint row whose floor, the arcs' edges plus
+what turning its family by at most theta leaves of the F edges'
+displacement, exceeds the incumbent is dropped before its family is solved.
+Vectors stay complex numbers, whose conjugate products give the cross and
+dot products of the family coefficients.  A family root moves only two
+joints, so the turn bounds are tested on those two before any joint row is
+built, and the solved rows turn their t = 0 vectors rather than evaluate
+the closure again.
 
 A discretization of the smooth Dubins curve between the configurations is
 always included as a candidate, which makes the planned length at most the
@@ -68,9 +74,7 @@ from .geometry import (
     Point2,
     add,
     angle_of,
-    cross,
     dist,
-    dot,
     from_angle,
     normalize_angle,
     scale,
@@ -195,7 +199,7 @@ class _Instance:
         try:
             return _smooth.dubins_solve(Configuration(scale(self.U.point, 1.0 / r), self.U.heading),
                                         Configuration(scale(self.V.point, 1.0 / r), self.V.heading))
-        except Exception:
+        except (ValueError, RuntimeError):
             return None
 
     def finish(self, vertices: list[Point2]) -> DiscretePath | None:
@@ -216,7 +220,7 @@ class _Instance:
         try:
             if validate(path, self.params):
                 return None
-        except Exception:
+        except ValueError:
             return None
         return path
 
@@ -576,15 +580,16 @@ class _Patterns:
     Rows with one sum of ``vals`` and one reach of their free joints (theta
     for one, 2 theta for a family) form a ``group``, whose ``sums`` and
     ``reach`` the heading test reads once.  ``per_batch`` rows of arc
-    orientations and edge counts are solved together.
+    orientations and edge counts are solved together; ``plan`` counts them
+    over the rows its floors leave live.
 
     At t = 0 a token's direction is a lead angle of the arc row (from psi_u
     before the heading joint, after it from psi_v) turned by the joints on
     the way.  Patterns whose arcs agree in this, and in which of them lie in
     the family's turning block, share a ``chords`` column; ``mix`` takes the
     arcs' lead chords (side-major, from ``_leads``) to the chord sum of each
-    column and then to its sum over the turning block.  ``f_after``,
-    ``f_turn`` and ``f_inside`` give the same for each F edge.
+    column and then to its sum over the turning block.  ``f_after`` (the
+    side, 0 or 1), ``f_turn`` and ``f_inside`` give the same for each F edge.
     """
 
     vals: np.ndarray
@@ -665,8 +670,8 @@ def _joint_patterns(shape: str, theta: float) -> _Patterns:
     on = np.hstack([np.where(c_after, 0.0, turn), np.where(c_after, turn, 0.0)])
     mix = np.vstack([on, on * np.tile(c_inside, 2)]).T
     return _Patterns(vals, head, scan, group.ravel(), *groups.T, per_batch, chords.ravel(),
-                     mix, after[:, f_cols], np.exp(1j * theta * turned[:, f_cols]),
-                     inside[:, f_cols])
+                     mix, after[:, f_cols].astype(int),
+                     np.exp(1j * theta * turned[:, f_cols]), inside[:, f_cols])
 
 
 def _leads(inst: _Instance, shape: str, sigmas, ks):
@@ -689,15 +694,14 @@ def _closure_terms(inst: _Instance, shape: str, sigmas, ks, joints):
     """Closure pieces of partial-arc candidates, one per row of arc
     orientations, edge counts and joint turns.
 
-    Returns the element entry directions, the unit vectors of the F edges,
-    the displacement r the F edges must cover (w minus the arc chords), and
-    the F token columns.
+    Returns the element entry directions, the unit vectors of the F edges
+    and the displacement r the F edges must cover (w minus the arc chords),
+    both as complex numbers, and the F token columns.
     """
     params = inst.params
     th = params.theta
     psi = inst.psi_u + np.cumsum(joints[:, :-1], axis=1)
-    r_x = np.full(len(joints), float(inst.w[0]))
-    r_y = np.full(len(joints), float(inst.w[1]))
+    r = np.full(len(joints), complex(*inst.w))
     f_cols = []
     arc_i = 0
     for t, letter in enumerate(shape):
@@ -706,12 +710,10 @@ def _closure_terms(inst: _Instance, shape: str, sigmas, ks, joints):
             continue
         k, sweep = ks[:, arc_i], (ks[:, arc_i] - 1) * sigmas[:, arc_i] * th
         arc_i += 1
-        chord = _chord(params, k)
-        r_x -= chord * np.cos(psi[:, t] + sweep / 2.0)
-        r_y -= chord * np.sin(psi[:, t] + sweep / 2.0)
+        r -= _chord(params, k) * np.exp(1j * (psi[:, t] + sweep / 2.0))
         psi[:, t + 1:] += sweep[:, None]
-    f_dirs = [(np.cos(psi[:, t]), np.sin(psi[:, t])) for t in f_cols]
-    return psi, f_dirs, (r_x, r_y), f_cols
+    f_dirs = [np.exp(1j * psi[:, t]) for t in f_cols]
+    return psi, f_dirs, r, f_cols
 
 
 def _f_caps(shape: str, ell: float) -> list[float]:
@@ -741,7 +743,8 @@ def _f_caps(shape: str, ell: float) -> list[float]:
 def _partial_closure(inst: _Instance, shape: str, ks, joints, f_dirs, r, f_cols):
     """F lengths, total lengths and feasibility mask of partial-arc
     candidates whose joint rows close the heading, from their F edge
-    directions ``f_dirs`` and the displacement ``r`` the F edges must cover.
+    directions ``f_dirs`` and the displacement ``r`` the F edges must cover
+    (complex numbers).
 
     Two F lengths solve position closure as a 2x2 linear system.  One F
     length is the displacement's projection on its direction, which closes
@@ -755,14 +758,16 @@ def _partial_closure(inst: _Instance, shape: str, ks, joints, f_dirs, r, f_cols)
     th, ell = params.theta, params.ell
     if len(f_dirs) == 1:
         (e,) = f_dirs
-        lens = [dot(e, r)]
-        ok = np.abs(cross(e, r)) <= inst.snap_tol
+        # dot(e, r) and cross(e, r)
+        proj = np.conj(e) * r
+        lens = [proj.real]
+        ok = np.abs(proj.imag) <= inst.snap_tol
     else:
         e1, e2 = f_dirs
-        det = cross(e1, e2)
+        det = (np.conj(e1) * e2).imag
         ok = np.abs(det) > 1e-12
         safe = np.where(ok, det, 1.0)
-        lens = [cross(r, e2) / safe, cross(e1, r) / safe]
+        lens = [(np.conj(r) * e2).imag / safe, (np.conj(e1) * r).imag / safe]
     ok &= np.all(np.abs(joints) <= th + 1e-12, axis=1)
     for t, ln, cap in zip(f_cols, lens, _f_caps(shape, ell)):
         a, b = joints[:, t], joints[:, t + 1]
@@ -775,37 +780,32 @@ def _partial_closure(inst: _Instance, shape: str, ks, joints, f_dirs, r, f_cols)
 def _family_coeffs(f_dirs, r_out, r_in, rotating):
     """Closure cross products along two-joint families as c0 + c1 cos t +
     c2 sin t: cross(e_f(t), r_out - R(t) r_in) for each F edge direction
-    e_f, then cross(e1(t), e2(t)) for two F edges.  ``rotating`` flags, per
-    F edge, the rows where it lies in the turning block.
+    e_f, then cross(e1(t), e2(t)) for two F edges.  Vectors are complex
+    numbers; ``rotating`` flags, per F edge, the rows where it lies in the
+    turning block.
 
     Raising the turn at the family's first joint by t and lowering it at its
     second joint by t rigidly rotates the tokens between them by t, so every
     cross product of a fixed and a rotating vector is a degree-one
     trigonometric polynomial in t (and one of two rotating vectors is
-    constant).  ``_closure_terms`` with that block flagged ``inside`` gives
-    the vectors at t = 0.
+    constant).  With conj(u) v = dot(u, v) + i cross(u, v), cross(u, R(t) v)
+    = cross(u, v) cos t + dot(u, v) sin t.  ``_closure_terms`` with that
+    block flagged ``inside`` gives the vectors at t = 0.
     """
-    zero = np.zeros_like(r_out[0])
-
-    def const(x):
-        return x, zero, zero
-
-    def turning(u, v, sign):  # cross(u, R(t) v) for sign 1, cross(R(t) u, v) for -1
-        return zero, cross(u, v), sign * dot(u, v)
-
-    def minus(p, q):
-        return tuple(a - b for a, b in zip(p, q))
-
-    def pick(cond, when_true, when_false):
-        return tuple(np.where(cond, a, b) for a, b in zip(when_true, when_false))
-
-    out = [pick(m, minus(turning(e, r_out, -1.0), const(cross(e, r_in))),
-                minus(const(cross(e, r_out)), turning(e, r_in, 1.0)))
-           for e, m in zip(f_dirs, rotating)]
+    out = []
+    for e, m in zip(f_dirs, rotating):
+        ce = np.conj(e)
+        p, q = ce * r_out, ce * r_in
+        # rotating e: cross(R(t) e, r_out) - cross(e, r_in); else
+        # cross(e, r_out) - cross(e, R(t) r_in)
+        out.append((np.where(m, -q.imag, p.imag), np.where(m, p.imag, -q.imag),
+                    -np.where(m, p.real, q.real)))
     if len(f_dirs) == 2:
         (e1, e2), (m1, m2) = f_dirs, rotating
-        out.append(pick(m1 == m2, const(cross(e1, e2)),
-                        pick(m2, turning(e1, e2, 1.0), turning(e1, e2, -1.0))))
+        g = np.conj(e1) * e2
+        same = m1 == m2
+        out.append((np.where(same, g.imag, 0.0), np.where(same, 0.0, g.imag),
+                    np.where(same, 0.0, np.where(m2, g.real, -g.real))))
     return out
 
 
@@ -856,17 +856,25 @@ def _chord_gap(inst: _Instance, shape: str, sigmas, ks):
     size = np.hypot(tx, ty)
     base = inst.psi_u + half[:, :1] + np.arctan2(ty, tx)
     bearing = math.atan2(inst.w[1], inst.w[0])
-    gap = np.full(size.shape, math.inf)
+    # the distance from w grows with the angular miss on [0, pi], so each
+    # cell takes its smallest miss over the winds that leave it an interval
+    # (few do), and cells that no wind leaves one get no distance
+    aim = (bearing - base).ravel()
+    miss = np.full(aim.size, math.inf)
     reach = (len(shape) + 1) * th
     for wind in range(-int(reach / TWO_PI) - 1, int(reach / TWO_PI) + 2):
         target = need + wind * TWO_PI - spent
-        lo = np.maximum(-first, target - last - slop)
-        hi = np.minimum(first, target + last + slop)
-        miss = np.maximum(0.0, np.abs(_norm_arr(bearing - base - (lo + hi) / 2.0))
-                          - (hi - lo) / 2.0)
-        dist_w = np.sqrt((inst.d - size) ** 2
-                         + 4.0 * inst.d * size * np.sin(miss / 2.0) ** 2)
-        gap = np.minimum(gap, np.where(lo <= hi, dist_w, math.inf))
+        lo = np.maximum(-first, target - last - slop).ravel()
+        hi = np.minimum(first, target + last + slop).ravel()
+        at = np.flatnonzero(lo <= hi)
+        lo, hi = lo[at], hi[at]
+        off = np.maximum(0.0, np.abs(_norm_arr(aim[at] - (lo + hi) / 2.0)) - (hi - lo) / 2.0)
+        miss[at] = np.minimum(miss[at], off)
+    gap = np.full(size.shape, math.inf)
+    at = np.flatnonzero(miss < math.inf)
+    size = size.ravel()[at]
+    gap.flat[at] = np.sqrt((inst.d - size) ** 2
+                           + 4.0 * inst.d * size * np.sin(miss[at] / 2.0) ** 2)
     return np.maximum(gap.min(axis=1) - margin, inst.d - chords.sum(axis=1)).clip(0.0)
 
 
@@ -878,10 +886,6 @@ def _trig_roots(a, b, c):
     arc = np.arcsin(np.clip(-c / np.where(has, amp, 1.0), -1.0, 1.0))
     phase = np.arctan2(b, a)
     return (arc - phase, math.pi - arc - phase), has
-
-
-def _xy(z):
-    return z.real, z.imag
 
 
 def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
@@ -921,19 +925,17 @@ def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
     floor = (ks_batch.sum(axis=1) * ell)[:, None] + gap
     near = (gap <= sum(_f_caps(shape, ell))) & (floor <= length_cap + 1e-9 * max(1.0, length_cap))
     tup, pat = np.nonzero(fits & near[:, patterns.chords])
-    head, scan = patterns.head[pat], patterns.scan[pat]
-    joints = patterns.vals[pat]
-    joints[np.arange(len(pat)), head] = left[tup, patterns.group[pat]]
+    scan = patterns.scan[pat]
+    left = left[tup, patterns.group[pat]]
     col = patterns.chords[pat]
     r_in = r_in[tup, col]
     r_out = r[tup, col] + r_in
     f_cols = [t for t, letter in enumerate(shape) if letter == "F"]
-    f_dirs = [vec[tup, patterns.f_after[pat, i].astype(int), t] * patterns.f_turn[pat, i]
+    f_dirs = [vec[tup, patterns.f_after[pat, i], t] * patterns.f_turn[pat, i]
               for i, t in enumerate(f_cols)]
-    inside = patterns.f_inside[pat]
     family = np.flatnonzero(scan >= 0)
-    coeffs = _family_coeffs([_xy(e[family]) for e in f_dirs], _xy(r_out[family]),
-                            _xy(r_in[family]), list(inside[family].T))
+    coeffs = _family_coeffs([e[family] for e in f_dirs], r_out[family], r_in[family],
+                            list(patterns.f_inside[pat[family]].T))
     if len(coeffs) == 3:
         x1, x2, (d0, d1, d2) = coeffs
         n0, n1, n2 = (a - b for a, b in zip(x1, x2))
@@ -943,22 +945,30 @@ def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
     else:
         ((x0, xc, xs),) = coeffs
         roots, has_root = _trig_roots(xs, xc, x0)
-    # rows with only the heading joint free (two F edges) are solved at t = 0
-    rows = [np.flatnonzero(scan < 0)]
-    solved, turns = [joints[rows[0]]], [np.zeros(len(rows[0]))]
-    at = np.arange(len(family))
+    # rows with only the heading joint free (two F edges) are solved at t = 0;
+    # a family root turns its scan joint by t and its heading joint by -t,
+    # the only joints that can leave their bounds (the rest hold +-theta or 0)
+    single = np.flatnonzero(scan < 0)
+    rows, turns, heads = [single], [np.zeros(len(single))], [left[single]]
+    left = left[family]
     for root in roots:
-        v = joints[family]
-        v[at, scan[family]] = _norm_arr(root)
-        v[at, head[family]] = _norm_arr(v[at, head[family]] - root)
-        live = has_root & np.all(np.abs(v) <= th + 1e-12, axis=1)
-        rows.append(family[live])
-        solved.append(v[live])
-        turns.append(v[live, scan[family][live]])
-    rows, joints = np.concatenate(rows), np.concatenate(solved)
-    spin = np.exp(1j * np.concatenate(turns))
-    r = _xy(r_out[rows] - spin * r_in[rows])
-    dirs = [_xy(np.where(m, spin * e[rows], e[rows])) for e, m in zip(f_dirs, inside[rows].T)]
+        t = _norm_arr(root)
+        at = np.flatnonzero(has_root & (np.abs(t) <= th + 1e-12))
+        h = _norm_arr(left[at] - root[at])
+        live = np.abs(h) <= th + 1e-12
+        rows.append(family[at[live]])
+        turns.append(t[at[live]])
+        heads.append(h[live])
+    rows, turns = np.concatenate(rows), np.concatenate(turns)
+    solved = pat[rows]
+    joints = patterns.vals[solved]
+    joints[np.arange(len(rows)), patterns.head[solved]] = np.concatenate(heads)
+    turning = np.flatnonzero(scan[rows] >= 0)
+    joints[turning, scan[rows[turning]]] = turns[turning]
+    spin = np.exp(1j * turns)
+    r = r_out[rows] - spin * r_in[rows]
+    dirs = [np.where(m, spin * e[rows], e[rows])
+            for e, m in zip(f_dirs, patterns.f_inside[solved].T)]
     sigmas, ks = sigma_batch[tup[rows]], ks_batch[tup[rows]]
     _, total, ok = _partial_closure(inst, shape, ks, joints, dirs, r, f_cols)
     ok &= total <= length_cap
@@ -1060,7 +1070,7 @@ def _dubins_seed(inst: _Instance) -> DiscretePath | None:
         return None
     try:
         disc = _smooth.discretize(gamma, params.theta)
-    except Exception:
+    except (ValueError, RuntimeError):
         return None
     verts = [scale(p, params.circumradius) for p in disc.vertices]
     verts[-1] = inst.V.point
@@ -1092,8 +1102,11 @@ def plan(U: Configuration, V: Configuration, params: Params,
     lexicographically.  A winner
     outside the typing domain or with a forbidden factor (the raw Dubins
     seed can be one) is polished with the rewriter.  The result always
-    validates and carries a true type.
+    validates and carries a true type.  ``k_max`` must be at least 1: an arc
+    has one edge or more, so a lower cap would leave no arc candidate.
     """
+    if k_max is not None and k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     inst = _Instance(U, V, params)
     th, ell, tol_len = params.theta, params.ell, params.tol_len
     k_cap = params.n_sides - 1
@@ -1168,16 +1181,19 @@ def plan(U: Configuration, V: Configuration, params: Params,
         gap = _chord_gap(inst, word, sigmas, ks)
         floors = ks.sum(axis=1) * ell + gap
         floors[gap > reach + tol_len] = math.inf
-        for b0 in range(0, len(ks), per_batch):
-            live = floors[b0:b0 + per_batch] <= incumbent + tol_len
-            if not live.any():
+        # batches of the rows live now, each cut again by the incumbent of
+        # its turn
+        live = np.flatnonzero(floors <= incumbent + tol_len)
+        for b0 in range(0, len(live), per_batch):
+            batch = live[b0:b0 + per_batch]
+            batch = batch[floors[batch] <= incumbent + tol_len]
+            if not len(batch):
                 continue
-            got = _solve_partial(inst, word, sigmas[b0:b0 + per_batch][live],
-                                 ks[b0:b0 + per_batch][live], patterns, incumbent + tol_len)
+            got = _solve_partial(inst, word, sigmas[batch], ks[batch], patterns,
+                                 incumbent + tol_len)
             if got is None:
-                first = b0 + int(np.argmax(live))
-                diags.append(CandidateDiag(word, tuple(sigmas[first].tolist()),
-                                           tuple(ks[first].tolist()), "infeasible"))
+                diags.append(CandidateDiag(word, tuple(sigmas[batch[0]].tolist()),
+                                           tuple(ks[batch[0]].tolist()), "infeasible"))
             else:
                 record(word, *got)
 
@@ -1293,7 +1309,7 @@ def oracle_search(U: Configuration, V: Configuration, params: Params,
             path = DiscretePath(U, V, tuple(dedup))
             if not validate(path, params):
                 seeds.append(path)
-        except Exception:
+        except (ValueError, RuntimeError):
             continue
     if not seeds:
         straight = DiscretePath(U, V, (U.point, V.point))

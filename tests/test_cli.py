@@ -135,6 +135,12 @@ def test_usage_error_exit_two(capsys):
     assert run(["plan", "--start", "0,0,0", "--end", "1,1,0"]) == 2
 
 
+def test_plan_arc_cap_below_one_exit_two(capsys):
+    assert run(["plan", "--params-n", "8", "--ell", "1.0", "--start", "0,0,0",
+                "--end", "3,1,90", "--k-max", "0"]) == 2
+    assert "k_max" in capsys.readouterr().err
+
+
 def test_degrees_on_surface(tmp_path):
     # a 45 degree heading on disk becomes a unit vector inside
     path = build_path([0.0, 0.0], [3.0], base_angle=math.pi / 4)

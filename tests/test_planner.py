@@ -31,8 +31,10 @@ from ddgeo.model import (
 )
 from ddgeo.planner import (
     _BATCH_ROWS,
+    _GAP_GRID,
     _PARTIAL_SHAPES,
     _ROW_SOLVERS,
+    TWO_PI,
     CandidateSpec,
     _ab_rows,
     _aba_rows,
@@ -286,6 +288,19 @@ def test_uturn_n8_seed_shortens_to_true_type():
     assert _true_word(type_string(fixed, P8))
 
 
+def test_plan_rejects_arc_cap_below_one():
+    # a cap below one edge would drop every arc row and leave the Dubins seed
+    params = Params.from_sides(8, 2.0 * math.sin(math.pi / 8))
+    U = Configuration.at_angle((0.0, 0.0), 0.0)
+    V = Configuration.at_angle((3.0, 1.0), math.pi / 2)
+    for k_max in (None, 1, 7):
+        res = plan(U, V, params, k_max=k_max)
+        assert (res.type_word, res.length) == ("BA", pytest.approx(3.26661008290, abs=1e-10))
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="k_max"):
+            plan(U, V, params, k_max=k_max)
+
+
 def test_plan_polishes_untypeable_seed():
     # with arcs capped at one edge the raw Dubins seed wins the sort; it is
     # outside the typing domain, so plan must send it to the rewriter
@@ -355,19 +370,19 @@ def test_partial_family_coefficients_match_direct_closure():
             tokens = np.arange(len(shape))
             inside = ((tokens >= a) & (tokens < b))[None, :]
             psi, f_dirs, r, f_cols = _closure_terms(inst, shape, sigmas, ks, base[None, :])
-            r_in = _chord_sum(inst, shape, sigmas, ks, psi, inside)
-            r_out = (r[0] + r_in[0], r[1] + r_in[1])
-            coeffs = _family_coeffs(f_dirs, r_out, r_in,
+            in_x, in_y = _chord_sum(inst, shape, sigmas, ks, psi, inside)
+            r_in = in_x + 1j * in_y
+            coeffs = _family_coeffs(f_dirs, r + r_in, r_in,
                                     [inside[:, t] for t in f_cols])
             for t in rng.uniform(-1.0, 1.0, 4):
                 joints = base.copy()
                 joints[a] += t
                 joints[b] -= t
                 _, f_dirs, r, _ = _closure_terms(inst, shape, sigmas, ks, joints[None, :])
-                direct = [e[0] * r[1] - e[1] * r[0] for e in f_dirs]
+                direct = [e.real * r.imag - e.imag * r.real for e in f_dirs]
                 if len(f_dirs) == 2:
                     (e1, e2) = f_dirs
-                    direct.append(e1[0] * e2[1] - e1[1] * e2[0])
+                    direct.append(e1.real * e2.imag - e1.imag * e2.real)
                 assert len(coeffs) == len(direct)
                 for c, d in zip(coeffs, direct):
                     fit = c[0] + c[1] * math.cos(t) + c[2] * math.sin(t)
@@ -410,8 +425,76 @@ def test_chord_gap_bounds_what_free_edges_cover():
                                            np.repeat(ks, len(joints), axis=0), joints)
             if len(joints):
                 checked += 1
-                assert floor <= np.hypot(*r).min() + 1e-12
+                assert floor <= np.abs(r).min() + 1e-12
     assert checked >= 30
+
+
+def _ref_chord_gap(inst, shape, sigmas, ks):
+    # the floor evaluated once per wind, taking the smallest distance
+    th = inst.params.theta
+    n = len(ks)
+    ks = np.asarray(ks, dtype=float)
+    chords = _chord(inst.params, ks)
+    half = (ks - 1) * sigmas * th / 2.0
+    at = [t for t, letter in enumerate(shape) if letter == "A"]
+    tx, ty = chords[:, :1], np.zeros((n, 1))
+    angle, spent = np.zeros((n, 1)), np.zeros((n, 1))
+    margin, slop = np.zeros(n), 0.0
+    for i in range(1, len(at)):
+        width = (at[i] - at[i - 1]) * th
+        steps = np.linspace(-width, width, _GAP_GRID)
+        cells = angle.shape[1] * _GAP_GRID
+        angle = ((angle + (half[:, i - 1] + half[:, i])[:, None])[:, :, None]
+                 + steps).reshape(n, cells)
+        spent = (spent[:, :, None] + steps).reshape(n, cells)
+        tx = np.repeat(tx, _GAP_GRID, axis=1) + chords[:, i:i + 1] * np.cos(angle)
+        ty = np.repeat(ty, _GAP_GRID, axis=1) + chords[:, i:i + 1] * np.sin(angle)
+        margin += chords[:, i:].sum(axis=1) * (steps[1] - steps[0]) / 2.0
+        slop += (steps[1] - steps[0]) / 2.0
+    caps = _f_caps(shape, inst.params.ell)
+    first = (at[0] + 1 - (at[0] == 1 and caps[0] < inst.params.ell)) * th
+    last = (len(shape) - at[-1] - (at[-1] == len(shape) - 2
+                                   and caps[-1] < inst.params.ell)) * th
+    need = _norm_arr(inst.psi_v - inst.psi_u - 2.0 * half.sum(axis=1))[:, None]
+    size = np.hypot(tx, ty)
+    base = inst.psi_u + half[:, :1] + np.arctan2(ty, tx)
+    bearing = math.atan2(inst.w[1], inst.w[0])
+    gap = np.full(size.shape, math.inf)
+    reach = (len(shape) + 1) * th
+    for wind in range(-int(reach / TWO_PI) - 1, int(reach / TWO_PI) + 2):
+        target = need + wind * TWO_PI - spent
+        lo = np.maximum(-first, target - last - slop)
+        hi = np.minimum(first, target + last + slop)
+        miss = np.maximum(0.0, np.abs(_norm_arr(bearing - base - (lo + hi) / 2.0))
+                          - (hi - lo) / 2.0)
+        dist_w = np.sqrt((inst.d - size) ** 2
+                         + 4.0 * inst.d * size * np.sin(miss / 2.0) ** 2)
+        gap = np.minimum(gap, np.where(lo <= hi, dist_w, math.inf))
+    return np.maximum(gap.min(axis=1) - margin, inst.d - chords.sum(axis=1)).clip(0.0)
+
+
+@pytest.mark.parametrize("n", [6, 8, 16, 64])
+def test_chord_gap_matches_reference(n):
+    # one distance evaluation per cell at its smallest miss over the winds
+    # gives the very floors of one evaluation per wind
+    params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+    rng = np.random.default_rng(30 + n)
+    rows = 0
+    for shape in _PARTIAL_SHAPES:
+        for _ in range(2):
+            d = float(rng.uniform(0.0, 7.0)) * params.circumradius
+            bearing, h_u, h_v = rng.uniform(0.0, 2.0 * math.pi, 3)
+            U = Configuration.at_angle(tuple(rng.uniform(-2.0, 2.0, 2)), float(h_u))
+            V = Configuration.at_angle(add(U.point, scale(from_angle(float(bearing)), d)),
+                                       float(h_v))
+            inst = _Instance(U, V, params)
+            sigmas, ks = _word_rows(shape.count("A"), _wrap(inst.psi_v - inst.psi_u),
+                                    params.theta, (len(shape) + 1) * params.theta,
+                                    range(1, min(n, 10)), False, params.ell, math.inf)
+            got = _chord_gap(inst, shape, sigmas, ks)
+            assert np.array_equal(got, _ref_chord_gap(inst, shape, sigmas, ks)), shape
+            rows += len(ks)
+    assert rows >= 1000
 
 
 def test_convergence_rows_straight_instance():
@@ -750,9 +833,9 @@ def _ref_solve_partial(inst, shape, sigma_batch, ks_batch, length_cap):
     near = np.hypot(r_out[0] - r_in[0], r_out[1] - r_in[1]) <= cover
     single = np.flatnonzero(near & (scan < 0))
     family = np.flatnonzero(near & (scan >= 0))
-    coeffs = _family_coeffs([(e[0][family], e[1][family]) for e in f_dirs],
-                            (r_out[0][family], r_out[1][family]),
-                            (r_in[0][family], r_in[1][family]),
+    coeffs = _family_coeffs([e[0][family] + 1j * e[1][family] for e in f_dirs],
+                            r_out[0][family] + 1j * r_out[1][family],
+                            r_in[0][family] + 1j * r_in[1][family],
                             [inside[family, t] for t in f_cols])
     if len(coeffs) == 3:
         x1, x2, (d0, d1, d2) = coeffs
@@ -795,14 +878,16 @@ def _ref_solve_partial(inst, shape, sigma_batch, ks_batch, length_cap):
 def test_partial_solve_matches_reference(n):
     # the same batches, under no cap, just above the best length and just
     # below it: None exactly when the reference gives None, else the same
-    # length (the chosen row may differ only among rows of one length)
+    # length (the chosen row may differ only among rows of one length).
+    # Batches hold the most promising rows, random rows, or the first rows
+    # whose floor the Dubins seed leaves live, as plan forms them
     params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
     th, ell = params.theta, params.ell
     rng = np.random.default_rng(90 + n)
     solved = capped = 0
     for shape in _PARTIAL_SHAPES:
         patterns = _joint_patterns(shape, th)
-        for trial in range(4):
+        for trial in range(6):
             d = float(rng.uniform(0.0, 7.0)) * params.circumradius
             bearing, h_u, h_v = rng.uniform(0.0, 2.0 * math.pi, 3)
             U = Configuration.at_angle(tuple(rng.uniform(-2.0, 2.0, 2)), float(h_u))
@@ -813,9 +898,16 @@ def test_partial_solve_matches_reference(n):
                                     (len(shape) + 1) * th, range(1, n), False, ell, math.inf)
             floors = ks.sum(axis=1) * ell + _chord_gap(inst, shape, sigmas, ks)
             size = min(len(ks), patterns.per_batch)
-            # the most promising rows, or a random batch
-            pick = (np.argsort(floors, kind="stable")[:size] if trial % 2 == 0
-                    else rng.choice(len(ks), size, replace=False))
+            if trial % 3 == 0:
+                pick = np.argsort(floors, kind="stable")[:size]
+            elif trial % 3 == 1:
+                pick = rng.choice(len(ks), size, replace=False)
+            else:
+                seed = _dubins_seed(inst)
+                bound = math.inf if seed is None else path_length(seed) + params.tol_len
+                pick = np.flatnonzero(floors <= bound)[:size]
+                if not len(pick):
+                    continue
             batch = sigmas[np.sort(pick)], ks[np.sort(pick)]
 
             def same(cap):
@@ -872,10 +964,9 @@ def test_joint_pattern_pruning_drops_only_dead_rows(n):
             for j in {head[i], scan[i]} - {-1}:
                 joints[:, j] = rng.uniform(-th, th, m)
             angles = rng.uniform(0.0, 2.0 * math.pi, (len(f_cols), m))
-            dirs = [(np.cos(a), np.sin(a)) for a in angles]
+            dirs = [np.exp(1j * a) for a in angles]
             lens = [rng.uniform(0.0, min(cap, 3.0 * ell), m) for cap in caps]
-            r = (sum(ln * e[0] for ln, e in zip(lens, dirs)),
-                 sum(ln * e[1] for ln, e in zip(lens, dirs)))
+            r = sum(ln * e for ln, e in zip(lens, dirs))
             ks = rng.integers(1, n, (m, shape.count("A")))
             _, _, ok = _partial_closure(inst, shape, ks, joints, dirs, r, f_cols)
             assert not ok.any()
