@@ -190,6 +190,8 @@ def _cmd_shorten(args) -> int:
 def _cmd_discretize(args) -> int:
     if args.n is None:
         raise UsageError("--n is required")
+    if args.n < 4:
+        raise UsageError(f"--n must be at least 4, got {args.n}")
     start = _parse_config(args.start)
     gamma = _parse_word(args.word, start)
     theta = 2.0 * math.pi / args.n
@@ -302,8 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="write the resulting path document here")
         if svg:
             p.add_argument("--svg", help="write an SVG rendering here")
-        p.add_argument("--seed", type=int, default=0,
-                       help="RNG seed for randomized subroutines")
 
     p = sub.add_parser("validate", help="check a path document for feasibility")
     p.add_argument("input")
@@ -351,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="SVG rendering of a path document")
     p.add_argument("input")
     p.add_argument("--svg", required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     return top
 

@@ -59,6 +59,8 @@ class Params:
 
     @classmethod
     def from_sides(cls, n_sides: int, ell: float) -> "Params":
+        if n_sides < 4:
+            raise ValueError(f"n_sides must be at least 4, got {n_sides}")
         return cls(theta=2.0 * math.pi / n_sides, ell=ell, n_sides=n_sides)
 
     @property
@@ -83,6 +85,8 @@ class Configuration:
     heading: Vec2
 
     def __post_init__(self):
+        if not (math.isfinite(self.point[0]) and math.isfinite(self.point[1])):
+            raise ValueError(f"point must be finite, got {self.point}")
         if not is_unit(self.heading):
             raise ValueError(f"heading must be a unit vector, got {self.heading}")
 

@@ -20,9 +20,12 @@ shortest realization of each.  AB, BA and ABA leave a one- or two-parameter
 family of end turns, over which their bridge length is minimized exactly:
 the minimum sits where at most two turn bounds are active, and each such
 point has a tangent-style construction (``_aba_rows``, ``_ab_rows``).  The
-members of an AAA family all have one length, so a sample of it only looks
-for a feasible one.  One enumerator (``_word_rows``) builds the rows of
-every word and every partial-arc shape from the heading band.
+words A, AA and AAA share one exact solver (``_solve_arcs``): the chord
+directions fix every turn, so a row is feasible iff its chords close
+position with every turn within theta, and the one-parameter AAA family is
+searched where one of its angles is at a bound or turns back.  One
+enumerator (``_word_rows``) builds the rows of every word and every
+partial-arc shape from the heading band.
 
 ``_PARTIAL_SHAPES`` holds every other word over at most three arcs with one
 or two F edges.  Their F lengths solve position closure linearly, and their
@@ -249,16 +252,6 @@ def _first_ok(n_rows: int, rows, ok):
     return pick, has
 
 
-def _arcs_build(inst: _Instance, sigmas, ks, psis):
-    """Builder of rows of consecutive arcs with first edge directions
-    ``psis`` (rows x arcs)."""
-    def build(r: int) -> list[Point2]:
-        return _build_elements(inst, [("arc", s, k, p) for s, k, p in
-                                      zip(sigmas[r].tolist(), ks[r].tolist(),
-                                          psis[r].tolist())])
-    return build
-
-
 # ---------------------------------------------------------------------------
 # per-word row solvers (exact position closure by construction)
 
@@ -275,68 +268,105 @@ def _solve_B(inst: _Instance, sigmas, ks):
     return np.full(len(ks), inst.d), lambda r: [inst.U.point, inst.V.point]
 
 
-def _solve_A(inst: _Instance, sigmas, ks):
-    """One arc whose chord spans U to V, within the snap tolerance."""
-    th = inst.params.theta
-    (sigma,), (k,) = sigmas.T, ks.T
-    psi1 = math.atan2(inst.w[1], inst.w[0]) - (k - 1) * sigma * th / 2.0
-    ok = (np.abs(inst.d - _chord(inst.params, k)) <= inst.snap_tol) & \
-        (inst.d > inst.params.tol_dedup)
-    ok &= _turns_ok(th, psi1 - inst.psi_u, inst.psi_v - psi1 - (k - 1) * sigma * th)
-    return np.where(ok, k * inst.params.ell, math.inf), \
-        _arcs_build(inst, sigmas, ks, psi1[:, None])
-
-
-def _two_link(wx, wy, c1, c2):
-    """Chord directions with c1*e^{i a1} + c2*e^{i a2} = w for arrays of
-    displacements w = (wx, wy) and chords c1, c2 (broadcast together).
+def _two_link(w, c1, c2):
+    """Chord directions with c1 e^{i a1} + c2 e^{i a2} = w for arrays of
+    complex displacements w and chords c1, c2 (broadcast together).
 
     Returns (rows, a1, a2): per solution, the index of its displacement and
-    the two chord directions, ordered by index.  For a zero displacement and
-    equal chords the solution set is the full back-to-back circle; a dense
-    sample of that family is returned (all its members have equal length, so
-    callers keep whichever is feasible).
+    the two chord directions, ordered by index.  A zero displacement has no
+    solution here: for c1 = c2 its solutions are the back-to-back chords of
+    a whole circle, which ``_solve_arcs`` solves on the turns.
     """
-    wx, wy, c1, c2 = np.broadcast_arrays(*(np.atleast_1d(x) for x in (wx, wy, c1, c2)))
-    d = np.hypot(wx, wy)
-    tiny = d < 1e-12
-    reach = ~tiny & (d <= c1 + c2 + 1e-12) & (d >= np.abs(c1 - c2) - 1e-12)
-    g = np.arccos(np.clip((c1 * c1 + d * d - c2 * c2) / (2.0 * c1 * np.where(tiny, 1.0, d)),
+    w, c1, c2 = np.broadcast_arrays(*(np.atleast_1d(x) for x in (w, c1, c2)))
+    d = np.abs(w)
+    reach = (d >= 1e-12) & (d <= c1 + c2 + 1e-12) & (d >= np.abs(c1 - c2) - 1e-12)
+    g = np.arccos(np.clip((c1 * c1 + d * d - c2 * c2) / (2.0 * c1 * np.where(reach, d, 1.0)),
                           -1.0, 1.0))
-    base = np.arctan2(wy, wx)
+    base = np.angle(w)
     # both elbow branches of each displacement, one when they coincide
     rows = np.repeat(np.arange(len(d)), 2)
     a1 = np.stack([base + g, base - g], axis=1).ravel()
     keep = np.repeat(reach, 2) & (np.tile([True, False], len(d)) | np.repeat(g > 1e-15, 2))
-    circle = np.flatnonzero(tiny & (np.abs(c1 - c2) <= 1e-12))
-    if len(circle):
-        sample = np.linspace(0.0, 2.0 * math.pi, 65, endpoint=False)
-        rows = np.concatenate([rows, np.repeat(circle, len(sample))])
-        a1 = np.concatenate([a1, np.tile(sample, len(circle))])
-        keep = np.concatenate([keep, np.ones(len(circle) * len(sample), dtype=bool)])
-    rx, ry = wx[rows] - c1[rows] * np.cos(a1), wy[rows] - c1[rows] * np.sin(a1)
+    rest = w[rows] - c1[rows] * np.exp(1j * a1)
     # a degenerate second chord is only valid if c2 is consumed exactly
-    keep = np.flatnonzero(keep & (np.hypot(rx, ry) >= 1e-15))
-    if len(circle):
-        keep = keep[np.argsort(rows[keep], kind="stable")]
-    return rows[keep], a1[keep], np.arctan2(ry[keep], rx[keep])
+    keep = np.flatnonzero(keep & (np.abs(rest) >= 1e-15))
+    return rows[keep], a1[keep], np.angle(rest[keep])
 
 
-def _solve_AA(inst: _Instance, sigmas, ks):
-    """Two arcs whose chords form a two-link chain from U to V
-    (``_two_link``); the first elbow branch that keeps every turn within
-    theta is kept (both have one length)."""
-    th = inst.params.theta
+def _solve_arcs(inst: _Instance, sigmas, ks):
+    """One, two or three arcs in a row whose chords close from U to V.
+
+    Arc i's chord direction a_i is its first edge direction plus its half
+    sweep h_i, so the chord directions fix every turn and the heading band
+    fixes their sum: a row is feasible iff its chords close position with
+    every turn within theta, and all its realizations have one length.  One
+    arc's chord points along w.  Two arcs form a two-link chain, or for
+    w = 0 and c1 = c2 a back-to-back pair whose middle joint is fixed: the
+    even split of what it leaves to phi_u and phi_v is within theta iff any
+    split is (a member at a bound would turn by theta at U or V, which types
+    as one more arc).  Three arcs leave a one-parameter family with a
+    feasible member iff one has a turn at +-theta or, where a whole loop of
+    it is feasible, one where a1 turns back (chords 2 and 3 parallel or
+    antiparallel).  Fixing that one angle fixes an end chord or welds two
+    chords into one rigid link, which leaves a two-link closure.  Closures
+    run one kind at a time over the rows no earlier kind solved, and a row
+    keeps its first solution whose turns all lie within theta.
+    """
+    th, psi_u, psi_v = inst.params.theta, inst.psi_u, inst.psi_v
     c, h = _chord(inst.params, ks), (ks - 1) * sigmas * th / 2.0
-    rows, a1, a2 = _two_link(inst.w[0], inst.w[1], c[:, 0], c[:, 1])
-    psi1, psi2 = a1 - h[rows, 0], a2 - h[rows, 1]
-    ok = _turns_ok(th, psi1 - inst.psi_u, psi2 - psi1 - 2.0 * h[rows, 0],
-                   inst.psi_v - psi2 - 2.0 * h[rows, 1])
-    pick, has = _first_ok(len(ks), rows, ok)
-    psis = np.zeros((len(ks), 2))
-    psis[has] = np.stack([psi1, psi2], axis=1)[pick[has]]
-    return np.where(has, ks.sum(axis=1) * inst.params.ell, math.inf), \
-        _arcs_build(inst, sigmas, ks, psis)
+    w = complex(*inst.w)
+    chords, has = np.zeros(ks.shape), np.zeros(len(ks), dtype=bool)
+
+    def keep(rows, *a):  # record solutions; the rows still unsolved
+        a = np.stack(a, axis=1)
+        psi = a - h[rows]
+        ok = _turns_ok(th, psi[:, 0] - psi_u, *(psi[:, 1:] - psi[:, :-1] - 2.0 * h[rows, :-1]).T,
+                       psi_v - psi[:, -1] - 2.0 * h[rows, -1])
+        pick, got = _first_ok(len(ks), rows, ok)
+        chords[got], has[got] = a[pick[got]], True
+        return np.flatnonzero(~has)
+
+    if ks.shape[1] == 1:
+        at = np.flatnonzero((np.abs(inst.d - c[:, 0]) <= inst.snap_tol)
+                            & (inst.d > inst.params.tol_dedup))
+        keep(at, np.full(len(at), np.angle(w)))
+    elif ks.shape[1] == 2:
+        todo = keep(*_two_link(w, c[:, 0], c[:, 1]))
+        a1 = psi_u + h[todo, 0] + _norm_arr(psi_v - psi_u - h[todo, 0] - h[todo, 1] - math.pi) / 2.0
+        rest = w - c[todo, 0] * np.exp(1j * a1)
+        at = np.flatnonzero(np.abs(np.abs(rest) - c[todo, 1]) <= inst.snap_tol)
+        keep(todo[at], a1[at], np.angle(rest[at]))
+    else:
+        todo = np.arange(len(ks))
+        for bound in (-th, th):  # phi_u at a bound fixes a1
+            a1 = psi_u + h[todo, 0] + bound
+            at, a2, a3 = _two_link(w - c[todo, 0] * np.exp(1j * a1), c[todo, 1], c[todo, 2])
+            todo = keep(todo[at], a1[at], a2, a3)
+        for bound in (-th, th):  # phi_v at a bound fixes a3
+            a3 = psi_v - h[todo, 2] - bound
+            at, a1, a2 = _two_link(w - c[todo, 2] * np.exp(1j * a3), c[todo, 0], c[todo, 1])
+            todo = keep(todo[at], a1, a2, a3[at])
+        for delta in (h[:, 0] + h[:, 1] - th, h[:, 0] + h[:, 1] + th):
+            # the joint of arcs 1 and 2 at a bound fixes a2 - a1
+            link = c[todo, 0] + c[todo, 1] * np.exp(1j * delta[todo])
+            at, a, a3 = _two_link(w, np.abs(link), c[todo, 2])
+            a1 = a - np.angle(link[at])
+            todo = keep(todo[at], a1, a1 + delta[todo[at]], a3)
+        mid = h[:, 1] + h[:, 2]
+        for delta in (mid - th, mid + th, np.zeros(len(ks)), np.full(len(ks), math.pi)):
+            # the joint of arcs 2 and 3 at a bound, or chords 2 and 3
+            # parallel or antiparallel, fixes a3 - a2
+            link = c[todo, 1] + c[todo, 2] * np.exp(1j * delta[todo])
+            at, a1, a = _two_link(w, c[todo, 0], np.abs(link))
+            a2 = a - np.angle(link[at])
+            todo = keep(todo[at], a1, a2, a2 + delta[todo[at]])
+    psis = chords - h
+
+    def build(r: int) -> list[Point2]:
+        return _build_elements(inst, [("arc", s, k, p) for s, k, p in zip(
+            sigmas[r].tolist(), ks[r].tolist(), psis[r].tolist())])
+
+    return np.where(has, ks.sum(axis=1) * inst.params.ell, math.inf), build
 
 
 # Arc-bridge rows, solved exactly.  With the arcs' orientations and edge
@@ -405,7 +435,7 @@ def _aba_rows(inst: _Instance, sigmas, ks):
     Where the two arcs can meet, bridges shrinking toward the meeting point
     may stay feasible: the infimum 0 is not attained, and the shortest
     stationary bridge is returned.  A short bridge must turn by at most
-    theta across it, so such paths tend to AA paths, which ``_solve_AA``
+    theta across it, so such paths tend to AA paths, which ``_solve_arcs``
     finds exactly."""
     th = inst.params.theta
     (c1, h1), (c2, h2) = (_row_arcs(inst.params, sigmas[:, i], ks[:, i]) for i in (0, 1))
@@ -506,46 +536,15 @@ def _solve_AB(inst: _Instance, sigmas, ks, reverse: bool):
     return k * inst.params.ell + s, build
 
 
-def _solve_AAA(inst: _Instance, sigmas, ks):
-    """Three arcs: the first arc's start turn is sampled at 65 points over
-    [-theta, theta], and the other two chords close the chain to V
-    (``_two_link``).  All members of a row's family have one length, so the
-    first sample that keeps every turn within theta is kept.  Rows are
-    solved in chunks of ``_BATCH_ROWS`` samples."""
-    th = inst.params.theta
-    c, h = _chord(inst.params, ks), (ks - 1) * sigmas * th / 2.0
-    samples = np.linspace(-th, th, 65)
-    psis, has = np.zeros((len(ks), 3)), np.zeros(len(ks), dtype=bool)
-    # rows out of two-link reach for every first chord direction are skipped
-    live = np.flatnonzero((inst.d - c[:, 0] <= c[:, 1] + c[:, 2] + 1e-12)
-                          & (inst.d + c[:, 0] >= np.abs(c[:, 1] - c[:, 2]) - 1e-12))
-    per = _BATCH_ROWS // len(samples)
-    for chunk in (live[b0:b0 + per] for b0 in range(0, len(live), per)):
-        row = np.repeat(chunk, len(samples))
-        psi1 = inst.psi_u + np.tile(samples, len(chunk))
-        mid1 = psi1 + h[row, 0]
-        at, a2, a3 = _two_link(inst.w[0] - c[row, 0] * np.cos(mid1),
-                               inst.w[1] - c[row, 0] * np.sin(mid1), c[row, 1], c[row, 2])
-        row, psi1 = row[at], psi1[at]
-        psi2, psi3 = a2 - h[row, 1], a3 - h[row, 2]
-        ok = _turns_ok(th, psi2 - psi1 - 2.0 * h[row, 0], psi3 - psi2 - 2.0 * h[row, 1],
-                       inst.psi_v - psi3 - 2.0 * h[row, 2])
-        pick, got = _first_ok(len(chunk), at // len(samples), ok)
-        psis[chunk[got]] = np.stack([psi1, psi2, psi3], axis=1)[pick[got]]
-        has[chunk[got]] = True
-    return np.where(has, ks.sum(axis=1) * inst.params.ell, math.inf), \
-        _arcs_build(inst, sigmas, ks, psis)
-
-
 # the true-type words, in the order plan solves them
 _ROW_SOLVERS = {
     "B": _solve_B,
-    "A": _solve_A,
-    "AA": _solve_AA,
+    "A": _solve_arcs,
+    "AA": _solve_arcs,
     "AB": functools.partial(_solve_AB, reverse=False),
     "BA": functools.partial(_solve_AB, reverse=True),
     "ABA": _solve_ABA,
-    "AAA": _solve_AAA,
+    "AAA": _solve_arcs,
 }
 
 

@@ -22,7 +22,7 @@ from .geometry import (
     sub,
     turn_angle,
 )
-from .model import Configuration, DiscretePath, Params
+from .model import Configuration, DiscretePath, Params, path_length
 
 TWO_PI = 2.0 * math.pi
 
@@ -195,7 +195,7 @@ def _center(p: Point2, h: Vec2, orientation: int) -> Point2:
     return add(p, rotate(h, orientation * math.pi / 2.0))
 
 
-def _assemble(U: Configuration, pieces) -> SmoothPath | None:
+def _assemble(U: Configuration, pieces) -> SmoothPath:
     segs = []
     for kind, o, amount in pieces:
         if amount <= 1e-12:
@@ -273,7 +273,7 @@ def dubins_solve(U: Configuration, V: Configuration) -> SmoothPath:
     best: SmoothPath | None = None
     for pieces in list(_csc_candidates(U, V)) + list(_ccc_candidates(U, V)):
         path = _assemble(U, pieces)
-        if path is None or not _closes(path, V):
+        if not _closes(path, V):
             continue
         if best is None or path.length < best.length:
             best = path
@@ -302,6 +302,8 @@ def convergence_experiment(U: Configuration, V: Configuration,
     """
     from .planner import plan  # local import; the planner uses this module's solver
 
+    if any(n < 4 for n in n_list):
+        raise ValueError(f"every n must be at least 4, got {list(n_list)}")
     gamma = dubins_solve(U, V)
     rows = []
     for n in n_list:
@@ -310,7 +312,6 @@ def convergence_experiment(U: Configuration, V: Configuration,
             raise ValueError(f"n={n} too coarse for a curve of length {gamma.length}")
         params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
         disc = discretize(gamma, theta)
-        from .model import path_length
         result = plan(U, V, params)
         rows.append(ConvergenceRow(
             n=n,

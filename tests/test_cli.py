@@ -141,6 +141,22 @@ def test_plan_arc_cap_below_one_exit_two(capsys):
     assert "k_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--params-n", "0", "--ell", "1", "--start", "0,0,0", "--end", "5,0,0"],
+    ["discretize", "--word", "L1.5", "--n", "0"],
+    ["converge", "--start", "0,0,0", "--end", "8,3,45", "--n", "0"],
+], ids=["plan", "discretize", "converge"])
+def test_fewer_than_four_sides_exit_two(argv, capsys):
+    assert run(argv) == 2
+    assert "at least 4" in capsys.readouterr().err
+
+
+def test_plan_non_finite_point_exit_two(capsys):
+    assert run(["plan", "--params-n", "8", "--ell", "1", "--start", "0,0,0",
+                "--end", "inf,0,0"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_degrees_on_surface(tmp_path):
     # a 45 degree heading on disk becomes a unit vector inside
     path = build_path([0.0, 0.0], [3.0], base_angle=math.pi / 4)

@@ -52,11 +52,19 @@ def test_params_validation():
         Params(theta=1.0, ell=1.0)  # does not divide 2 pi
     with pytest.raises(ValueError):
         Params.from_sides(3, 1.0)   # theta > pi/2
+    with pytest.raises(ValueError, match="at least 4"):
+        Params.from_sides(0, 1.0)   # no division by zero
     with pytest.raises(ValueError):
         Params.from_sides(8, -1.0)
     p = Params.from_sides(8, 2.0)
     assert p.n_sides == 8
     assert p.circumradius == pytest.approx(1.0 / math.sin(p.theta / 2.0))
+
+
+@pytest.mark.parametrize("point", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0)])
+def test_configuration_rejects_non_finite_point(point):
+    with pytest.raises(ValueError, match="finite"):
+        Configuration(point, (1.0, 0.0))
 
 
 def test_classify_edge_examples():
