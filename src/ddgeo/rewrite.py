@@ -2,13 +2,16 @@
 
 Every move is a one-parameter family of candidate vertex lists in a step d.
 The step harness ``_attempt`` checks full feasibility of each trial step
-with one ``model.measure`` pass: it tries the move's exact event steps
-(edge lengths crossing ell, edges shrinking to nothing), halves from the
-largest step until one is feasible, bisects up to the boundary where a turn
-reaches theta, and golden-searches the interior; the shortest feasible
-improving step wins.  Applied moves strictly decrease (length, type length)
-lexicographically, so repeated application drives a path toward a fixed
-point whose type word carries no forbidden factor.
+with one ``model.measure`` pass.  Its candidates are exact steps, with no
+sampled search: the move's event steps (edge lengths crossing ell, edges
+shrinking to nothing, a rotation family's closest approach, in closed
+form), the first feasible step of halving from the largest step, and the
+boundary step, bisected up to where a turn reaches theta.  Translation
+families never lengthen the path as d grows and rotation families have one
+interior minimum, their event, so the shortest feasible improving candidate
+is the family's best step.  Applied moves strictly decrease (length, type
+length) lexicographically, so repeated application drives a path toward a
+fixed point whose type word carries no forbidden factor.
 
 The moves sit in one ordered table, ``_MOVES``: per rule kind, a site
 generator and one attempt.  ``find_applicable`` and ``shorten`` take the
@@ -48,6 +51,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .geometry import (
+    DegenerateGeometryError,
     Point2,
     add,
     circle_circle_intersection,
@@ -192,106 +196,68 @@ def _eval_step(base_path: DiscretePath, params: Params, builder, d: float,
     return cand, sum(lengths)
 
 
+def _bisect(probe, lo: float, at_lo, hi: float):
+    """Bisect from a step ``lo`` that ``probe`` accepts (with result
+    ``at_lo``) toward a step ``hi`` that it rejects, until the midpoint
+    rounds to an end; returns the last accepted (step, result)."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, at_lo
+        got = probe(mid)
+        if got is None:
+            hi = mid
+        else:
+            lo, at_lo = mid, got
+
+
 def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
              events=()):
     """Find the best feasible improving step of a move.
 
-    The step is optimized, not just halved: exact event steps (edge lengths
-    crossing ell, edges shrinking to nothing) are tried first, then the
-    harness bisects up to the feasibility boundary (where turn constraints
-    become tight, which is exactly where arcs merge) and golden-searches the
-    interior.  The shortest feasible result wins.  Returns
-    (new_path, used_step) or None.
+    The candidates are exact steps, in tie order: the first feasible step of
+    halving from d_max, the move's event steps (edge lengths crossing ell,
+    edges shrinking to nothing, a rotation's closest approach) and the
+    boundary step, bisected up to where a turn reaches theta.  A translation
+    family never lengthens the path as d grows and a rotation family has its
+    one interior minimum at its event, so no sampled search is needed: the
+    shortest candidate wins.  Returns (new_path, used_step) or None.
     """
-    improve = IMPROVE_FRACTION * params.ell
-    base = path_length(base_path)
-
-    best = None  # (length, path, step)
-    for d in events:
-        if not (0.0 < d <= d_max * (1.0 + 1e-12)):
-            continue
-        got = _eval_step(base_path, params, builder, d)
-        if got is not None and (best is None or got[1] < best[0]):
-            best = (got[1], got[0], d)
-
     if d_max <= 0.0:
-        if best is not None and best[0] <= base - improve:
-            return _tidy(best[1], params), best[2]
-        return None
-    d_min = STEP_MIN_FRACTION * params.ell
-
-    # find any feasible step by halving
-    d_feas, feas = None, None
-    d = d_max
-    for _ in range(HALVINGS):
-        got = _eval_step(base_path, params, builder, d)
-        if got is not None:
-            d_feas, feas = d, got
-            break
-        d *= 0.5
-        if d < d_min:
-            break
-    if d_feas is None:
-        if best is not None and best[0] <= base - improve:
-            return _tidy(best[1], params), best[2]
         return None
 
-    best_d, (best_cand, best_len) = d_feas, feas
-    if best is not None and best[0] < best_len:
-        best_len, best_cand, best_d = best
+    def probe(d, cap=None):
+        return _eval_step(base_path, params, builder, d, cap)
 
-    # push toward the feasibility boundary (events: a turn reaching theta),
-    # staying a safety margin inside the tolerance
-    if d_feas < d_max:
+    d_feas, feas = d_max, probe(d_max)
+    for _ in range(HALVINGS - 1):
+        if feas is not None or 0.5 * d_feas < STEP_MIN_FRACTION * params.ell:
+            break
+        d_feas *= 0.5
+        feas = probe(d_feas)
+    cands = [(d_feas, feas)]
+    cands += [(d, probe(d)) for d in events if 0.0 < d <= d_max * (1.0 + 1e-12)]
+    if feas is not None and d_feas < d_max:
+        # 2 d_feas failed the halving, so it fails under the cap too; the cap
+        # keeps the boundary step a margin inside the tolerance
         cap = _turn_cap(base_path, params)
-        lo, hi = d_feas, min(2.0 * d_feas, d_max)
-        cand = _eval_step(base_path, params, builder, hi, cap=cap)
-        while cand is not None and hi < d_max:
-            lo, hi = hi, min(2.0 * hi, d_max)
-            cand = _eval_step(base_path, params, builder, hi, cap=cap)
-        if cand is not None:
-            lo = hi
-        else:
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if _eval_step(base_path, params, builder, mid, cap=cap) is not None:
-                    lo = mid
-                else:
-                    hi = mid
-        boundary = _eval_step(base_path, params, builder, lo, cap=cap)
-        if boundary is not None and boundary[1] < best_len:
-            best_d, (best_cand, best_len) = lo, boundary
-        upper = lo
-    else:
-        upper = d_max
+        cands.append(_bisect(lambda d: probe(d, cap), d_feas, feas, 2.0 * d_feas))
+    best = min(((got[1], d, got[0]) for d, got in cands if got is not None),
+               key=lambda c: c[0], default=None)
+    if best is None or best[0] > path_length(base_path) - IMPROVE_FRACTION * params.ell:
+        return None
+    return _tidy(best[2], params), best[1]
 
-    # golden search the interior for the best improving step
-    def objective(d):
-        got = _eval_step(base_path, params, builder, d)
-        return math.inf if got is None else got[1]
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, upper
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = objective(c1), objective(c2)
-    for _ in range(40):
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = objective(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = objective(c2)
-    d_gold = 0.5 * (a + b)
-    got = _eval_step(base_path, params, builder, d_gold)
-    if got is not None and got[1] < best_len:
-        best_d, (best_cand, best_len) = d_gold, got
-
-    if best_len <= base - improve:
-        return _tidy(best_cand, params), best_d
-    return None
+def _rotation_events(x: Point2, centre: Point2, y: Point2,
+                     sign: float) -> list[float]:
+    """The step d > 0 at which x, turned by sign*d about centre, lies on the
+    ray from centre to y: there the edge x-y is shortest."""
+    try:
+        d = sign * turn_angle(sub(x, centre), sub(y, centre))
+    except DegenerateGeometryError:
+        return []
+    return [d] if d > 0.0 else []
 
 
 def _ell_cross_events(moving: Point2, direction, fixed: Point2,
@@ -728,9 +694,12 @@ def _aab_attempt(sc: _Struct, loc):
     if lo <= 0 or hi >= len(verts):
         return None
     pivot = verts[w]
+    # the block's far edge is the one whose length changes
+    x, y = (hi - 1, hi) if direction == +1 else (lo, lo - 1)
     return _attempt(sc.path, sc.params,
                     lambda d: _rotate_block(verts, lo, hi, pivot, sign * d),
-                    0.45 * sc.params.theta)
+                    0.45 * sc.params.theta,
+                    _rotation_events(verts[x], pivot, verts[y], sign))
 
 
 def _aab_overlap_slide(sc: _Struct, a1, a2, direction: int, sign: float):
@@ -808,7 +777,7 @@ def _trio_slide(cp: DiscretePath, params: Params, b_idx: int, c_idx: int):
         # b clockwise about b
         return _attempt(cp, params,
                         lambda phi: _rotate_block(verts, b_idx + 1, c_idx + 1, b, -phi),
-                        0.4 * params.theta)
+                        0.4 * params.theta, _rotation_events(c, b, d, -1.0))
 
     if qd[0] >= 0.0:
         return None  # not the configuration this move targets
@@ -818,6 +787,9 @@ def _trio_slide(cp: DiscretePath, params: Params, b_idx: int, c_idx: int):
     def rotate_ab(phi):  # b rotates about a; the block b..c follows it
         return _shift_block(verts, b_idx, c_idx + 1, sub(rotate_about(b, a, phi), b))
 
+    # c then turns about c - b + a
+    ab_events = _rotation_events(c, add(sub(c, b), a), d, 1.0)
+
     if _angle_between(a, b, c) <= math.pi / 2.0 + 1e-12:
         foot = _foot_on_line(c, a, b)
         if dist(foot, c) > 1e-12 and _in_wedge(cd_dir, ey, unit(sub(foot, c))):
@@ -825,11 +797,11 @@ def _trio_slide(cp: DiscretePath, params: Params, b_idx: int, c_idx: int):
                             lambda dd: _shift_block(verts, b_idx, c_idx + 1,
                                                     scale(cd_dir, dd)),
                             0.5 * dist(c, d))
-        return _attempt(cp, params, rotate_ab, 0.4 * params.theta)
+        return _attempt(cp, params, rotate_ab, 0.4 * params.theta, ab_events)
 
     ab_dir = unit(sub(b, a))
     if _in_wedge(cd_dir, ey, ab_dir):
-        return _attempt(cp, params, rotate_ab, 0.4 * params.theta)
+        return _attempt(cp, params, rotate_ab, 0.4 * params.theta, ab_events)
 
     # obtuse angle at b and the target edge outside the wedge: rotate the
     # block clockwise about b, then rotate about a to bring c back onto the
@@ -956,28 +928,14 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
     follow_moves = _MOVES[:-1] + (
         (True, _aaaa_sites, lambda sc2, loc2: _aaaa_attempt(sc2, loc2, allow_circ=False)),)
     for sign in (1.0, -1.0):
-        lo, hi = 0.0, None
-        eps = sign * 1e-3
-        for _ in range(40):
-            if feasible(eps) is not None:
-                lo = eps
-                eps *= 2.0
-                if abs(eps) > 2.0 * math.pi:
-                    break
-            else:
-                hi = eps
-                break
-        if hi is None or lo == 0.0:
+        # double the sweep while it stays feasible, then bisect the last
+        # doubling
+        lo, cand, eps = 0.0, None, sign * 1e-3
+        while abs(eps) <= 2.0 * math.pi and (got := feasible(eps)) is not None:
+            lo, cand, eps = eps, got, 2.0 * eps
+        if cand is None or abs(eps) > 2.0 * math.pi:
             continue
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid) is not None:
-                lo = mid
-            else:
-                hi = mid
-        cand = feasible(lo)
-        if cand is None:
-            continue
+        lo, cand = _bisect(feasible, lo, cand, eps)
         cand = _tidy(cand, params)
         new_type = type_or_none(cand, params)
         if new_type is not None and len(new_type) < base_type:
@@ -1051,8 +1009,8 @@ def find_applicable(path: DiscretePath,
 def apply(path: DiscretePath, rule: RewriteRule, location: tuple,
           params: Params) -> DiscretePath:
     """Apply one rule at a location by running that site's attempt from the
-    move table (``_attempt``'s events, halving, bisection to the turn
-    boundary and golden search).  ``rule.step`` is not read.
+    move table (``_attempt``'s halving, event and boundary steps).
+    ``rule.step`` is not read.
 
     The location must be one that ``find_applicable`` can report for this
     path; an AAAA_TO_AAA location may leave out its outcome tag.  Raises
@@ -1073,20 +1031,24 @@ def shorten(path: DiscretePath, params: Params, budget: int = 10_000,
     """Drive the path to a fixed point of the move catalogue.
 
     Every applied move strictly improves (length, type length); the trace
-    records each step.  If the budget runs out first, the partial result is
-    returned with ``budget_exhausted`` set.  ``observer(step_index, path)``
-    is called after every applied move (frame dumps for figures).
+    records each step.  If a move still applies after ``budget`` moves, the
+    partial result is returned with ``budget_exhausted`` set.
+    ``observer(step_index, path)`` is called after every applied move (frame
+    dumps for figures).  Raises ValueError for an infeasible path or a
+    negative budget.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     if validate(path, params):
         raise ValueError("shorten requires a feasible path")
     trace = RewriteTrace()
     current = _tidy(path, params)
     if observer is not None:
         observer(0, current)
-    for _ in range(budget):
-        got = _first_move(current, params)
-        if got is None:
-            return current, trace
+    while (got := _first_move(current, params)) is not None:
+        if len(trace.entries) == budget:
+            trace.budget_exhausted = True
+            break
         new_path, kind, loc, step = got
         # each path is typed once: a move's type before is the last one's after
         word = trace.entries[-1].type_after if trace.entries else type_or_none(current, params)
@@ -1101,5 +1063,4 @@ def shorten(path: DiscretePath, params: Params, budget: int = 10_000,
         current = new_path
         if observer is not None:
             observer(len(trace.entries), current)
-    trace.budget_exhausted = True
     return current, trace

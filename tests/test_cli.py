@@ -92,6 +92,12 @@ def test_shorten_writes_trace(tmp_path, capsys):
     assert entry["length_after"] <= entry["length_before"]
 
 
+def test_shorten_negative_budget_exit_two(tmp_path, capsys):
+    fn = _write_straight(tmp_path)
+    assert run(["shorten", fn, "--budget", "-3"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_discretize_command(tmp_path):
     out = str(tmp_path / "disc.json")
     rc = run(["discretize", "--word", "L1.5 S2 R0.7", "--n", "16",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ddgeo import rewrite
 from ddgeo.geometry import from_angle
 from ddgeo.model import Configuration, Params, path_length, validate
 from ddgeo.rewrite import (
@@ -24,6 +25,8 @@ from gen import build_path, random_feasible_path
 
 P8 = Params.from_sides(8, 1.0)
 TH = P8.theta
+# five single-edge arcs at sub-theta corners
+AAAA = build_path([0.0, 0.6 * TH, 0.3 * TH, 0.9 * TH, 0.5 * TH, 0.0], [1.0] * 5)
 
 
 def _word(path, params=P8):
@@ -123,14 +126,10 @@ def test_witness_aab_and_baa():
 
 
 def test_witness_aaaa():
-    # five single-edge arcs at sub-theta corners
-    turns = [0.0, 0.6 * TH, 0.3 * TH, 0.9 * TH, 0.5 * TH, 0.0]
-    lengths = [1.0] * 5
-    path = build_path(turns, lengths)
-    assert validate(path, P8) == []
-    word = _word(path)
+    assert validate(AAAA, P8) == []
+    word = _word(AAAA)
     assert word is not None and "AAAA" in word
-    res, trace = shorten(path, P8, budget=1000)
+    res, trace = shorten(AAAA, P8, budget=1000)
     final = _word(res)
     assert final is not None
     assert find_forbidden_subtype(final) is None
@@ -232,7 +231,7 @@ def _replay_inputs():
         rng = np.random.default_rng(7000 + n)
         for _ in range(30):
             yield params, random_feasible_path(params, rng)
-    yield P8, build_path([0.0, 0.6 * TH, 0.3 * TH, 0.9 * TH, 0.5 * TH, 0.0], [1.0] * 5)
+    yield P8, AAAA
     p16 = Params.from_sides(16, 2.0 * math.sin(math.pi / 16))
     for U, V in ((_cfg(-1.1024, 0.7410, -108.23), _cfg(9.4036, -3.8864, 176.87)),
                  (_cfg(1.4182, 1.9902, 67.83), _cfg(9.0431, 4.1089, 143.17))):
@@ -261,7 +260,52 @@ def test_shorten_requires_feasible():
 
 
 def test_budget_exhaustion_flag():
-    turns = [0.0, 0.6 * TH, 0.3 * TH, 0.9 * TH, 0.5 * TH, 0.0]
-    path = build_path(turns, [1.0] * 5)
-    res, trace = shorten(path, P8, budget=1)
-    assert trace.budget_exhausted or find_applicable(res, P8) is None
+    # set only when a move still applies after the budget's moves
+    straight = build_path([0.0, 0.0], [5.0])
+    assert find_applicable(straight, P8) is None
+    res, trace = shorten(straight, P8, budget=0)
+    assert res == straight and not trace.budget_exhausted
+    res, trace = shorten(AAAA, P8, budget=1)
+    assert len(trace.entries) == 1 and trace.budget_exhausted
+    assert find_applicable(res, P8) is not None
+
+
+def test_negative_budget_raises():
+    with pytest.raises(ValueError, match="budget"):
+        shorten(AAAA, P8, budget=-1)
+
+
+def test_attempt_beats_dense_step_search(monkeypatch):
+    # no feasible step on a 401-point grid of (0, d_max] is shorter than the
+    # harness's choice: translation families never lengthen the path as the
+    # step grows, and a rotation family's one interior minimum is an event
+    harness = rewrite._attempt
+    calls = {}  # builder code -> [(base path, params, builder, d_max, result)]
+
+    def recording(base, params, builder, d_max, events=()):
+        got = harness(base, params, builder, d_max, events)
+        calls.setdefault(builder.__code__, []).append((base, params, builder, d_max, got))
+        return got
+
+    monkeypatch.setattr(rewrite, "_attempt", recording)
+    inputs = [(P8, AAAA)]
+    for n in (6, 8, 12):
+        params = Params.from_sides(n, 1.0)
+        rng = np.random.default_rng(4000 + n)
+        inputs += [(params, random_feasible_path(params, rng)) for _ in range(20)]
+    for params, path in inputs:
+        shorten(path, params)
+    aab = [code for code in calls if code.co_qualname.startswith("_aab_attempt")]
+    assert aab and len(calls[aab[0]]) >= 20
+    for code, recorded in calls.items():
+        for base, params, builder, d_max, got in recorded[:20]:
+            if d_max <= 0.0:
+                continue
+            if got is None:
+                best = path_length(base) - rewrite.IMPROVE_FRACTION * params.ell
+            else:
+                best = rewrite._eval_step(base, params, builder, got[1])[1]
+            for d in np.linspace(0.0, d_max, 402)[1:]:
+                trial = rewrite._eval_step(base, params, builder, float(d))
+                assert trial is None or trial[1] >= best - 1e-9 * params.ell, \
+                    (code.co_qualname, float(d), trial[1], best)
