@@ -8,10 +8,12 @@ shrinking to nothing, a rotation family's closest approach, in closed
 form), the first feasible step of halving from the largest step, and the
 boundary step, bisected up to where a turn reaches theta.  Translation
 families never lengthen the path as d grows and rotation families have one
-interior minimum, their event, so the shortest feasible improving candidate
-is the family's best step.  Applied moves strictly decrease (length, type
-length) lexicographically, so repeated application drives a path toward a
-fixed point whose type word carries no forbidden factor.
+interior minimum, their event, so when the feasible steps form an interval
+the shortest feasible improving candidate is the family's best step; when
+they do not, the boundary step is the edge of the interval that halving
+reached.  Applied moves strictly decrease (length, type length)
+lexicographically, so repeated application drives a path toward a fixed
+point whose type word carries no forbidden factor.
 
 The moves sit in one ordered table, ``_MOVES``: per rule kind, a site
 generator and one attempt.  ``find_applicable`` and ``shorten`` take the
@@ -221,7 +223,10 @@ def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
     boundary step, bisected up to where a turn reaches theta.  A translation
     family never lengthens the path as d grows and a rotation family has its
     one interior minimum at its event, so no sampled search is needed: the
-    shortest candidate wins.  Returns (new_path, used_step) or None.
+    shortest candidate wins.  It is the family's best step when the feasible
+    steps form an interval; otherwise the bisection stops at the edge of the
+    interval that holds the halving step.  Returns (new_path, used_step) or
+    None.
     """
     if d_max <= 0.0:
         return None

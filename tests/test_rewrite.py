@@ -280,11 +280,12 @@ def test_attempt_beats_dense_step_search(monkeypatch):
     # harness's choice: translation families never lengthen the path as the
     # step grows, and a rotation family's one interior minimum is an event
     harness = rewrite._attempt
-    calls = {}  # builder code -> [(base path, params, builder, d_max, result)]
+    calls = {}  # (builder name, line) -> [(base path, params, builder, d_max, result)]
 
     def recording(base, params, builder, d_max, events=()):
         got = harness(base, params, builder, d_max, events)
-        calls.setdefault(builder.__code__, []).append((base, params, builder, d_max, got))
+        key = (builder.__qualname__, builder.__code__.co_firstlineno)
+        calls.setdefault(key, []).append((base, params, builder, d_max, got))
         return got
 
     monkeypatch.setattr(rewrite, "_attempt", recording)
@@ -295,9 +296,9 @@ def test_attempt_beats_dense_step_search(monkeypatch):
         inputs += [(params, random_feasible_path(params, rng)) for _ in range(20)]
     for params, path in inputs:
         shorten(path, params)
-    aab = [code for code in calls if code.co_qualname.startswith("_aab_attempt")]
+    aab = [key for key in calls if key[0].startswith("_aab_attempt")]
     assert aab and len(calls[aab[0]]) >= 20
-    for code, recorded in calls.items():
+    for key, recorded in calls.items():
         for base, params, builder, d_max, got in recorded[:20]:
             if d_max <= 0.0:
                 continue
@@ -308,4 +309,4 @@ def test_attempt_beats_dense_step_search(monkeypatch):
             for d in np.linspace(0.0, d_max, 402)[1:]:
                 trial = rewrite._eval_step(base, params, builder, float(d))
                 assert trial is None or trial[1] >= best - 1e-9 * params.ell, \
-                    (code.co_qualname, float(d), trial[1], best)
+                    (key, float(d), trial[1], best)
