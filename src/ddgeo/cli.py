@@ -9,6 +9,7 @@ radians inside).  Exit codes: 0 success/feasible, 1 infeasible input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -29,7 +30,7 @@ from .smooth import (
     discretize,
     dubins_solve,
 )
-from .structure import InternalInconsistencyError, structure_of
+from .structure import InfeasiblePathError, InternalInconsistencyError, structure_of
 
 log = logging.getLogger("ddgeo")
 
@@ -126,10 +127,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_classify(args) -> int:
     path, params = _load_path(args.input)
-    if validate(path, params):
+    try:
+        st = structure_of(path, params)
+    except InfeasiblePathError:
         print("infeasible path; run validate for details", file=sys.stderr)
         return EXIT_INFEASIBLE
-    st = structure_of(path, params)
     print(st.type_word)
     _emit(args, path, params, structure=st)
     return EXIT_OK
@@ -277,19 +279,20 @@ def _cmd_converge(args) -> int:
 
 def _cmd_render(args) -> int:
     path, params = _load_path(args.input)
-    st = None
-    if not validate(path, params):
-        try:
-            st = structure_of(path, params)
-        except InternalInconsistencyError:
-            st = None
+    try:
+        st = structure_of(path, params)
+    except (InfeasiblePathError, InternalInconsistencyError):
+        st = None
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(render_path_svg(path, params, st))
     print(f"wrote {args.svg}")
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` leaves it
+    unchanged, so repeated ``run`` calls share it."""
     top = argparse.ArgumentParser(
         prog="ddgeo",
         description="Discrete bounded-curvature paths: validate, classify, "

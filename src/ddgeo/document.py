@@ -127,9 +127,10 @@ def path_from_json(doc: Any) -> tuple[DiscretePath, Params]:
 
 
 def save(doc: dict, path: str) -> None:
+    """Write the document as indented JSON: encoded in full, then one write."""
+    text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load(path: str) -> dict:

@@ -23,8 +23,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _polyline(points, color, width, dashed=False):
-    pts = " ".join(f"{_fmt(p[0])},{_fmt(-p[1])}" for p in points)
+def _coords(points) -> list[tuple[str, str]]:
+    """SVG coordinates of the points (y flipped), each formatted once."""
+    return [(_fmt(p[0]), _fmt(-p[1])) for p in points]
+
+
+def _polyline(coords, color, width, dashed=False):
+    pts = " ".join(f"{x},{y}" for x, y in coords)
     dash = ' stroke-dasharray="0.12 0.08"' if dashed else ""
     return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}" stroke-linecap="round"{dash}/>')
@@ -39,23 +44,24 @@ def render_path_svg(path: DiscretePath, params: Params,
     pts = [pre, *path.vertices, post]
     x, y, w, h = _viewbox(pts)
     stroke = 0.012 * max(w, h)
+    verts = _coords(path.vertices)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(x)} {_fmt(-y - h)} {_fmt(w)} {_fmt(h)}">',
-        _polyline([pre, path.vertices[0]], "#bbbbbb", stroke * 0.7, dashed=True),
-        _polyline([path.vertices[-1], post], "#bbbbbb", stroke * 0.7, dashed=True),
-        _polyline(path.vertices, "#1f3b57", stroke),
+        _polyline(_coords([pre, path.vertices[0]]), "#bbbbbb", stroke * 0.7, dashed=True),
+        _polyline(_coords([path.vertices[-1], post]), "#bbbbbb", stroke * 0.7, dashed=True),
+        _polyline(verts, "#1f3b57", stroke),
     ]
     if structure is not None:
         for arc in structure.arcs:
             seg = _structure_points(path, arc.start_s, arc.end_s)
-            parts.append(_polyline(seg, "#d9822b", stroke * 1.4))
+            parts.append(_polyline(_coords(seg), "#d9822b", stroke * 1.4))
         for b in structure.bridges:
             seg = _structure_points(path, b.start_s, b.end_s)
-            parts.append(_polyline(seg, "#2b7bd9", stroke * 1.1, dashed=True))
-    for p in path.vertices:
-        parts.append(f'<circle cx="{_fmt(p[0])}" cy="{_fmt(-p[1])}" '
-                     f'r="{_fmt(stroke)}" fill="#1f3b57"/>')
+            parts.append(_polyline(_coords(seg), "#2b7bd9", stroke * 1.1, dashed=True))
+    r = _fmt(stroke)
+    parts += [f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="#1f3b57"/>'
+              for cx, cy in verts]
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -92,9 +98,9 @@ def render_smooth_svg(gamma: SmoothPath, samples: int = 256,
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(x)} {_fmt(-y - h)} {_fmt(w)} {_fmt(h)}">',
-        _polyline(pts, "#777777", stroke),
+        _polyline(_coords(pts), "#777777", stroke),
     ]
     if overlay is not None:
-        parts.append(_polyline(overlay.vertices, "#1f3b57", stroke * 0.8, dashed=True))
+        parts.append(_polyline(_coords(overlay.vertices), "#1f3b57", stroke * 0.8, dashed=True))
     parts.append("</svg>")
     return "\n".join(parts)

@@ -19,6 +19,8 @@ from .model import (
     EdgeClass,
     Params,
     classify_edge,
+    edge_lengths,
+    measure,
     validate,
     vertex_turns,
 )
@@ -84,17 +86,22 @@ class PathStructure:
 
 class _Frame:
     """Arclength view of a path: cumulative positions plus the polyline of
-    effective corners (vertices with nonzero turn, and the two endpoints)."""
+    effective corners (vertices with nonzero turn, and the two endpoints).
 
-    def __init__(self, path: DiscretePath, params: Params | None):
+    Built from the path's edge lengths and vertex turns, which the caller
+    has already walked (``_measured`` takes them from one ``measure`` pass).
+    """
+
+    def __init__(self, path: DiscretePath, params: Params | None,
+                 lengths: list[float], turns: list[float]):
         self.path = path
         self.params = params
         v = path.vertices
         self.vertex_s = [0.0]
-        for i in range(len(v) - 1):
-            self.vertex_s.append(self.vertex_s[-1] + dist(v[i], v[i + 1]))
+        for ln in lengths:
+            self.vertex_s.append(self.vertex_s[-1] + ln)
         self.total = self.vertex_s[-1]
-        self.turns = vertex_turns(path)
+        self.turns = turns
         # effective corners: endpoints always, interior only if turning
         self.eff_idx = [0]
         for i in range(1, len(v) - 1):
@@ -138,6 +145,15 @@ class _Frame:
         """Index of the path edge containing arclength position s."""
         i = bisect.bisect_right(self.vertex_s, s) - 1
         return max(0, min(i, len(self.path.vertices) - 2))
+
+
+def _measured(path: DiscretePath, params: Params) -> _Frame:
+    """The frame of a feasible path, from one ``measure`` pass that also
+    checks feasibility; raises InfeasiblePathError otherwise."""
+    lengths, turns, violations = measure(path, params)
+    if violations:
+        raise InfeasiblePathError("arc extraction requires a feasible path")
+    return _Frame(path, params, lengths, turns)
 
 
 def _theta_seeds(frame: _Frame) -> list[int]:
@@ -197,11 +213,13 @@ def extract_arcs(path: DiscretePath, params: Params) -> list[Arc]:
     discrete circle and cannot be extended through sub-theta corners.
     Overlapping consecutive arcs are both reported.
     """
-    if validate(path, params):
-        raise InfeasiblePathError("arc extraction requires a feasible path")
-    if len(path.vertices) == 1:
+    return _arcs(_measured(path, params))
+
+
+def _arcs(frame: _Frame) -> list[Arc]:
+    if len(frame.path.vertices) == 1:
         return []
-    frame = _Frame(path, params)
+    params = frame.params
     spans = _arc_spans(frame)
 
     covered = sorted((s0, s1) for s0, s1, *_ in spans)
@@ -261,9 +279,13 @@ def extract_bridges(path: DiscretePath, arcs: list[Arc],
     point is always straight, so a bend here means the caller handed in a path
     outside this function's domain.
     """
-    if len(path.vertices) == 1:
+    frame = _Frame(path, params, edge_lengths(path), vertex_turns(path))
+    return _bridges(frame, arcs)
+
+
+def _bridges(frame: _Frame, arcs: list[Arc]) -> list[Bridge]:
+    if len(frame.path.vertices) == 1:
         return []
-    frame = _Frame(path, params)
     total = frame.total
     sliver = 1e-9 * max(1.0, total)
 
@@ -294,8 +316,9 @@ def extract_bridges(path: DiscretePath, arcs: list[Arc],
 
 def structure_of(path: DiscretePath, params: Params) -> PathStructure:
     """Arcs, bridges, and the type word of a feasible path."""
-    arcs = extract_arcs(path, params)
-    bridges = extract_bridges(path, arcs, params)
+    frame = _measured(path, params)
+    arcs = _arcs(frame)
+    bridges = _bridges(frame, arcs)
     labeled = [(a.start_s, a.end_s, "A") for a in arcs]
     labeled += [(b.start_s, b.end_s, "B") for b in bridges]
     labeled.sort(key=lambda t: (t[0], t[1]))
@@ -333,8 +356,8 @@ def canonicalize(path: DiscretePath, params: Params) -> DiscretePath:
     short piece of a split edge sits next to the length-ell part of an arc
     (never next to another short edge).
     """
-    arcs = extract_arcs(path, params)
-    frame = _Frame(path, params)
+    frame = _measured(path, params)
+    arcs = _arcs(frame)
     # bridge endpoints are exactly the boundary points of the union of the
     # arc spans (overlap-interior arc endpoints stay mid-edge)
     cuts = []

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from ddgeo import document as doc
-from ddgeo.cli import run
+from ddgeo.cli import _build_parser, run
 from ddgeo.model import Configuration, DiscretePath, Params
 
 from gen import build_path
@@ -70,6 +70,39 @@ def test_classify_ngon_type_a(tmp_path, capsys):
     doc.save(doc.path_to_json(path, P8), fn)
     assert run(["classify", fn]) == 0
     assert capsys.readouterr().out.strip() == "A"
+
+
+def test_classify_infeasible_exit_one(tmp_path, capsys):
+    # a 90 degree corner is twice the n = 8 turn bound
+    bad = build_path([0.0, math.pi / 2, 0.0], [2.0, 2.0])
+    fn = str(tmp_path / "bad.json")
+    doc.save(doc.path_to_json(bad, P8), fn)
+    assert run(["classify", fn]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "infeasible path; run validate for details"
+
+
+def test_classify_repeated_vertex_exit_two(tmp_path, capsys):
+    d = doc.path_to_json(build_path([0.0, 0.0], [2.0]), P8)
+    d["vertices"].insert(1, list(d["vertices"][0]))
+    fn = str(tmp_path / "repeated.json")
+    doc.save(d, fn)
+    assert run(["classify", fn]) == 2
+    assert "repeated vertex" in capsys.readouterr().err
+
+
+def test_repeated_runs_share_one_parser(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    fn = _write_straight(tmp_path)
+    assert run(["classify"]) == 2
+    assert "required" in capsys.readouterr().err
+    assert run(["classify", fn]) == 0
+    assert capsys.readouterr().out.strip() == "B"
+    assert run(["shorten", fn, "--budget", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("fixed-point after 0 moves")
+    assert captured.err == ""
 
 
 def test_plan_then_validate_pipeline(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ddgeo import model
 from ddgeo.model import Configuration, DiscretePath, Params, path_length, validate
 from ddgeo.structure import (
     FORBIDDEN_FACTORS,
@@ -145,6 +146,33 @@ def test_canonicalize_inserts_bridge_endpoints():
     # canonicalizing again is a fixed point
     cp2 = canonicalize(cp, P8)
     assert cp2.vertices == cp.vertices
+
+
+def test_one_length_turn_walk_per_call(monkeypatch):
+    # structure_of and canonicalize take the input's lengths, turns and
+    # feasibility verdict from one measure pass and share it between the arc
+    # and the bridge extraction; canonicalize walks its result once more to
+    # check that the inserted cuts kept it feasible
+    walked = []
+    walk = model._lengths_and_turns
+
+    def counting(path, tol):
+        walked.append(path)
+        return walk(path, tol)
+
+    monkeypatch.setattr(model, "_lengths_and_turns", counting)
+    path = build_path([0.0, TH, TH, TH, TH, 0.0], [1.0, 1.0, 3.0, 1.0, 1.0])
+    assert structure_of(path, P8).type_word == "ABA"
+    assert [id(p) for p in walked] == [id(path)]
+    walked.clear()
+    cp = canonicalize(path, P8)
+    assert len(cp.vertices) == len(path.vertices) + 2
+    assert [id(p) for p in walked] == [id(path), id(cp)]
+    # the shared pass still rejects an infeasible input
+    bad = build_path([0.0, TH + 0.3, 0.0], [1.0, 1.0])
+    for fn in (extract_arcs, structure_of, canonicalize):
+        with pytest.raises(InfeasiblePathError):
+            fn(bad, P8)
 
 
 def test_canonicalize_preserves_type_and_feasibility_random():
