@@ -171,7 +171,18 @@ def _arc_points(p: Point2, psi1: float, sigma: int, k: int,
 
 
 def _norm_arr(a):
-    return (a + math.pi) % TWO_PI - math.pi
+    """Angles wrapped into [-pi, pi), bit for bit as (a + pi) % TWO_PI - pi.
+
+    numpy's float % is fmod plus a sign fix-up, and fmod is exact, so the
+    fix-up written out (one add of TWO_PI where fmod is negative) gives the
+    same bits; done in place, it makes one array where the % makes three.
+    """
+    x = np.array(a, dtype=float)
+    x += math.pi
+    np.fmod(x, TWO_PI, out=x)
+    np.add(x, TWO_PI, out=x, where=x < 0.0)
+    x -= math.pi
+    return x
 
 
 def _turns_ok(theta: float, *turns):
@@ -1060,18 +1071,19 @@ def _guided_range(guess, theta: float, k_cap: int) -> list[int]:
 
 
 def _dubins_seed(inst: _Instance) -> DiscretePath | None:
-    """Scaled discretization of the smooth Dubins curve; always feasible
-    (chords over arclength steps theta keep every constraint), so it both
-    seeds the incumbent and guarantees the planned length never exceeds the
-    discretized smooth length."""
+    """Scaled discretization of the smooth Dubins curve, each straight kept
+    as one edge; always feasible (chords over arclength steps theta keep
+    every constraint, and dropping a vertex between two collinear edges
+    changes no turn), so it both seeds the incumbent and guarantees the
+    planned length never exceeds the discretized smooth length."""
     gamma, params = inst.dubins, inst.params
     if gamma is None or gamma.length <= params.theta * (1.0 + 1e-9):
         return None
     try:
-        disc = _smooth.discretize(gamma, params.theta)
+        samples = gamma.sample(_smooth.breakpoints_skipping_straights(gamma, params.theta))
     except (ValueError, RuntimeError):
         return None
-    verts = [scale(p, params.circumradius) for p in disc.vertices]
+    verts = [scale(p, params.circumradius) for p, _ in samples]
     verts[-1] = inst.V.point
     path = inst.finish(verts)
     if path is None:

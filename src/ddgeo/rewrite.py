@@ -3,15 +3,18 @@
 Every move is a one-parameter family of candidate vertex lists in a step d.
 The step harness ``_attempt`` checks full feasibility of each trial step
 with one ``model.measure`` pass.  Its candidates are exact steps, with no
-sampled search: the move's event steps (edge lengths crossing ell, edges
-shrinking to nothing, a rotation family's closest approach, in closed
-form), the first feasible step of halving from the largest step, and the
-boundary step, bisected up to where a turn reaches theta.  Translation
-families never lengthen the path as d grows and rotation families have one
-interior minimum, their event, so when the feasible steps form an interval
-the shortest feasible improving candidate is the family's best step; when
-they do not, the boundary step is the edge of the interval that halving
-reached.  Applied moves strictly decrease (length, type length)
+sampled search: the first feasible step of halving from the largest step,
+the move's event steps (edge lengths crossing ell, edges shrinking to
+nothing, a rotation family's closest approach, in closed form), and the
+boundary step where a turn reaches the cap.  Block slides and AAB rotations
+move one vertex block rigidly, so they give that boundary in closed form
+(``_cap_step``) and it costs one probe; a bisection finds it only when that
+probe is rejected or the move gives no motion.  Translation families never
+lengthen the path as d grows and rotation families have one interior
+minimum, their event, so when the feasible steps form an interval the
+shortest feasible improving candidate is the family's best step; when they
+do not, the boundary step is the edge of the interval that halving reached.
+Applied moves strictly decrease (length, type length)
 lexicographically, so repeated application drives a path toward a fixed
 point whose type word carries no forbidden factor.
 
@@ -49,12 +52,15 @@ Move catalogue (structure-rule locations refer to the canonicalized path):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .geometry import (
     DegenerateGeometryError,
     Point2,
+    Vec2,
     add,
     circle_circle_intersection,
     cross,
@@ -82,8 +88,10 @@ from .model import (
     validate,
     vertex_turns,
 )
-from .structure import (
+from .structure import (  # noqa: F401 -- bench/tracing.py wraps canonicalize, structure_of here
     InternalInconsistencyError,
+    _canonical,
+    _structure,
     canonicalize,
     structure_of,
     type_or_none,
@@ -198,6 +206,138 @@ def _eval_step(base_path: DiscretePath, params: Params, builder, d: float,
     return cand, sum(lengths)
 
 
+class _Motion(NamedTuple):
+    """How a move's candidate vertices follow the step d, for d < ``until``.
+
+    In the builder's vertex list, the block lo..hi-1 translates by d*u, or,
+    when ``pivot`` is given, turns by sign*d about it; the other vertices
+    stay put.  A move that has one hangs it on its builder as
+    ``builder.motion``.
+    """
+
+    lo: int
+    hi: int
+    u: Vec2 = (0.0, 0.0)
+    pivot: Point2 | None = None
+    sign: float = 1.0
+    until: float = math.inf
+
+
+def _edge_forms(motion: _Motion, verts: list, base_path: DiscretePath, i: int):
+    """The edges into and out of vertex i of ``verts`` (the builder's list at
+    d = 0) as (alpha, beta) pairs: the edge is beta + d*alpha for a
+    translation and R(sign*d) alpha + beta for a turn.  The start and end
+    headings stand in for the pre/post-edges."""
+    lo, hi, pivot = motion.lo, motion.hi, motion.pivot
+
+    def place(j):  # vertex j in the same form
+        if not lo <= j < hi:
+            return (0.0, 0.0), verts[j]
+        if pivot is None:
+            return motion.u, verts[j]
+        return sub(verts[j], pivot), pivot
+
+    def edge(j):
+        (aj, bj), (ak, bk) = place(j), place(j + 1)
+        return sub(ak, aj), sub(bk, bj)
+
+    into = ((0.0, 0.0), base_path.start.heading) if i == 0 else edge(i - 1)
+    out = ((0.0, 0.0), base_path.end.heading) if i == len(verts) - 1 else edge(i)
+    return into, out
+
+
+def _cap_step(motion: _Motion, base_path: DiscretePath, verts: list,
+              bound: float, d_lo: float, d_hi: float) -> float | None:
+    """The step in [d_lo, min(d_hi, until)) at which a turn at a corner of
+    the moving block first lies outside [-bound, bound], or None.
+
+    ``verts`` is the builder's list at d = 0.  The turn t = atan2(cross, dot)
+    of edges a, b equals s*bound (s = +-1) where
+    g = cross*cos(bound) - s*dot*sin(bound) = |a||b| sin(t - s*bound)
+    vanishes and dot*cos(bound) + s*cross*sin(bound) > 0; it leaves the band
+    there when s*g rises.  Written this way the test also holds for bounds
+    past pi/2 (n = 4).  A translation makes g a quadratic in d, a turn makes
+    it g0 + gc cos(phi) + gs sin(phi) in phi = sign*d.  Each root is pulled
+    back by the step that moves its turn by the rounding error a ``measure``
+    pass may make in it, so that the probe of the step is not rejected by
+    rounding.
+    """
+    cb, sb = math.cos(bound), math.sin(bound)
+    sign, pivot = motion.sign, motion.pivot
+    d_hi = min(d_hi, motion.until)
+    best = None
+    for i in {motion.lo - 1, motion.lo, motion.hi - 1, motion.hi}:
+        if not 0 <= i < len(verts):
+            continue
+        (aa, ba), (ab, bb) = _edge_forms(motion, verts, base_path, i)
+        c_aa, c_ab, c_ba, c_bb = cross(aa, ab), cross(aa, bb), cross(ba, ab), cross(ba, bb)
+        k_aa, k_ab, k_ba, k_bb = dot(aa, ab), dot(aa, bb), dot(ba, ab), dot(ba, bb)
+        if pivot is None:
+            def edges(d):
+                return add(ba, scale(aa, d)), add(bb, scale(ab, d))
+            # coefficients of 1, d, d^2
+            crosses, dots = (c_bb, c_ab + c_ba, c_aa), (k_bb, k_ab + k_ba, k_aa)
+            size = 0.0
+        else:
+            def edges(d):
+                return add(rotate(aa, sign * d), ba), add(rotate(ab, sign * d), bb)
+            # coefficients of 1, cos(phi), sin(phi)
+            crosses = (c_aa + c_bb, c_ab + c_ba, k_ba - k_ab)
+            dots = (k_aa + k_bb, k_ab + k_ba, c_ab - c_ba)
+            size = max(abs(pivot[0]), abs(pivot[1]))
+        # the coordinates' size sets the rounding error of the probed turn
+        for p in verts[max(i - 1, 0):i + 2]:
+            size = max(size, abs(p[0]), abs(p[1]))
+        a, b = edges(d_lo)
+        for s in (1.0, -1.0):
+            if (s * cross(a, b) * cb - dot(a, b) * sb > 0.0
+                    and dot(a, b) * cb + s * cross(a, b) * sb > 0.0):
+                return d_lo  # outside already: the cap binds at d_lo
+            g = [c * cb - s * k * sb for c, k in zip(crosses, dots)]
+            for d, rise in (_poly_roots(g) if pivot is None else _trig_roots(g, sign)):
+                if not (d_lo < d < d_hi and s * rise > 0.0):
+                    continue
+                ea, eb = edges(d)
+                if dot(ea, eb) * cb + s * cross(ea, eb) * sb <= 0.0:
+                    continue
+                la, lb = math.hypot(*ea), math.hypot(*eb)
+                noise = 2.0 * sys.float_info.epsilon * (size * (1.0 / la + 1.0 / lb) + 1.0)
+                d = max(d_lo, d - noise * la * lb / abs(rise))
+                if best is None or d < best:
+                    best = d
+    return best
+
+
+def _poly_roots(g) -> list[tuple[float, float]]:
+    """(root, slope) of g0 + g1 x + g2 x^2, without the cancellation of the
+    textbook formula."""
+    g0, g1, g2 = g
+    if g2 == 0.0:
+        return [(-g0 / g1, g1)] if g1 != 0.0 else []
+    disc = g1 * g1 - 4.0 * g2 * g0
+    if disc < 0.0:
+        return []
+    q = -0.5 * (g1 + math.copysign(math.sqrt(disc), g1))
+    roots = [q / g2, g0 / q] if q != 0.0 else [0.0]
+    return [(x, 2.0 * g2 * x + g1) for x in roots]
+
+
+def _trig_roots(g, sign: float) -> list[tuple[float, float]]:
+    """(d, slope in d) for d in [0, 2 pi) of g0 + gc cos(phi) + gs sin(phi)
+    with phi = sign*d."""
+    g0, gc, gs = g
+    rho = math.hypot(gc, gs)
+    if rho == 0.0 or abs(g0) > rho:
+        return []
+    psi, half = math.atan2(gs, gc), math.acos(-g0 / rho)
+    out = []
+    for phi in (psi - half, psi + half):
+        d = (sign * phi) % (2.0 * math.pi)
+        phi = sign * d
+        out.append((d, sign * (gs * math.cos(phi) - gc * math.sin(phi))))
+    return out
+
+
 def _bisect(probe, lo: float, at_lo, hi: float):
     """Bisect from a step ``lo`` that ``probe`` accepts (with result
     ``at_lo``) toward a step ``hi`` that it rejects, until the midpoint
@@ -220,13 +360,17 @@ def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
     The candidates are exact steps, in tie order: the first feasible step of
     halving from d_max, the move's event steps (edge lengths crossing ell,
     edges shrinking to nothing, a rotation's closest approach) and the
-    boundary step, bisected up to where a turn reaches theta.  A translation
-    family never lengthens the path as d grows and a rotation family has its
-    one interior minimum at its event, so no sampled search is needed: the
-    shortest candidate wins.  It is the family's best step when the feasible
-    steps form an interval; otherwise the bisection stops at the edge of the
-    interval that holds the halving step.  Returns (new_path, used_step) or
-    None.
+    boundary step in (d_feas, 2 d_feas] where a turn reaches the cap.  When
+    the builder carries a ``_Motion`` (block slides, AAB rotations), the
+    boundary is its closed-form cap step, probed once under the cap; the
+    bisection of [d_feas, step] stays as the fallback for a rejected probe
+    (a non-turn constraint binding first) and for moves without a motion.
+    A translation family never lengthens the path as d grows and a rotation
+    family has its one interior minimum at its event, so no sampled search
+    is needed: the shortest candidate wins.  It is the family's best step
+    when the feasible steps form an interval; otherwise the boundary stops
+    at the edge of the interval that holds the halving step.  Returns
+    (new_path, used_step) or None.
     """
     if d_max <= 0.0:
         return None
@@ -243,15 +387,35 @@ def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
     cands = [(d_feas, feas)]
     cands += [(d, probe(d)) for d in events if 0.0 < d <= d_max * (1.0 + 1e-12)]
     if feas is not None and d_feas < d_max:
-        # 2 d_feas failed the halving, so it fails under the cap too; the cap
-        # keeps the boundary step a margin inside the tolerance
-        cap = _turn_cap(base_path, params)
-        cands.append(_bisect(lambda d: probe(d, cap), d_feas, feas, 2.0 * d_feas))
+        cands.append(_boundary(base_path, params, builder, probe, d_feas, feas))
     best = min(((got[1], d, got[0]) for d, got in cands if got is not None),
                key=lambda c: c[0], default=None)
     if best is None or best[0] > path_length(base_path) - IMPROVE_FRACTION * params.ell:
         return None
     return _tidy(best[2], params), best[1]
+
+
+def _boundary(base_path: DiscretePath, params: Params, builder, probe,
+              d_feas: float, feas):
+    """(step, probe result) at the turn cap's boundary in [d_feas, 2 d_feas]:
+    the motion's closed-form cap step, or the last step that bisection
+    accepts."""
+    # 2 d_feas failed the halving, so it fails under the cap too; the cap
+    # keeps the boundary step a margin inside the tolerance
+    cap = _turn_cap(base_path, params)
+    hi = 2.0 * d_feas
+    motion = getattr(builder, "motion", None)
+    if motion is not None:
+        step = _cap_step(motion, base_path, builder(0.0),
+                         min(cap, params.theta + TOL_ANG), d_feas, hi)
+        if step == d_feas:
+            return d_feas, feas  # the cap binds at the halving step itself
+        if step is not None:
+            got = probe(step, cap)
+            if got is not None:
+                return step, got
+            hi = step
+    return _bisect(lambda d: probe(d, cap), d_feas, feas, hi)
 
 
 def _rotation_events(x: Point2, centre: Point2, y: Point2,
@@ -297,13 +461,14 @@ def _rotate_block(verts: list, lo: int, hi: int, pivot: Point2,
 # (AAAA only) is appended to the reported location.
 
 class _Ctx:
-    def __init__(self, path: DiscretePath, params: Params):
+    def __init__(self, path: DiscretePath, params: Params, lens: list[float],
+                 turns: list[float]):
         self.path = path
         self.params = params
         self.verts = list(path.vertices)
-        self.lens = edge_lengths(path)
+        self.lens = lens
         self.classes = [classify_edge(ln, params) for ln in self.lens]
-        self.turns = vertex_turns(path)
+        self.turns = turns
         self.dirs = [unit(sub(self.verts[i + 1], self.verts[i]))
                      for i in range(len(self.verts) - 1)]
         self.infl = [turns_inflect(self.turns[j], self.turns[j + 1])
@@ -489,18 +654,17 @@ def _inflection_rotate_attempt(ctx: _Ctx, loc):
 # canonical structure context
 
 class _Struct(_Ctx):
-    """Canonicalized path with its decomposition and free-site indices."""
+    """Canonicalized path with its decomposition and free-site indices, all
+    read off the frame of the path's one ``measure`` pass."""
 
-    def __init__(self, cp: DiscretePath, params: Params):
-        super().__init__(cp, params)
-        self.st = structure_of(cp, params)
+    def __init__(self, frame):
+        super().__init__(frame.path, frame.params, frame.lengths, frame.turns)
+        self.st = _structure(frame)
         self.infl_edges = [j for j, flag in enumerate(self.infl) if flag]
         self.longs = [j for j, c in enumerate(self.classes) if c is EdgeClass.LONG]
-        self.vertex_s = [0.0]
-        for ln in self.lens:
-            self.vertex_s.append(self.vertex_s[-1] + ln)
+        self.vertex_s = frame.vertex_s
         self.bridges = []
-        tol = 1e-6 * max(1.0, params.ell)
+        tol = 1e-6 * max(1.0, self.params.ell)
         for b in self.st.bridges:
             for j in range(len(self.lens)):
                 if (abs(self.vertex_s[j] - b.start_s) <= tol
@@ -544,8 +708,7 @@ class _Struct(_Ctx):
 
 def _make_struct(path: DiscretePath, params: Params) -> _Struct | None:
     try:
-        cp = canonicalize(path, params)
-        return _Struct(cp, params)
+        return _Struct(_canonical(path, params))
     except (InternalInconsistencyError, ValueError):
         return None
 
@@ -601,6 +764,14 @@ def _block_slide_attempt(sc: _Struct, loc):
             out.insert(at, anchor_break)
         return out
 
+    # the block in the built list: a moving break vertex joins it, an anchor
+    # break vertex inserted before it shifts it
+    if mode == "break_moving":
+        builder.motion = _Motion(lo, hi + 1, t_dir, until=merge_at)
+    elif mode == "break_anchor" and src_edge > sink_edge:
+        builder.motion = _Motion(lo + 1, hi + 1, t_dir, until=merge_at)
+    else:
+        builder.motion = _Motion(lo, hi, t_dir, until=merge_at)
     events = [src_len]
     if mode == "direct":
         events += _ell_cross_events(verts[moving], t_dir, verts[anchor], ell)
@@ -701,9 +872,12 @@ def _aab_attempt(sc: _Struct, loc):
     pivot = verts[w]
     # the block's far edge is the one whose length changes
     x, y = (hi - 1, hi) if direction == +1 else (lo, lo - 1)
-    return _attempt(sc.path, sc.params,
-                    lambda d: _rotate_block(verts, lo, hi, pivot, sign * d),
-                    0.45 * sc.params.theta,
+
+    def builder(d):
+        return _rotate_block(verts, lo, hi, pivot, sign * d)
+
+    builder.motion = _Motion(lo, hi, pivot=pivot, sign=sign)
+    return _attempt(sc.path, sc.params, builder, 0.45 * sc.params.theta,
                     _rotation_events(verts[x], pivot, verts[y], sign))
 
 
@@ -735,8 +909,12 @@ def _aab_overlap_slide(sc: _Struct, a1, a2, direction: int, sign: float):
         move = unit(sub(verts[hinge + 1], verts[hinge]))
     if lo <= 0 or hi >= len(verts):
         return None
-    return _attempt(sc.path, sc.params,
-                    lambda d: _shift_block(verts, lo, hi, scale(move, sign * d)),
+
+    def builder(d):
+        return _shift_block(verts, lo, hi, scale(move, sign * d))
+
+    builder.motion = _Motion(lo, hi, scale(move, sign))
+    return _attempt(sc.path, sc.params, builder,
                     sc.lens[edge] - 20.0 * sc.params.tol_dedup)
 
 
@@ -980,7 +1158,7 @@ def _sites(path: DiscretePath, params: Params, moves=_MOVES):
     """(kind, location, attempt, context) for every site of the moves, in
     table order.  The structure is built once, at the first structured row;
     a path without one has no structured sites."""
-    ctx = _Ctx(path, params)
+    ctx = _Ctx(path, params, edge_lengths(path), vertex_turns(path))
     for structured, sites, attempt in moves:
         if structured and not isinstance(ctx, _Struct):
             ctx = _make_struct(path, params)

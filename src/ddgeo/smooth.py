@@ -7,7 +7,9 @@ in arclength, so the mean-curvature bound holds by construction.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .geometry import (
@@ -147,6 +149,16 @@ class DiscretizationPlan:
 
     @classmethod
     def for_length(cls, total: float, theta: float) -> "DiscretizationPlan":
+        points = _Breakpoints(total, theta)
+        return cls(theta=theta, m=points.m, delta=points.delta, breakpoints=tuple(points))
+
+
+class _Breakpoints(Sequence):
+    """The breakpoints of ``DiscretizationPlan.for_length``, each computed
+    when it is read, so that a long curve's run can be searched and skipped
+    without being listed."""
+
+    def __init__(self, total: float, theta: float):
         if not (theta < total):
             raise ValueError(f"theta={theta} must be smaller than the curve length {total}")
         m = int(math.floor(total / theta))
@@ -157,13 +169,44 @@ class DiscretizationPlan:
         elif theta - delta <= snap:
             m += 1
             delta = 0.0
-        if delta == 0.0:
-            ts = [i * theta for i in range(m)] + [total]
-        else:
-            ts = [0.0, delta / 2.0]
-            ts += [delta / 2.0 + i * theta for i in range(1, m + 1)]
-            ts.append(total)
-        return cls(theta=theta, m=m, delta=delta, breakpoints=tuple(ts))
+        self.total, self.theta, self.m, self.delta = total, theta, m, delta
+
+    def __len__(self) -> int:
+        return self.m + 1 if self.delta == 0.0 else self.m + 3
+
+    def __getitem__(self, k: int) -> float:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        if k == len(self) - 1:
+            return self.total
+        if self.delta == 0.0:
+            return k * self.theta
+        if k == 0:
+            return 0.0
+        if k == 1:
+            return self.delta / 2.0
+        return self.delta / 2.0 + (k - 1) * self.theta
+
+
+def breakpoints_skipping_straights(gamma: SmoothPath, theta: float) -> list[float]:
+    """The theta-discretization breakpoints of the curve less those strictly
+    inside the run of breakpoints on each straight segment.
+
+    Sampled, they give ``discretize``'s vertices less those with a straight
+    edge on both sides, so each straight stays one edge, and the count no
+    longer grows with the straights' length.
+    """
+    points = _Breakpoints(gamma.length, theta)
+    out, k, s = [], 0, 0.0
+    for seg in gamma.segments:
+        if isinstance(seg, LineSeg):
+            first = bisect.bisect_left(points, s)
+            last = bisect.bisect_right(points, s + seg.length) - 1
+            if last > first + 1:
+                out += [points[i] for i in range(k, first + 1)]
+                k = last
+        s += seg.length
+    return out + [points[i] for i in range(k, len(points))]
 
 
 def discretize(gamma: SmoothPath, theta: float) -> DiscretePath:

@@ -21,7 +21,7 @@ from .model import (
     classify_edge,
     edge_lengths,
     measure,
-    validate,
+    validate,  # noqa: F401 -- bench/tracing.py wraps structure.validate
     vertex_turns,
 )
 
@@ -97,6 +97,7 @@ class _Frame:
         self.path = path
         self.params = params
         v = path.vertices
+        self.lengths = lengths
         self.vertex_s = [0.0]
         for ln in lengths:
             self.vertex_s.append(self.vertex_s[-1] + ln)
@@ -316,7 +317,10 @@ def _bridges(frame: _Frame, arcs: list[Arc]) -> list[Bridge]:
 
 def structure_of(path: DiscretePath, params: Params) -> PathStructure:
     """Arcs, bridges, and the type word of a feasible path."""
-    frame = _measured(path, params)
+    return _structure(_measured(path, params))
+
+
+def _structure(frame: _Frame) -> PathStructure:
     arcs = _arcs(frame)
     bridges = _bridges(frame, arcs)
     labeled = [(a.start_s, a.end_s, "A") for a in arcs]
@@ -356,6 +360,12 @@ def canonicalize(path: DiscretePath, params: Params) -> DiscretePath:
     short piece of a split edge sits next to the length-ell part of an arc
     (never next to another short edge).
     """
+    return _canonical(path, params).path
+
+
+def _canonical(path: DiscretePath, params: Params) -> _Frame:
+    """``canonicalize``'s result as a frame, from the ``measure`` pass that
+    checks its feasibility."""
     frame = _measured(path, params)
     arcs = _arcs(frame)
     # bridge endpoints are exactly the boundary points of the union of the
@@ -378,19 +388,18 @@ def canonicalize(path: DiscretePath, params: Params) -> DiscretePath:
             ci += 1  # already a vertex
         new_vertices.append(path.vertices[vi])
     try:
-        result = path.with_vertices(new_vertices, canonical=True)
-        if not validate(result, params):
-            return result
+        return _measured(path.with_vertices(new_vertices, canonical=True), params)
     except ValueError:
         pass
     # Outside the shortest-path domain an inserted endpoint can sit next to
     # an existing short edge (the input had a long edge adjacent to a short
     # one, which shortest paths never do).  Keep the cuts that are
     # individually feasible.
-    result = path
+    result = _Frame(path.with_vertices(path.vertices, canonical=True), params,
+                    frame.lengths, frame.turns)
     for c in cuts:
         pt = frame.point_at(c)
-        verts = list(result.vertices)
+        verts = list(result.path.vertices)
         for i in range(len(verts) - 1):
             d_total = dist(verts[i], verts[i + 1])
             if (dist(verts[i], pt) + dist(pt, verts[i + 1]) <= d_total + params.tol_dedup
@@ -398,14 +407,11 @@ def canonicalize(path: DiscretePath, params: Params) -> DiscretePath:
                     and dist(pt, verts[i + 1]) > params.tol_dedup):
                 candidate = verts[:i + 1] + [pt] + verts[i + 1:]
                 try:
-                    attempt = result.with_vertices(candidate, canonical=True)
-                    if not validate(attempt, params):
-                        result = attempt
+                    result = _measured(result.path.with_vertices(candidate, canonical=True),
+                                       params)
                 except ValueError:
                     pass
                 break
-    if result is path:
-        return path.with_vertices(path.vertices, canonical=True)
     return result
 
 

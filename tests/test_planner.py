@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ from ddgeo.planner import (
     solve_candidate,
 )
 from ddgeo.rewrite import find_applicable, shorten
-from ddgeo.smooth import discretize, dubins_solve
+from ddgeo.smooth import DiscretizationPlan, LineSeg, discretize, dubins_solve
 from ddgeo.structure import find_forbidden_subtype, type_or_none, type_string
 
 from gen import build_path, random_configuration_pair
@@ -1074,3 +1075,56 @@ def test_joint_pattern_pruning_drops_only_dead_rows(n):
             ks = rng.integers(1, n, (m, shape.count("A")))
             _, _, ok = _partial_closure(inst, shape, ks, joints, dirs, r, f_cols)
             assert not ok.any()
+
+
+def test_norm_arr_matches_float_modulo_bitwise():
+    # the wrap writes out the sign fix-up of numpy's float %; it must agree
+    # with the % to the last bit, at multiples of pi, next to them and
+    # between them
+    rng = np.random.default_rng(13)
+    marks = np.array([k * math.pi for k in range(-7, 8)] + [k * TWO_PI for k in (-2, -1, 1, 2)])
+    near = np.concatenate([np.nextafter(marks, np.inf), np.nextafter(marks, -np.inf),
+                           marks, -1e-300 + 0.0 * marks, 0.0 * marks])
+    for a in (near, rng.uniform(-3.0 * math.pi, 3.0 * math.pi, (400, 25)),
+              rng.uniform(-40.0, 40.0, 999), np.array([]), np.array([-0.0]),
+              near - math.pi, near + math.pi):
+        got, want = _norm_arr(a), (a + math.pi) % TWO_PI - math.pi
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for x in (-math.pi, math.pi, 3.0 * math.pi, -3.0 * math.pi, 0.5, 100.0):
+        assert _norm_arr(x) == (x + math.pi) % TWO_PI - math.pi
+
+
+def test_dubins_seed_keeps_each_straight_one_edge():
+    # the seed is discretize's polygon less the vertices with a straight edge
+    # on both sides
+    rng = np.random.default_rng(77)
+    dropped = 0
+    for n in (8, 16):
+        params = Params.from_sides(n, 1.0)
+        r = params.circumradius
+        for _ in range(4):
+            U, V = random_configuration_pair(rng, (2.0 * r, 9.0 * r))
+            inst = _Instance(U, V, params)
+            gamma = inst.dubins
+            starts = np.cumsum([0.0] + [g.length for g in gamma.segments])
+            straights = [(s0, s1) for g, s0, s1 in zip(gamma.segments, starts, starts[1:])
+                         if isinstance(g, LineSeg)]
+            bp = DiscretizationPlan.for_length(gamma.length, params.theta).breakpoints
+            keep = [k for k in range(len(bp))
+                    if not (0 < k < len(bp) - 1
+                            and any(s0 <= bp[k - 1] and bp[k + 1] <= s1 for s0, s1 in straights))]
+            want = [scale(p, r) for p in (discretize(gamma, params.theta).vertices[k] for k in keep)]
+            want[0], want[-1] = U.point, V.point
+            assert list(_dubins_seed(inst).vertices) == want
+            dropped += len(bp) - len(keep)
+    assert dropped > 0
+
+
+def test_plan_far_straight_is_bounded():
+    # a straight Dubins solution no longer lists a vertex per theta of its
+    # length: a billion edges' worth of distance plans in well under a second
+    start = time.process_time()
+    res = plan(Configuration((0.0, 0.0), (1.0, 0.0)), Configuration((1e9, 0.0), (1.0, 0.0)), P8)
+    assert time.process_time() - start < 1.0
+    assert type_string(res.best, P8) == "B" and path_length(res.best) == 1e9

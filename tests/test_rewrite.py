@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ddgeo import rewrite
+from ddgeo import model, rewrite
 from ddgeo.geometry import from_angle
-from ddgeo.model import Configuration, Params, path_length, validate
+from ddgeo.model import (
+    Configuration,
+    Params,
+    edge_lengths,
+    path_length,
+    validate,
+    vertex_turns,
+)
 from ddgeo.rewrite import (
     RewriteRule,
     RuleKind,
@@ -18,6 +25,7 @@ from ddgeo.smooth import discretize, dubins_solve
 from ddgeo.structure import (
     InternalInconsistencyError,
     find_forbidden_subtype,
+    structure_of,
     type_string,
 )
 
@@ -310,3 +318,76 @@ def test_attempt_beats_dense_step_search(monkeypatch):
                 trial = rewrite._eval_step(base, params, builder, float(d))
                 assert trial is None or trial[1] >= best - 1e-9 * params.ell, \
                     (key, float(d), trial[1], best)
+
+
+def test_turn_cap_step_matches_bisection(monkeypatch):
+    # the closed-form boundary step of every block slide and AAB rotation
+    # passes its cap probe, and bisection finds no feasible step above it
+    # beyond the float noise of the probed vertices
+    harness = rewrite._attempt
+    recorded = []
+
+    def recording(base, params, builder, d_max, events=()):
+        if getattr(builder, "motion", None) is not None:
+            recorded.append((base, params, builder, d_max))
+        return harness(base, params, builder, d_max, events)
+
+    monkeypatch.setattr(rewrite, "_attempt", recording)
+    inputs = [(P8, AAAA)]
+    for n in (6, 8, 12):
+        params = Params.from_sides(n, 1.0)
+        rng = np.random.default_rng(4000 + n)
+        inputs += [(params, random_feasible_path(params, rng)) for _ in range(20)]
+    for params, path in inputs:
+        shorten(path, params)
+
+    def last_accepted(probe, lo, hi):
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if probe(mid) is not None else (lo, mid)
+        return lo
+
+    kinds, searches = set(), 0
+    for base, params, builder, d_max in recorded:
+        def probe(d, cap=None):
+            return rewrite._eval_step(base, params, builder, d, cap)
+
+        d_feas = d_max
+        while probe(d_feas) is None and 0.5 * d_feas >= rewrite.STEP_MIN_FRACTION * params.ell:
+            d_feas *= 0.5
+        if d_feas == d_max or probe(d_feas) is None:
+            continue
+        cap = rewrite._turn_cap(base, params)
+        step = rewrite._cap_step(builder.motion, base, builder(0.0),
+                                 min(cap, params.theta + rewrite.TOL_ANG), d_feas, 2.0 * d_feas)
+        assert step is not None
+        searches += 1
+        kinds.add(builder.__qualname__.split(".")[0])
+        if step > d_feas:
+            assert probe(step, cap) is not None, (builder.__qualname__, d_feas, step)
+        # 1e-12 relative, plus 1e-13 ell for the rounding of the probed
+        # vertices, which moves the accepted boundary by about 1e-16 ell
+        # whatever the step's size
+        top = last_accepted(lambda d: probe(d, cap), step, 2.0 * d_feas)
+        assert top <= step * (1.0 + 1e-12) + 1e-13 * params.ell, (top, step)
+    assert searches >= 50 and kinds == {"_block_slide_attempt", "_aab_attempt"}
+
+
+def test_one_walk_of_the_canonical_path(monkeypatch):
+    # the structured moves read the canonical path's lengths, turns and
+    # structure off the measure pass that checks its feasibility
+    walked, edge_walks = [], []
+    walk = model._lengths_and_turns
+
+    def counting(path, tol):
+        walked.append(path)
+        return walk(path, tol)
+
+    monkeypatch.setattr(model, "_lengths_and_turns", counting)
+    monkeypatch.setattr(rewrite, "edge_lengths", lambda path: edge_walks.append(path))
+    path = build_path([0.0, TH, TH, TH, TH, 0.0], [1.0, 1.0, 3.0, 1.0, 1.0])
+    sc = rewrite._make_struct(path, P8)
+    assert len(sc.verts) == len(path.vertices) + 2
+    assert [id(p) for p in walked] == [id(path), id(sc.path)] and not edge_walks
+    monkeypatch.undo()
+    assert sc.lens == edge_lengths(sc.path) and sc.turns == vertex_turns(sc.path)
+    assert sc.st == structure_of(sc.path, P8) and sc.st.type_word == "ABA"
