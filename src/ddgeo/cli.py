@@ -59,6 +59,8 @@ def _parse_config(text: str) -> Configuration:
         x, y, deg = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad configuration {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, (x, y, deg))):
+        raise UsageError(f"configuration {text!r} must be finite")
     return Configuration((x, y), from_angle(math.radians(deg)))
 
 

@@ -40,10 +40,11 @@ AAAA.  All rows are pruned by the incumbent length: the arcs' edges plus a
 lower bound on the length the other edges must cover (what the chords
 leave of |UV|, or for the partial-arc shapes the finer ``_chord_gap``).
 
-The partial-arc solve (``_solve_partial``) takes batches of rows against
-the joint patterns of ``_joint_patterns``.  ``plan`` cuts the batches from
-the rows whose floor the incumbent leaves live, so they are full, and
-filters each again by the incumbent when its turn comes.  Patterns that fix
+The partial-arc solve (``_solve_partial``) takes every row of a shape
+whose floor the incumbent leaves live in one pass, against the joint
+patterns of ``_joint_patterns``; the pass works through the rows in chunks
+of at most ``_PAIR_BUDGET`` row-pattern pairs, which bounds its memory, and
+finishes the feasible candidates of all chunks together.  Patterns that fix
 both joints of a partial end edge at one turn bound can never close and are
 dropped once per shape and theta; the heading test runs once per pattern
 sum.  At the family parameter t = 0 every token direction is a lead angle
@@ -124,9 +125,9 @@ class CandidateDiag:
     * ``solved``: its path validated; ``length`` is the path's length and
       ``residual`` how far the built endpoint missed V before snapping;
     * ``failed``: its shortest realization did not validate;
-    * ``infeasible``: no realization keeps every turn within theta (for the
-      partial-arc shapes, no row of a batch did; the batch's first row
-      stands for it);
+    * ``infeasible``: no realization keeps every turn within theta (for a
+      partial-arc shape, no live row gave a feasible path; one diag with
+      empty orientations and counts stands for the shape);
     * ``pruned``: its exact length exceeds the incumbent, so it was not
       built.
     """
@@ -576,7 +577,7 @@ _PARTIAL_SHAPES = (
     "FAAA", "AFAA", "AAFA", "AAAF",
     "FAAAF", "FAFAA", "FAAFA", "AFAAF", "AFAFA", "AAFAF",
 )
-_BATCH_ROWS = 20000   # joint rows evaluated per vectorized batch
+_PAIR_BUDGET = 100000  # row-pattern pairs per chunk of a partial-arc solve
 _GAP_GRID = 5         # samples per angle between chords in ``_chord_gap``
 
 
@@ -589,9 +590,9 @@ class _Patterns:
     in the column of the joint that parameterizes it (``scan``, else -1).
     Rows with one sum of ``vals`` and one reach of their free joints (theta
     for one, 2 theta for a family) form a ``group``, whose ``sums`` and
-    ``reach`` the heading test reads once.  ``per_batch`` rows of arc
-    orientations and edge counts are solved together; ``plan`` counts them
-    over the rows its floors leave live.
+    ``reach`` the heading test reads once.  ``_solve_partial`` pairs every
+    row of arc orientations and edge counts with every pattern, at most
+    ``_PAIR_BUDGET`` pairs per chunk.
 
     At t = 0 a token's direction is a lead angle of the arc row (from psi_u
     before the heading joint, after it from psi_v) turned by the joints on
@@ -608,7 +609,6 @@ class _Patterns:
     group: np.ndarray
     sums: np.ndarray
     reach: np.ndarray
-    per_batch: int
     chords: np.ndarray
     mix: np.ndarray
     f_after: np.ndarray
@@ -632,9 +632,8 @@ def _joint_patterns(shape: str, theta: float) -> _Patterns:
 
     An F capped below ell (``_f_caps``) is shorter than a full edge and no
     inflection, so its two joints must turn by at most theta together: rows
-    fixing both at one bound, +theta or -theta, never close and are dropped.
-    Batches are sized by the rows before this, which leaves every batch's
-    outcome as it was.
+    fixing both at one bound, +theta or -theta, never close and are dropped,
+    so they take no share of a chunk's pair budget.
     """
     n_joints = len(shape) + 1
     choices = []
@@ -654,7 +653,6 @@ def _joint_patterns(shape: str, theta: float) -> _Patterns:
             head.append(free[-1])
             scan.append(free[0] if len(free) == 2 else -1)
     vals, head, scan = np.array(rows), np.array(head), np.array(scan)
-    per_batch = max(1, _BATCH_ROWS // len(vals))
     # free joints hold 0, so only fixed joints can match a nonzero bound
     short = [t for t, cap in zip((t for t, c in enumerate(shape) if c == "F"),
                                  _f_caps(shape, 1.0)) if cap < 1.0]
@@ -679,7 +677,7 @@ def _joint_patterns(shape: str, theta: float) -> _Patterns:
     turn = np.exp(1j * theta * c_turned)
     on = np.hstack([np.where(c_after, 0.0, turn), np.where(c_after, turn, 0.0)])
     mix = np.vstack([on, on * np.tile(c_inside, 2)]).T
-    return _Patterns(vals, head, scan, group.ravel(), *groups.T, per_batch, chords.ravel(),
+    return _Patterns(vals, head, scan, group.ravel(), *groups.T, chords.ravel(),
                      mix, after[:, f_cols].astype(int),
                      np.exp(1j * theta * turned[:, f_cols]), inside[:, f_cols])
 
@@ -898,12 +896,11 @@ def _trig_roots(a, b, c):
     return (arc - phase, math.pi - arc - phase), has
 
 
-def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
-                   patterns: _Patterns, length_cap: float):
-    """Shortest feasible closed-form realization of a partial-arc shape over
-    a batch of rows of arc orientations and edge counts, if one is no longer
-    than ``length_cap``: (sigmas, ks, path, endpoint miss before snapping),
-    or None.
+def _partial_candidates(inst: _Instance, shape: str, sigma_rows, ks_rows,
+                        patterns: _Patterns, length_cap: float):
+    """Feasible closed-form realizations of a partial-arc shape over rows of
+    arc orientations and edge counts that are no longer than ``length_cap``:
+    per realization, the index of its row, its joint turns and its length.
 
     Along a two-joint family the cross products of ``_family_coeffs`` are
     c0 + c1 cos t + c2 sin t.  With two F edges the F length sum is
@@ -914,7 +911,7 @@ def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
     turning block, r(t) = r_out - R(t) r_in.
     """
     th, ell = inst.params.theta, inst.params.ell
-    need = inst.psi_v - inst.psi_u - ((ks_batch - 1) * sigma_batch).sum(axis=1) * th
+    need = inst.psi_v - inst.psi_u - ((ks_rows - 1) * sigma_rows).sum(axis=1) * th
     # the free joints must be able to close the heading at all; the test
     # depends on a pattern only through its group
     left = _norm_arr(need[:, None] - patterns.sums[None, :])
@@ -922,7 +919,7 @@ def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
     # every row against every chords column at t = 0: r = r_out - r_in is
     # w less all chords, r_in the chord sum of the turning block (einsum's
     # own loop, as a BLAS product of this size would start threads)
-    vec = _leads(inst, shape, sigma_batch, ks_batch)
+    vec = _leads(inst, shape, sigma_rows, ks_rows)
     arcs = [t for t, letter in enumerate(shape) if letter == "A"]
     both = np.einsum("rk,kc->rc", vec[:, :, arcs].reshape(len(vec), -1), patterns.mix)
     r, r_in = np.hsplit(both, 2)
@@ -932,7 +929,7 @@ def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
     # (+ |r_in| 1e-12): within their caps, and within the length cap after
     # the arcs' edges (one F edge may miss r by the snap tolerance)
     gap = np.abs(r) - np.abs(r_in) * (2.0 * math.sin(th / 2.0) + 1e-12) - inst.snap_tol
-    floor = (ks_batch.sum(axis=1) * ell)[:, None] + gap
+    floor = (ks_rows.sum(axis=1) * ell)[:, None] + gap
     near = (gap <= sum(_f_caps(shape, ell))) & (floor <= length_cap + 1e-9 * max(1.0, length_cap))
     tup, pat = np.nonzero(fits & near[:, patterns.chords])
     scan = patterns.scan[pat]
@@ -979,16 +976,41 @@ def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
     r = r_out[rows] - spin * r_in[rows]
     dirs = [np.where(m, spin * e[rows], e[rows])
             for e, m in zip(f_dirs, patterns.f_inside[solved].T)]
-    sigmas, ks = sigma_batch[tup[rows]], ks_batch[tup[rows]]
-    _, total, ok = _partial_closure(inst, shape, ks, joints, dirs, r, f_cols)
-    ok &= total <= length_cap
-    for i in np.flatnonzero(ok)[np.argsort(total[ok], kind="stable")]:
+    _, total, ok = _partial_closure(inst, shape, ks_rows[tup[rows]], joints, dirs, r, f_cols)
+    ok = np.flatnonzero(ok & (total <= length_cap))
+    return tup[rows[ok]], joints[ok], total[ok]
+
+
+def _solve_partial(inst: _Instance, shape: str, sigmas, ks, patterns: _Patterns,
+                   length_cap: float):
+    """Shortest feasible closed-form realization of a partial-arc shape over
+    rows of arc orientations and edge counts, if one is no longer than
+    ``length_cap``: (sigmas, ks, path, endpoint miss before snapping), or
+    None.
+
+    ``_partial_candidates`` takes the rows in chunks of at most
+    ``_PAIR_BUDGET`` row-pattern pairs, which bounds the memory of the pass,
+    and the candidates of all chunks are finished together, shortest first
+    and ties by row, so the answer does not depend on the chunk size.
+    """
+    if not len(ks):
+        return None
+    step = max(1, _PAIR_BUDGET // len(patterns.vals))
+    rows, joints, total = [], [], []
+    for c0 in range(0, len(ks), step):
+        at, j, t = _partial_candidates(inst, shape, sigmas[c0:c0 + step], ks[c0:c0 + step],
+                                       patterns, length_cap)
+        rows.append(at + c0)
+        joints.append(j)
+        total.append(t)
+    rows, joints, total = map(np.concatenate, (rows, joints, total))
+    for i in np.lexsort((rows, total)).tolist():
         # the row is built from its own direct closure
-        one = slice(i, i + 1)
-        psi, e, r, _ = _closure_terms(inst, shape, sigmas[one], ks[one], joints[one])
+        row_s, row_k, one = sigmas[rows[i]:rows[i] + 1], ks[rows[i]:rows[i] + 1], joints[i:i + 1]
+        psi, e, rest, f_cols = _closure_terms(inst, shape, row_s, row_k, one)
         lengths = (float(ln[0]) for ln in
-                   _partial_closure(inst, shape, ks[one], joints[one], e, r, f_cols)[0])
-        arcs = zip(sigmas[i].tolist(), ks[i].tolist())
+                   _partial_closure(inst, shape, row_k, one, e, rest, f_cols)[0])
+        arcs = zip(row_s[0].tolist(), row_k[0].tolist())
         elements = []
         for t, letter in enumerate(shape):
             if letter == "A":
@@ -999,7 +1021,7 @@ def _solve_partial(inst: _Instance, shape: str, sigma_batch, ks_batch,
         verts = _build_elements(inst, elements)
         path = inst.finish(verts)
         if path is not None:
-            return (tuple(sigmas[i].tolist()), tuple(ks[i].tolist()), path,
+            return (tuple(row_s[0].tolist()), tuple(row_k[0].tolist()), path,
                     dist(verts[-1], inst.V.point))
     return None
 
@@ -1186,27 +1208,17 @@ def plan(U: Configuration, V: Configuration, params: Params,
             live = floors <= incumbent + tol_len
             push_rows(word, sigmas[live], ks[live])
             continue
-        # partial-arc shapes: a finer floor, and batches of joint rows
-        patterns = _joint_patterns(word, th)
-        per_batch = patterns.per_batch
+        # partial-arc shapes: a finer floor, then one solve over the live rows
         gap = _chord_gap(inst, word, sigmas, ks)
-        floors = ks.sum(axis=1) * ell + gap
-        floors[gap > reach + tol_len] = math.inf
-        # batches of the rows live now, each cut again by the incumbent of
-        # its turn
-        live = np.flatnonzero(floors <= incumbent + tol_len)
-        for b0 in range(0, len(live), per_batch):
-            batch = live[b0:b0 + per_batch]
-            batch = batch[floors[batch] <= incumbent + tol_len]
-            if not len(batch):
-                continue
-            got = _solve_partial(inst, word, sigmas[batch], ks[batch], patterns,
-                                 incumbent + tol_len)
-            if got is None:
-                diags.append(CandidateDiag(word, tuple(sigmas[batch[0]].tolist()),
-                                           tuple(ks[batch[0]].tolist()), "infeasible"))
-            else:
-                record(word, *got)
+        live = (gap <= reach + tol_len) & (ks.sum(axis=1) * ell + gap <= incumbent + tol_len)
+        if not live.any():
+            continue
+        got = _solve_partial(inst, word, sigmas[live], ks[live], _joint_patterns(word, th),
+                             incumbent + tol_len)
+        if got is None:
+            diags.append(CandidateDiag(word, (), (), "infeasible"))
+        else:
+            record(word, *got)
 
     if not found:
         raise PlannerError("no candidate solved; this instance needs investigation")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -162,6 +163,9 @@ class _Breakpoints(Sequence):
         if not (theta < total):
             raise ValueError(f"theta={theta} must be smaller than the curve length {total}")
         m = int(math.floor(total / theta))
+        if m + 3 > sys.maxsize:
+            raise ValueError(f"a curve of length {total:.6g} has too many breakpoints "
+                             f"at theta={theta:.6g} to index")
         delta = total - m * theta
         snap = 1e-12 * max(1.0, total)
         if delta <= snap:

@@ -196,6 +196,31 @@ def test_plan_non_finite_point_exit_two(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start", ["0,0,inf", "0,0,nan", "nan,0,0"])
+def test_plan_non_finite_configuration_one_line(start, capsys):
+    assert run(["plan", "--params-n", "8", "--ell", "1", "--start", start,
+                "--end", "3,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be finite" in err
+
+
+def test_discretize_unindexable_breakpoints_exit_two(tmp_path, capsys):
+    # 1e300 / theta breakpoints do not fit an index: one line, no traceback
+    out = str(tmp_path / "x.json")
+    assert run(["discretize", "--word", "S1e300", "--n", "8", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "breakpoints" in err
+    assert not os.path.exists(out)
+
+
+def test_plan_skips_unindexable_seed(capsys):
+    # at ell = 1e-300 the Dubins seed has too many breakpoints to index; plan
+    # goes on without it
+    assert run(["plan", "--params-n", "8", "--ell", "1e-300", "--start", "0,0,0",
+                "--end", "3,0,0"]) == 0
+    assert capsys.readouterr().out.startswith("type B length 3 vertices 2")
+
+
 def test_degrees_on_surface(tmp_path):
     # a 45 degree heading on disk becomes a unit vector inside
     path = build_path([0.0, 0.0], [3.0], base_angle=math.pi / 4)

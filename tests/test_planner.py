@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ddgeo
+from ddgeo import planner
 from ddgeo.geometry import (
     add,
     angle_of,
@@ -979,12 +980,15 @@ def _ref_solve_partial(inst, shape, sigma_batch, ks_batch, length_cap):
     return None
 
 
+_REF_ROWS = 64  # rows per reference comparison
+
+
 @pytest.mark.parametrize("n", [6, 8, 12, 16])
 def test_partial_solve_matches_reference(n):
-    # the same batches, under no cap, just above the best length and just
+    # the same rows, under no cap, just above the best length and just
     # below it: None exactly when the reference gives None, else the same
     # length (the chosen row may differ only among rows of one length).
-    # Batches hold the most promising rows, random rows, or the first rows
+    # The rows are the most promising ones, random ones, or the first ones
     # whose floor the Dubins seed leaves live, as plan forms them
     params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
     th, ell = params.theta, params.ell
@@ -1002,7 +1006,7 @@ def test_partial_solve_matches_reference(n):
             sigmas, ks = _word_rows(shape.count("A"), _wrap(inst.psi_v - inst.psi_u), th,
                                     (len(shape) + 1) * th, range(1, n), False, ell, math.inf)
             floors = ks.sum(axis=1) * ell + _chord_gap(inst, shape, sigmas, ks)
-            size = min(len(ks), patterns.per_batch)
+            size = min(len(ks), _REF_ROWS)
             if trial % 3 == 0:
                 pick = np.argsort(floors, kind="stable")[:size]
             elif trial % 3 == 1:
@@ -1031,6 +1035,23 @@ def test_partial_solve_matches_reference(n):
                 capped += same(best * (1.0 + 1e-9)) is not None
                 same(best * (1.0 - 1e-6))
     assert solved >= 12 and capped >= 12
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_plan_independent_of_pair_budget(n, monkeypatch):
+    # one row per chunk and one chunk per shape give the plan of the default
+    # budget: the same length and the same type word
+    params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+    rng = np.random.default_rng(140 + n)
+    pairs = [random_configuration_pair(rng, (0.0, 3.0)) for _ in range(3)]
+    pairs += [U_TURN, LOOP, ANTIPARALLEL]
+    want = [plan(U, V, params) for U, V in pairs]
+    for budget in (1, 1 << 62):
+        monkeypatch.setattr(planner, "_PAIR_BUDGET", budget)
+        for (U, V), ref in zip(pairs, want):
+            res = plan(U, V, params)
+            assert res.type_word == ref.type_word, (n, budget, U, V)
+            assert res.length == pytest.approx(ref.length, rel=1e-9), (n, budget, U, V)
 
 
 _DROPPED = {"FAAA": 12, "AAAF": 12, "FAAAF": 276,
