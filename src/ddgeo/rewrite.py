@@ -9,8 +9,10 @@ nothing, a rotation family's closest approach, in closed form), and the
 boundary step where a turn reaches the cap.  Block slides and AAB rotations
 move one vertex block rigidly, so they give that boundary in closed form
 (``_cap_step``) and it costs one probe; a bisection finds it only when that
-probe is rejected or the move gives no motion.  Translation families never
-lengthen the path as d grows and rotation families have one interior
+probe is rejected or the move gives no motion.  The same closed form lets
+their halving skip, unprobed, each step at which a corner of the moving
+block turns past the tolerance (``_turn_rejects``).  Translation families
+never lengthen the path as d grows and rotation families have one interior
 minimum, their event, so when the feasible steps form an interval the
 shortest feasible improving candidate is the family's best step; when they
 do not, the boundary step is the edge of the interval that halving reached.
@@ -21,7 +23,10 @@ point whose type word carries no forbidden factor.
 The moves sit in one ordered table, ``_MOVES``: per rule kind, a site
 generator and one attempt.  ``find_applicable`` and ``shorten`` take the
 first site whose attempt succeeds; ``apply`` runs the same attempt at a
-given site.
+given site.  A path travels with the frame (``structure._Frame``) of the
+``measure`` pass that accepted it, so ``shorten`` walks each path once: the
+move contexts, the turn cap, its structure and the trace all read that
+frame, and canonicalizing measures again only when it inserts a cut.
 
 Move catalogue (structure-rule locations refer to the canonicalized path):
 
@@ -81,16 +86,18 @@ from .model import (
     classify_edge,
     edge_lengths,
     measure,
-    path_length,
     reverse,
     transform,
     turns_inflect,
-    validate,
+    validate,  # noqa: F401 -- bench/tracing.py wraps rewrite.validate
     vertex_turns,
 )
-from .structure import (  # noqa: F401 -- bench/tracing.py wraps canonicalize, structure_of here
+# bench/tracing.py wraps canonicalize, structure_of and type_or_none here
+from .structure import (  # noqa: F401
     InternalInconsistencyError,
+    PathStructure,
     _canonical,
+    _Frame,
     _structure,
     canonicalize,
     structure_of,
@@ -146,44 +153,54 @@ class RewriteTrace:
 
 # ---------------------------------------------------------------------------
 # step harness
+#
+# A path travels with its ``_Frame``: the edge lengths and vertex turns of the
+# ``measure`` pass that accepted it.  Moves, the trace and the structure all
+# read them there, so each path is walked once.
 
-def _drop_vertex(path: DiscretePath, params: Params, i: int):
-    """(path without vertex i, its length), or None if that is infeasible."""
-    verts = path.vertices
-    return _eval_step(path, params, lambda _d: verts[:i] + verts[i + 1:], 0.0)
+def _framed(got, params: Params) -> _Frame:
+    """The frame of an accepted probe's candidate."""
+    return _Frame(got[0], params, got[2], got[3])
 
 
-def _tidy(path: DiscretePath, params: Params) -> DiscretePath:
+def _drop_vertex(base: _Frame, i: int):
+    """``_eval_step``'s result for the path without vertex i, or None if that
+    is infeasible."""
+    verts = base.path.vertices
+    return _eval_step(base.path, base.params, lambda _d: verts[:i] + verts[i + 1:], 0.0)
+
+
+def _tidy(frame: _Frame) -> _Frame:
     """Drop zero-turn internal vertices, one at a time, keeping only drops
     that leave the path feasible."""
-    cur = path
+    cur = frame
     changed = True
-    while changed and len(cur.vertices) > 2:
+    while changed and len(cur.path.vertices) > 2:
         changed = False
-        turns = vertex_turns(cur)
-        for i in range(1, len(cur.vertices) - 1):
-            if abs(turns[i]) > TOL_ANG:
+        for i in range(1, len(cur.path.vertices) - 1):
+            if abs(cur.turns[i]) > TOL_ANG:
                 continue
-            got = _drop_vertex(cur, params, i)
+            got = _drop_vertex(cur, i)
             if got is None:
                 continue
-            cur = got[0]
+            cur = _framed(got, cur.params)
             changed = True
             break
     return cur
 
 
-def _turn_cap(base_path: DiscretePath, params: Params) -> float:
+def _turn_cap(base: _Frame) -> float:
     """Margin cap for boundary-landed steps: slightly inside the validator's
     tolerance, but never below what the input path already carries (so that
     paths born at the tolerance edge can still be rewritten)."""
-    worst = max(abs(t) for t in vertex_turns(base_path))
-    return max(params.theta + 0.4 * TOL_ANG, worst + 0.05 * TOL_ANG)
+    worst = max(abs(t) for t in base.turns)
+    return max(base.params.theta + 0.4 * TOL_ANG, worst + 0.05 * TOL_ANG)
 
 
 def _eval_step(base_path: DiscretePath, params: Params, builder, d: float,
                cap: float | None = None):
-    """(candidate path, its length) for one step, or None if infeasible.
+    """(candidate path, its length, edge lengths, vertex turns) for one step,
+    or None if infeasible.
 
     One ``measure`` pass gives the violations, the turns for the cap and the
     edge lengths.  With ``cap`` the turn bound is tightened slightly below
@@ -203,7 +220,7 @@ def _eval_step(base_path: DiscretePath, params: Params, builder, d: float,
         return None
     if cap is not None and any(abs(t) > cap for t in turns):
         return None
-    return cand, sum(lengths)
+    return cand, sum(lengths), lengths, turns
 
 
 class _Motion(NamedTuple):
@@ -246,6 +263,59 @@ def _edge_forms(motion: _Motion, verts: list, base_path: DiscretePath, i: int):
     return into, out
 
 
+class _Corner(NamedTuple):
+    """A corner of the moving block: the (alpha, beta) forms of its edges,
+    the coefficients of their cross and dot products (of 1, d, d^2 for a
+    translation, of 1, cos(phi), sin(phi) for a turn by phi = sign*d), and
+    the largest coordinate its probed turn is computed from at d = 0."""
+
+    into: tuple
+    out: tuple
+    crosses: tuple
+    dots: tuple
+    size: float
+
+
+def _corners(motion: _Motion, base_path: DiscretePath, verts: list) -> list[_Corner]:
+    """The corners of the moving block in ``verts``, the builder's list at
+    d = 0: the only vertices whose turn changes with the step."""
+    pivot = motion.pivot
+    out = []
+    for i in {motion.lo - 1, motion.lo, motion.hi - 1, motion.hi}:
+        if not 0 <= i < len(verts):
+            continue
+        (aa, ba), (ab, bb) = forms = _edge_forms(motion, verts, base_path, i)
+        c_aa, c_ab, c_ba, c_bb = cross(aa, ab), cross(aa, bb), cross(ba, ab), cross(ba, bb)
+        k_aa, k_ab, k_ba, k_bb = dot(aa, ab), dot(aa, bb), dot(ba, ab), dot(ba, bb)
+        if pivot is None:
+            crosses, dots = (c_bb, c_ab + c_ba, c_aa), (k_bb, k_ab + k_ba, k_aa)
+            size = 0.0
+        else:
+            crosses = (c_aa + c_bb, c_ab + c_ba, k_ba - k_ab)
+            dots = (k_aa + k_bb, k_ab + k_ba, c_ab - c_ba)
+            size = max(abs(pivot[0]), abs(pivot[1]))
+        # the coordinates' size sets the rounding error of the probed turn
+        for p in verts[max(i - 1, 0):i + 2]:
+            size = max(size, abs(p[0]), abs(p[1]))
+        out.append(_Corner(*forms, crosses, dots, size))
+    return out
+
+
+def _edges_at(motion: _Motion, corner: _Corner, d: float):
+    """The corner's edges into and out of it at step d."""
+    (aa, ba), (ab, bb) = corner.into, corner.out
+    if motion.pivot is None:
+        return add(ba, scale(aa, d)), add(bb, scale(ab, d))
+    return add(rotate(aa, motion.sign * d), ba), add(rotate(ab, motion.sign * d), bb)
+
+
+def _turn_noise(size: float, la: float, lb: float) -> float:
+    """The rounding error a ``measure`` pass may make in the turn between
+    edges of lengths la and lb whose vertices' coordinates are at most
+    ``size``."""
+    return 2.0 * sys.float_info.epsilon * (size * (1.0 / la + 1.0 / lb) + 1.0)
+
+
 def _cap_step(motion: _Motion, base_path: DiscretePath, verts: list,
               bound: float, d_lo: float, d_hi: float) -> float | None:
     """The step in [d_lo, min(d_hi, until)) at which a turn at a corner of
@@ -263,49 +333,59 @@ def _cap_step(motion: _Motion, base_path: DiscretePath, verts: list,
     rounding.
     """
     cb, sb = math.cos(bound), math.sin(bound)
-    sign, pivot = motion.sign, motion.pivot
     d_hi = min(d_hi, motion.until)
     best = None
-    for i in {motion.lo - 1, motion.lo, motion.hi - 1, motion.hi}:
-        if not 0 <= i < len(verts):
-            continue
-        (aa, ba), (ab, bb) = _edge_forms(motion, verts, base_path, i)
-        c_aa, c_ab, c_ba, c_bb = cross(aa, ab), cross(aa, bb), cross(ba, ab), cross(ba, bb)
-        k_aa, k_ab, k_ba, k_bb = dot(aa, ab), dot(aa, bb), dot(ba, ab), dot(ba, bb)
-        if pivot is None:
-            def edges(d):
-                return add(ba, scale(aa, d)), add(bb, scale(ab, d))
-            # coefficients of 1, d, d^2
-            crosses, dots = (c_bb, c_ab + c_ba, c_aa), (k_bb, k_ab + k_ba, k_aa)
-            size = 0.0
-        else:
-            def edges(d):
-                return add(rotate(aa, sign * d), ba), add(rotate(ab, sign * d), bb)
-            # coefficients of 1, cos(phi), sin(phi)
-            crosses = (c_aa + c_bb, c_ab + c_ba, k_ba - k_ab)
-            dots = (k_aa + k_bb, k_ab + k_ba, c_ab - c_ba)
-            size = max(abs(pivot[0]), abs(pivot[1]))
-        # the coordinates' size sets the rounding error of the probed turn
-        for p in verts[max(i - 1, 0):i + 2]:
-            size = max(size, abs(p[0]), abs(p[1]))
-        a, b = edges(d_lo)
+    for corner in _corners(motion, base_path, verts):
+        a, b = _edges_at(motion, corner, d_lo)
         for s in (1.0, -1.0):
             if (s * cross(a, b) * cb - dot(a, b) * sb > 0.0
                     and dot(a, b) * cb + s * cross(a, b) * sb > 0.0):
                 return d_lo  # outside already: the cap binds at d_lo
-            g = [c * cb - s * k * sb for c, k in zip(crosses, dots)]
-            for d, rise in (_poly_roots(g) if pivot is None else _trig_roots(g, sign)):
+            g = [c * cb - s * k * sb for c, k in zip(corner.crosses, corner.dots)]
+            roots = (_poly_roots(g) if motion.pivot is None
+                     else _trig_roots(g, motion.sign))
+            for d, rise in roots:
                 if not (d_lo < d < d_hi and s * rise > 0.0):
                     continue
-                ea, eb = edges(d)
+                ea, eb = _edges_at(motion, corner, d)
                 if dot(ea, eb) * cb + s * cross(ea, eb) * sb <= 0.0:
                     continue
                 la, lb = math.hypot(*ea), math.hypot(*eb)
-                noise = 2.0 * sys.float_info.epsilon * (size * (1.0 / la + 1.0 / lb) + 1.0)
+                noise = _turn_noise(corner.size, la, lb)
                 d = max(d_lo, d - noise * la * lb / abs(rise))
                 if best is None or d < best:
                     best = d
     return best
+
+
+def _turn_rejects(motion: _Motion, base_path: DiscretePath, verts: list, bound: float):
+    """Test of steps d: True when the probe of d is sure to be rejected,
+    because d < ``until`` and the closed-form turn at a corner of the moving
+    block lies outside [-bound, bound] by more than the rounding noise.
+
+    ``verts`` is the builder's list at d = 0.  The noise is twice
+    ``_turn_noise``, once for the probed turn and once for the closed form,
+    taken at the largest coordinate the step can reach and at least the
+    edges' lengths (the closed form rounds its edges relative to them).
+    """
+    corners = _corners(motion, base_path, verts)
+    speed = max(abs(motion.u[0]), abs(motion.u[1]))
+
+    def rejects(d: float) -> bool:
+        if not d < motion.until:
+            return False  # the built list no longer follows the motion
+        for corner in corners:
+            ea, eb = _edges_at(motion, corner, d)
+            size = 4.0 * corner.size if motion.pivot is not None else corner.size + d * speed
+            la, lb = math.hypot(*ea), math.hypot(*eb)
+            if la == 0.0 or lb == 0.0:
+                continue  # no turn to bound
+            noise = _turn_noise(max(size, la, lb), la, lb)
+            if abs(math.atan2(cross(ea, eb), dot(ea, eb))) > bound + 2.0 * noise:
+                return True
+        return False
+
+    return rejects
 
 
 def _poly_roots(g) -> list[tuple[float, float]]:
@@ -353,61 +433,80 @@ def _bisect(probe, lo: float, at_lo, hi: float):
             lo, at_lo = mid, got
 
 
-def _attempt(base_path: DiscretePath, params: Params, builder, d_max: float,
-             events=()):
-    """Find the best feasible improving step of a move.
+def _halve(probe, d: float, d_min: float, rejects=None):
+    """(step, result) of the first of d/2, d/4, ... that ``probe`` accepts,
+    or of the last one tried, with None: at most HALVINGS - 1 steps, none
+    below d_min.  A step that ``rejects`` proves infeasible is not probed."""
+    got = None
+    for _ in range(HALVINGS - 1):
+        if 0.5 * d < d_min:
+            break
+        d *= 0.5
+        if rejects is None or not rejects(d):
+            got = probe(d)
+            if got is not None:
+                break
+    return d, got
+
+
+def _attempt(base: _Frame, builder, d_max: float, events=()):
+    """Find the best feasible improving step of a move on the path of frame
+    ``base``.
 
     The candidates are exact steps, in tie order: the first feasible step of
     halving from d_max, the move's event steps (edge lengths crossing ell,
     edges shrinking to nothing, a rotation's closest approach) and the
     boundary step in (d_feas, 2 d_feas] where a turn reaches the cap.  When
     the builder carries a ``_Motion`` (block slides, AAB rotations), the
-    boundary is its closed-form cap step, probed once under the cap; the
-    bisection of [d_feas, step] stays as the fallback for a rejected probe
-    (a non-turn constraint binding first) and for moves without a motion.
-    A translation family never lengthens the path as d grows and a rotation
-    family has its one interior minimum at its event, so no sampled search
-    is needed: the shortest candidate wins.  It is the family's best step
-    when the feasible steps form an interval; otherwise the boundary stops
-    at the edge of the interval that holds the halving step.  Returns
-    (new_path, used_step) or None.
+    halving probes only the steps below d_max at which no corner of the
+    moving block turns past the tolerance in closed form
+    (``_turn_rejects``); the others would be rejected, so d_feas is the
+    same.  The boundary is then the closed-form cap step, probed once under
+    the cap; the bisection of [d_feas, step] stays as the fallback for a
+    rejected probe (a non-turn constraint binding first) and for moves
+    without a motion.  A translation family never lengthens the path as d
+    grows and a rotation family has its one interior minimum at its event,
+    so no sampled search is needed: the shortest candidate wins.  It is the
+    family's best step when the feasible steps form an interval; otherwise
+    the boundary stops at the edge of the interval that holds the halving
+    step.  Returns (frame of the new path, used step) or None.
     """
     if d_max <= 0.0:
         return None
+    path, params = base.path, base.params
 
     def probe(d, cap=None):
-        return _eval_step(base_path, params, builder, d, cap)
+        return _eval_step(path, params, builder, d, cap)
 
     d_feas, feas = d_max, probe(d_max)
-    for _ in range(HALVINGS - 1):
-        if feas is not None or 0.5 * d_feas < STEP_MIN_FRACTION * params.ell:
-            break
-        d_feas *= 0.5
-        feas = probe(d_feas)
+    if feas is None:
+        motion = getattr(builder, "motion", None)
+        rejects = (None if motion is None else
+                   _turn_rejects(motion, path, builder(0.0), params.theta + TOL_ANG))
+        d_feas, feas = _halve(probe, d_max, STEP_MIN_FRACTION * params.ell, rejects)
     cands = [(d_feas, feas)]
     cands += [(d, probe(d)) for d in events if 0.0 < d <= d_max * (1.0 + 1e-12)]
     if feas is not None and d_feas < d_max:
-        cands.append(_boundary(base_path, params, builder, probe, d_feas, feas))
-    best = min(((got[1], d, got[0]) for d, got in cands if got is not None),
+        cands.append(_boundary(base, builder, probe, d_feas, feas))
+    best = min(((got[1], d, got) for d, got in cands if got is not None),
                key=lambda c: c[0], default=None)
-    if best is None or best[0] > path_length(base_path) - IMPROVE_FRACTION * params.ell:
+    if best is None or best[0] > sum(base.lengths) - IMPROVE_FRACTION * params.ell:
         return None
-    return _tidy(best[2], params), best[1]
+    return _tidy(_framed(best[2], params)), best[1]
 
 
-def _boundary(base_path: DiscretePath, params: Params, builder, probe,
-              d_feas: float, feas):
+def _boundary(base: _Frame, builder, probe, d_feas: float, feas):
     """(step, probe result) at the turn cap's boundary in [d_feas, 2 d_feas]:
     the motion's closed-form cap step, or the last step that bisection
     accepts."""
     # 2 d_feas failed the halving, so it fails under the cap too; the cap
     # keeps the boundary step a margin inside the tolerance
-    cap = _turn_cap(base_path, params)
+    cap = _turn_cap(base)
     hi = 2.0 * d_feas
     motion = getattr(builder, "motion", None)
     if motion is not None:
-        step = _cap_step(motion, base_path, builder(0.0),
-                         min(cap, params.theta + TOL_ANG), d_feas, hi)
+        step = _cap_step(motion, base.path, builder(0.0),
+                         min(cap, base.params.theta + TOL_ANG), d_feas, hi)
         if step == d_feas:
             return d_feas, feas  # the cap binds at the halving step itself
         if step is not None:
@@ -461,14 +560,16 @@ def _rotate_block(verts: list, lo: int, hi: int, pivot: Point2,
 # (AAAA only) is appended to the reported location.
 
 class _Ctx:
-    def __init__(self, path: DiscretePath, params: Params, lens: list[float],
-                 turns: list[float]):
-        self.path = path
-        self.params = params
-        self.verts = list(path.vertices)
-        self.lens = lens
-        self.classes = [classify_edge(ln, params) for ln in self.lens]
-        self.turns = turns
+    """A path's frame with the per-edge reads of the local rules."""
+
+    def __init__(self, frame: _Frame):
+        self.frame = frame
+        self.path = frame.path
+        self.params = frame.params
+        self.verts = list(self.path.vertices)
+        self.lens = frame.lengths
+        self.classes = [classify_edge(ln, self.params) for ln in self.lens]
+        self.turns = frame.turns
         self.dirs = [unit(sub(self.verts[i + 1], self.verts[i]))
                      for i in range(len(self.verts) - 1)]
         self.infl = [turns_inflect(self.turns[j], self.turns[j + 1])
@@ -512,13 +613,13 @@ def _collapse_sites(ctx: _Ctx):
 def _collapse_attempt(ctx: _Ctx, loc):
     """Remove the near-flat vertex j+1; never lengthens, strictly flattens."""
     j = loc[0]
-    got = _drop_vertex(ctx.path, ctx.params, j + 1)
+    got = _drop_vertex(ctx.frame, j + 1)
     if got is None:
         return None
-    base = path_length(ctx.path)
+    base = sum(ctx.lens)
     if got[1] > base + 1e-15 * max(1.0, base):
         return None
-    return _tidy(got[0], ctx.params), abs(ctx.turns[j + 1])
+    return _tidy(_framed(got, ctx.params)), abs(ctx.turns[j + 1])
 
 
 def _long_long_sites(ctx: _Ctx):
@@ -548,7 +649,7 @@ def _long_long_attempt(ctx: _Ctx, loc):
     if math.cos(half) > 1e-9:
         events.append(params.ell / (2.0 * math.cos(half)))
     events += [ctx.lens[j] - params.ell, ctx.lens[j + 1] - params.ell]
-    return _attempt(ctx.path, params, builder, d_max, events)
+    return _attempt(ctx.frame, builder, d_max, events)
 
 
 def _long_short_sites(ctx: _Ctx):
@@ -583,7 +684,7 @@ def _long_short_attempt(ctx: _Ctx, loc):
     # arc layer as a normal edge), plus the long edge reaching ell
     events = _ell_cross_events(verts[j + 1], move, far, params.ell)
     events.append(d_max)
-    return _attempt(ctx.path, params, builder, d_max, events)
+    return _attempt(ctx.frame, builder, d_max, events)
 
 
 def _inflection_rotate_sites(ctx: _Ctx):
@@ -604,9 +705,9 @@ def _inflection_rotate_attempt(ctx: _Ctx, loc):
     params = ctx.params
     verts = ctx.verts
     if mode == 0:
-        got = _drop_vertex(ctx.path, params, j + 1)
-        if got is not None and got[1] <= path_length(ctx.path) - IMPROVE_FRACTION * params.ell:
-            return _tidy(got[0], params), 1.0
+        got = _drop_vertex(ctx.frame, j + 1)
+        if got is not None and got[1] <= sum(ctx.lens) - IMPROVE_FRACTION * params.ell:
+            return _tidy(_framed(got, params)), 1.0
         return None
     if mode == +1:
         nb, moving = j + 1, j + 1
@@ -647,7 +748,7 @@ def _inflection_rotate_attempt(ctx: _Ctx, loc):
         events = [cap]
     # the inflection edge itself grows; crossing ell exactly keeps typing clean
     events += _ell_cross_events(verts[moving], move, opposite, params.ell)
-    return _attempt(ctx.path, params, builder, cap, events)
+    return _attempt(ctx.frame, builder, cap, events)
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +756,11 @@ def _inflection_rotate_attempt(ctx: _Ctx, loc):
 
 class _Struct(_Ctx):
     """Canonicalized path with its decomposition and free-site indices, all
-    read off the frame of the path's one ``measure`` pass."""
+    read off the path's frame and its structure ``st``."""
 
-    def __init__(self, frame):
-        super().__init__(frame.path, frame.params, frame.lengths, frame.turns)
-        self.st = _structure(frame)
+    def __init__(self, frame: _Frame, st: PathStructure):
+        super().__init__(frame)
+        self.st = st
         self.infl_edges = [j for j, flag in enumerate(self.infl) if flag]
         self.longs = [j for j, c in enumerate(self.classes) if c is EdgeClass.LONG]
         self.vertex_s = frame.vertex_s
@@ -706,9 +807,15 @@ class _Struct(_Ctx):
         return runs
 
 
-def _make_struct(path: DiscretePath, params: Params) -> _Struct | None:
+def _make_struct(frame: _Frame, st: PathStructure | None = None) -> _Struct | None:
+    """The canonical context of a feasible path, from its frame.  ``st``,
+    the frame's structure when known, gives the cuts; it is the canonical
+    path's structure too when every cut is already a vertex."""
     try:
-        return _Struct(_canonical(path, params))
+        canon = _canonical(frame.path, frame.params, frame, None if st is None else st.arcs)
+        if st is None or len(canon.path.vertices) != len(frame.path.vertices):
+            st = _structure(canon)
+        return _Struct(canon, st)
     except (InternalInconsistencyError, ValueError):
         return None
 
@@ -776,7 +883,7 @@ def _block_slide_attempt(sc: _Struct, loc):
     if mode == "direct":
         events += _ell_cross_events(verts[moving], t_dir, verts[anchor], ell)
     cap = src_len - ell if sc.classes[src_edge] is EdgeClass.LONG else src_len
-    return _attempt(sc.path, sc.params, builder, cap, events)
+    return _attempt(sc.frame, builder, cap, events)
 
 
 def _two_inflection_sites(sc: _Struct):
@@ -877,7 +984,7 @@ def _aab_attempt(sc: _Struct, loc):
         return _rotate_block(verts, lo, hi, pivot, sign * d)
 
     builder.motion = _Motion(lo, hi, pivot=pivot, sign=sign)
-    return _attempt(sc.path, sc.params, builder, 0.45 * sc.params.theta,
+    return _attempt(sc.frame, builder, 0.45 * sc.params.theta,
                     _rotation_events(verts[x], pivot, verts[y], sign))
 
 
@@ -914,8 +1021,7 @@ def _aab_overlap_slide(sc: _Struct, a1, a2, direction: int, sign: float):
         return _shift_block(verts, lo, hi, scale(move, sign * d))
 
     builder.motion = _Motion(lo, hi, scale(move, sign))
-    return _attempt(sc.path, sc.params, builder,
-                    sc.lens[edge] - 20.0 * sc.params.tol_dedup)
+    return _attempt(sc.frame, builder, sc.lens[edge] - 20.0 * sc.params.tol_dedup)
 
 
 # ---------------------------------------------------------------------------
@@ -940,11 +1046,12 @@ def _in_wedge(v, lo, hi) -> bool:
     return cross(lo, v) <= 1e-12 and cross(v, hi) <= 1e-12
 
 
-def _trio_slide(cp: DiscretePath, params: Params, b_idx: int, c_idx: int):
+def _trio_slide(cp: _Frame, b_idx: int, c_idx: int):
     """One shortening move around the edge (c_idx, c_idx+1), anchored at the
     junction vertex b_idx, for a right-turning run; callers mirror
     left-turning input."""
-    verts = list(cp.vertices)
+    params = cp.params
+    verts = list(cp.path.vertices)
     d_idx = c_idx + 1
     if not (0 < b_idx < c_idx and d_idx <= len(verts) - 1):
         return None
@@ -958,8 +1065,7 @@ def _trio_slide(cp: DiscretePath, params: Params, b_idx: int, c_idx: int):
     if qd[0] < 0.0 and qd[1] < 0.0:
         # target edge leaves into the third quadrant: rotate the block after
         # b clockwise about b
-        return _attempt(cp, params,
-                        lambda phi: _rotate_block(verts, b_idx + 1, c_idx + 1, b, -phi),
+        return _attempt(cp, lambda phi: _rotate_block(verts, b_idx + 1, c_idx + 1, b, -phi),
                         0.4 * params.theta, _rotation_events(c, b, d, -1.0))
 
     if qd[0] >= 0.0:
@@ -976,15 +1082,14 @@ def _trio_slide(cp: DiscretePath, params: Params, b_idx: int, c_idx: int):
     if _angle_between(a, b, c) <= math.pi / 2.0 + 1e-12:
         foot = _foot_on_line(c, a, b)
         if dist(foot, c) > 1e-12 and _in_wedge(cd_dir, ey, unit(sub(foot, c))):
-            return _attempt(cp, params,
-                            lambda dd: _shift_block(verts, b_idx, c_idx + 1,
-                                                    scale(cd_dir, dd)),
+            return _attempt(cp, lambda dd: _shift_block(verts, b_idx, c_idx + 1,
+                                                        scale(cd_dir, dd)),
                             0.5 * dist(c, d))
-        return _attempt(cp, params, rotate_ab, 0.4 * params.theta, ab_events)
+        return _attempt(cp, rotate_ab, 0.4 * params.theta, ab_events)
 
     ab_dir = unit(sub(b, a))
     if _in_wedge(cd_dir, ey, ab_dir):
-        return _attempt(cp, params, rotate_ab, 0.4 * params.theta, ab_events)
+        return _attempt(cp, rotate_ab, 0.4 * params.theta, ab_events)
 
     # obtuse angle at b and the target edge outside the wedge: rotate the
     # block clockwise about b, then rotate about a to bring c back onto the
@@ -1001,20 +1106,33 @@ def _trio_slide(cp: DiscretePath, params: Params, b_idx: int, c_idx: int):
             return None
         return _rotate_block(out, b_idx, c_idx + 1, a, phi_a)
 
-    return _attempt(cp, params, double_rotation, 0.3 * params.theta)
+    return _attempt(cp, double_rotation, 0.3 * params.theta)
 
 
-def _trio_slide_any(cp: DiscretePath, params: Params, c_idx: int):
+def _reflected(frame: _Frame) -> _Frame:
+    """The frame of the path reflected across the x-axis: the same lengths,
+    every turn negated (both exact in floating point)."""
+    return _Frame(transform(frame.path, reflect=True), frame.params, frame.lengths,
+                  [-t for t in frame.turns])
+
+
+def _reversed(frame: _Frame) -> _Frame:
+    """The frame of the path traversed backwards: lengths in reverse order,
+    turns reversed and negated (exact in floating point)."""
+    return _Frame(reverse(frame.path), frame.params, frame.lengths[::-1],
+                  [-t for t in reversed(frame.turns)])
+
+
+def _trio_slide_any(cp: _Frame, c_idx: int):
     """Try the trio slide around edge c_idx with nearby junction anchors, in
     the run's own orientation (mirroring when it turns left)."""
-    turns = vertex_turns(cp)
-    sign = 1.0 if turns[c_idx] > 0 else -1.0
-    work = cp if sign < 0 else transform(cp, reflect=True)
+    sign = 1.0 if cp.turns[c_idx] > 0 else -1.0
+    work = cp if sign < 0 else _reflected(cp)
     for b_idx in range(c_idx - 1, max(0, c_idx - 7), -1):
-        res = _trio_slide(work, params, b_idx, c_idx)
+        res = _trio_slide(work, b_idx, c_idx)
         if res is not None:
             out, step = res
-            return (out if sign < 0 else transform(out, reflect=True)), step
+            return (out if sign < 0 else _reflected(out)), step
     return None
 
 
@@ -1047,14 +1165,13 @@ def _aaaa_attempt(sc: _Struct, loc, allow_circ: bool = True):
                and (sc.infl[j] or sc.classes[j] is EdgeClass.LONG)]
     if targets:
         for j in targets:
-            fwd = _trio_slide_any(sc.path, params, j)
+            fwd = _trio_slide_any(sc.frame, j)
             if fwd is not None:
                 return fwd[0], fwd[1], "trio"
-            rev_cp = reverse(sc.path)
             rj = len(sc.path.vertices) - 2 - j
-            bwd = _trio_slide_any(rev_cp, params, rj)
+            bwd = _trio_slide_any(_reversed(sc.frame), rj)
             if bwd is not None:
-                return reverse(bwd[0]), bwd[1], "trio_rev"
+                return _reversed(bwd[0]), bwd[1], "trio_rev"
         return None
     if not allow_circ:
         return None
@@ -1077,7 +1194,7 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
     w1, w2, w3, w4 = verts[p1], verts[p2], verts[p3], verts[p4]
     r12, r23 = dist(w1, w2), dist(w2, w3)
     cp = sc.path
-    base_len = path_length(cp)
+    base_len = sum(sc.lens)
     base_type = len(sc.st.type_word)
 
     def build(eps):
@@ -1099,13 +1216,13 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
             out[i] = rotate_about(verts[i], w4, eps)
         return out
 
-    cap = _turn_cap(cp, params)
+    cap = _turn_cap(sc.frame)
 
     def feasible(eps):
         got = _eval_step(cp, params, build, eps, cap=cap)
         if got is None or abs(got[1] - base_len) > 1e-9 * max(1.0, base_len):
             return None
-        return got[0]
+        return got
 
     # the follow-up: every move but this one, with the run's trio slides
     follow_moves = _MOVES[:-1] + (
@@ -1119,17 +1236,17 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
         if cand is None or abs(eps) > 2.0 * math.pi:
             continue
         lo, cand = _bisect(feasible, lo, cand, eps)
-        cand = _tidy(cand, params)
-        new_type = type_or_none(cand, params)
-        if new_type is not None and len(new_type) < base_type:
+        cand = _tidy(_framed(cand, params))
+        st = _typed(cand)
+        if st is not None and len(st.type_word) < base_type:
             return cand, abs(lo), "circ"
         # swept to a boundary without a merge: collinearity produced an
         # inflection or long edge, so a strict shortening (possibly a trio
         # slide inside the run) must now exist
-        follow = _first_move(cand, params, follow_moves)
+        follow = _first_move(_sites(cand, st, follow_moves))
         if follow is not None:
             out, _k, _l, step = follow
-            if path_length(out) < base_len - IMPROVE_FRACTION * params.ell:
+            if sum(out.lengths) < base_len - IMPROVE_FRACTION * params.ell:
                 return out, step, "circ_chain"
     return None
 
@@ -1154,24 +1271,45 @@ _MOVES = (
 )
 
 
-def _sites(path: DiscretePath, params: Params, moves=_MOVES):
-    """(kind, location, attempt, context) for every site of the moves, in
-    table order.  The structure is built once, at the first structured row;
-    a path without one has no structured sites."""
-    ctx = _Ctx(path, params, edge_lengths(path), vertex_turns(path))
+def _typed(frame: _Frame) -> PathStructure | None:
+    """The structure of a feasible path's frame, or None where
+    ``type_or_none`` gives None (a bend in an uncovered stretch)."""
+    try:
+        return _structure(frame)
+    except (InternalInconsistencyError, ValueError):
+        return None
+
+
+def _sites(frame: _Frame, st: PathStructure | None = None, moves=_MOVES):
+    """(kind, location, attempt, context) for every site of the moves on a
+    feasible path, in table order.  The structure is built once, at the
+    first structured row, from ``st`` (the frame's structure, when known); a
+    path without one has no structured sites."""
+    ctx = _Ctx(frame)
     for structured, sites, attempt in moves:
         if structured and not isinstance(ctx, _Struct):
-            ctx = _make_struct(path, params)
+            ctx = _make_struct(frame, st)
             if ctx is None:
                 return
         for kind, loc in sites(ctx):
             yield kind, loc, attempt, ctx
 
 
-def _first_move(path: DiscretePath, params: Params, moves=_MOVES):
-    """First site, in table order, whose attempt succeeds, applied:
-    (new_path, kind, location, step), or None."""
-    for kind, loc, attempt, ctx in _sites(path, params, moves):
+def _path_sites(path: DiscretePath, params: Params):
+    """``_sites`` of any path, from one walk.  A path that is not feasible
+    has no structure, so it gets the local rows only."""
+    try:
+        lengths, turns, violations = measure(path, params)
+    except ValueError:  # an edge within tol_dedup, or one not finite
+        lengths, turns, violations = edge_lengths(path), vertex_turns(path), True
+    moves = _MOVES if not violations else tuple(m for m in _MOVES if not m[0])
+    return _sites(_Frame(path, params, lengths, turns), None, moves)
+
+
+def _first_move(sites):
+    """The first of the sites whose attempt succeeds, applied:
+    (frame of the new path, kind, location, step), or None."""
+    for kind, loc, attempt, ctx in sites:
         got = attempt(ctx, loc)
         if got is not None:
             return got[0], kind, loc + got[2:], got[1]
@@ -1182,7 +1320,7 @@ def find_applicable(path: DiscretePath,
                     params: Params) -> tuple[RewriteRule, tuple] | None:
     """First applicable rule under the fixed priority (shortcuts before
     slides before equal-length transforms), or None at a fixed point."""
-    got = _first_move(path, params)
+    got = _first_move(_path_sites(path, params))
     if got is None:
         return None
     _, kind, loc, step = got
@@ -1200,11 +1338,11 @@ def apply(path: DiscretePath, rule: RewriteRule, location: tuple,
     RuleNotApplicableError for any other location, or when the attempt
     finds no feasible improving step.
     """
-    for kind, loc, attempt, ctx in _sites(path, params):
+    for kind, loc, attempt, ctx in _path_sites(path, params):
         if kind is rule.kind and location[:len(loc)] == loc:
             got = attempt(ctx, loc)
             if got is not None and location in (loc, loc + got[2:]):
-                return got[0]
+                return got[0].path
             break
     raise RuleNotApplicableError(f"{rule.kind.value} at {location}")
 
@@ -1222,28 +1360,31 @@ def shorten(path: DiscretePath, params: Params, budget: int = 10_000,
     """
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
-    if validate(path, params):
+    lengths, turns, violations = measure(path, params)
+    if violations:
         raise ValueError("shorten requires a feasible path")
     trace = RewriteTrace()
-    current = _tidy(path, params)
+    # each path is measured by the probe that accepted it and typed once,
+    # from that frame: a move's type before is the last one's after
+    frame = _tidy(_Frame(path, params, lengths, turns))
+    st = _typed(frame)
     if observer is not None:
-        observer(0, current)
-    while (got := _first_move(current, params)) is not None:
+        observer(0, frame.path)
+    while (got := _first_move(_sites(frame, st))) is not None:
         if len(trace.entries) == budget:
             trace.budget_exhausted = True
             break
-        new_path, kind, loc, step = got
-        # each path is typed once: a move's type before is the last one's after
-        word = trace.entries[-1].type_after if trace.entries else type_or_none(current, params)
+        new, kind, loc, step = got
+        new_st = _typed(new)
         trace.entries.append(TraceEntry(
             rule=RewriteRule(kind, step),
             location=loc,
-            length_before=path_length(current),
-            length_after=path_length(new_path),
-            type_before=word,
-            type_after=type_or_none(new_path, params),
+            length_before=sum(frame.lengths),
+            length_after=sum(new.lengths),
+            type_before=None if st is None else st.type_word,
+            type_after=None if new_st is None else new_st.type_word,
         ))
-        current = new_path
+        frame, st = new, new_st
         if observer is not None:
-            observer(len(trace.entries), current)
-    return current, trace
+            observer(len(trace.entries), frame.path)
+    return frame.path, trace

@@ -18,11 +18,11 @@ from .model import (
     DiscretePath,
     EdgeClass,
     Params,
+    _lengths_and_turns,
     classify_edge,
-    edge_lengths,
     measure,
     validate,  # noqa: F401 -- bench/tracing.py wraps structure.validate
-    vertex_turns,
+    vertex_turns,  # noqa: F401 -- bench/tracing.py wraps structure.vertex_turns
 )
 
 TRUE_TYPES = ("B", "A", "AB", "BA", "AA", "ABA", "AAA")
@@ -280,8 +280,7 @@ def extract_bridges(path: DiscretePath, arcs: list[Arc],
     point is always straight, so a bend here means the caller handed in a path
     outside this function's domain.
     """
-    frame = _Frame(path, params, edge_lengths(path), vertex_turns(path))
-    return _bridges(frame, arcs)
+    return _bridges(_Frame(path, params, *_lengths_and_turns(path, 0.0)), arcs)
 
 
 def _bridges(frame: _Frame, arcs: list[Arc]) -> list[Bridge]:
@@ -363,11 +362,19 @@ def canonicalize(path: DiscretePath, params: Params) -> DiscretePath:
     return _canonical(path, params).path
 
 
-def _canonical(path: DiscretePath, params: Params) -> _Frame:
-    """``canonicalize``'s result as a frame, from the ``measure`` pass that
-    checks its feasibility."""
-    frame = _measured(path, params)
-    arcs = _arcs(frame)
+def _canonical(path: DiscretePath, params: Params, frame: _Frame | None = None,
+               arcs: tuple[Arc, ...] | list[Arc] | None = None) -> _Frame:
+    """``canonicalize``'s result as a frame.
+
+    ``frame``, when given, is the path's frame from a ``measure`` pass that
+    found it feasible, and ``arcs`` its arcs.  The result is measured again
+    only when a cut is inserted; otherwise it reads the path's lengths and
+    turns.
+    """
+    if frame is None:
+        frame = _measured(path, params)
+    if arcs is None:
+        arcs = _arcs(frame)
     # bridge endpoints are exactly the boundary points of the union of the
     # arc spans (overlap-interior arc endpoints stay mid-edge)
     cuts = []
@@ -387,6 +394,10 @@ def _canonical(path: DiscretePath, params: Params) -> _Frame:
         if ci < len(cuts) and abs(cuts[ci] - s) <= params.tol_dedup:
             ci += 1  # already a vertex
         new_vertices.append(path.vertices[vi])
+    result = _Frame(path.with_vertices(path.vertices, canonical=True), params,
+                    frame.lengths, frame.turns)
+    if len(new_vertices) == n:  # every cut is already a vertex
+        return result
     try:
         return _measured(path.with_vertices(new_vertices, canonical=True), params)
     except ValueError:
@@ -395,8 +406,6 @@ def _canonical(path: DiscretePath, params: Params) -> _Frame:
     # an existing short edge (the input had a long edge adjacent to a short
     # one, which shortest paths never do).  Keep the cuts that are
     # individually feasible.
-    result = _Frame(path.with_vertices(path.vertices, canonical=True), params,
-                    frame.lengths, frame.turns)
     for c in cuts:
         pt = frame.point_at(c)
         verts = list(result.path.vertices)

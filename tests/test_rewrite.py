@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ddgeo import model, rewrite
-from ddgeo.geometry import from_angle
+from ddgeo import model, rewrite, structure
+from ddgeo.geometry import add, from_angle, scale
 from ddgeo.model import (
     Configuration,
+    DiscretePath,
     Params,
     edge_lengths,
     path_length,
@@ -21,11 +22,12 @@ from ddgeo.rewrite import (
     find_applicable,
     shorten,
 )
-from ddgeo.smooth import discretize, dubins_solve
+from ddgeo.smooth import ArcSeg, LineSeg, SmoothPath, discretize, dubins_solve
 from ddgeo.structure import (
     InternalInconsistencyError,
     find_forbidden_subtype,
     structure_of,
+    type_or_none,
     type_string,
 )
 
@@ -290,10 +292,10 @@ def test_attempt_beats_dense_step_search(monkeypatch):
     harness = rewrite._attempt
     calls = {}  # (builder name, line) -> [(base path, params, builder, d_max, result)]
 
-    def recording(base, params, builder, d_max, events=()):
-        got = harness(base, params, builder, d_max, events)
+    def recording(base, builder, d_max, events=()):
+        got = harness(base, builder, d_max, events)
         key = (builder.__qualname__, builder.__code__.co_firstlineno)
-        calls.setdefault(key, []).append((base, params, builder, d_max, got))
+        calls.setdefault(key, []).append((base.path, base.params, builder, d_max, got))
         return got
 
     monkeypatch.setattr(rewrite, "_attempt", recording)
@@ -320,26 +322,38 @@ def test_attempt_beats_dense_step_search(monkeypatch):
                     (key, float(d), trial[1], best)
 
 
-def test_turn_cap_step_matches_bisection(monkeypatch):
-    # the closed-form boundary step of every block slide and AAB rotation
-    # passes its cap probe, and bisection finds no feasible step above it
-    # beyond the float noise of the probed vertices
-    harness = rewrite._attempt
-    recorded = []
-
-    def recording(base, params, builder, d_max, events=()):
-        if getattr(builder, "motion", None) is not None:
-            recorded.append((base, params, builder, d_max))
-        return harness(base, params, builder, d_max, events)
-
-    monkeypatch.setattr(rewrite, "_attempt", recording)
+def _harness_inputs():
     inputs = [(P8, AAAA)]
     for n in (6, 8, 12):
         params = Params.from_sides(n, 1.0)
         rng = np.random.default_rng(4000 + n)
         inputs += [(params, random_feasible_path(params, rng)) for _ in range(20)]
+    return inputs
+
+
+def _motion_attempts(monkeypatch, inputs):
+    """(base frame, builder, d_max) of every block-slide and AAB-rotation
+    attempt that ``shorten`` makes on the inputs."""
+    harness = rewrite._attempt
+    recorded = []
+
+    def recording(base, builder, d_max, events=()):
+        if getattr(builder, "motion", None) is not None:
+            recorded.append((base, builder, d_max))
+        return harness(base, builder, d_max, events)
+
+    monkeypatch.setattr(rewrite, "_attempt", recording)
     for params, path in inputs:
         shorten(path, params)
+    monkeypatch.undo()
+    return recorded
+
+
+def test_turn_cap_step_matches_bisection(monkeypatch):
+    # the closed-form boundary step of every block slide and AAB rotation
+    # passes its cap probe, and bisection finds no feasible step above it
+    # beyond the float noise of the probed vertices
+    recorded = _motion_attempts(monkeypatch, _harness_inputs())
 
     def last_accepted(probe, lo, hi):
         while (mid := 0.5 * (lo + hi)) not in (lo, hi):
@@ -347,7 +361,9 @@ def test_turn_cap_step_matches_bisection(monkeypatch):
         return lo
 
     kinds, searches = set(), 0
-    for base, params, builder, d_max in recorded:
+    for frame, builder, d_max in recorded:
+        base, params = frame.path, frame.params
+
         def probe(d, cap=None):
             return rewrite._eval_step(base, params, builder, d, cap)
 
@@ -356,7 +372,7 @@ def test_turn_cap_step_matches_bisection(monkeypatch):
             d_feas *= 0.5
         if d_feas == d_max or probe(d_feas) is None:
             continue
-        cap = rewrite._turn_cap(base, params)
+        cap = rewrite._turn_cap(frame)
         step = rewrite._cap_step(builder.motion, base, builder(0.0),
                                  min(cap, params.theta + rewrite.TOL_ANG), d_feas, 2.0 * d_feas)
         assert step is not None
@@ -374,7 +390,8 @@ def test_turn_cap_step_matches_bisection(monkeypatch):
 
 def test_one_walk_of_the_canonical_path(monkeypatch):
     # the structured moves read the canonical path's lengths, turns and
-    # structure off the measure pass that checks its feasibility
+    # structure off the measure pass that checks its feasibility, and a
+    # path whose cuts are all vertices already is not walked again
     walked, edge_walks = [], []
     walk = model._lengths_and_turns
 
@@ -385,9 +402,115 @@ def test_one_walk_of_the_canonical_path(monkeypatch):
     monkeypatch.setattr(model, "_lengths_and_turns", counting)
     monkeypatch.setattr(rewrite, "edge_lengths", lambda path: edge_walks.append(path))
     path = build_path([0.0, TH, TH, TH, TH, 0.0], [1.0, 1.0, 3.0, 1.0, 1.0])
-    sc = rewrite._make_struct(path, P8)
+    frame = structure._measured(path, P8)
+    sc = rewrite._make_struct(frame)
     assert len(sc.verts) == len(path.vertices) + 2
+    again = rewrite._make_struct(sc.frame, sc.st)
     assert [id(p) for p in walked] == [id(path), id(sc.path)] and not edge_walks
+    assert again.st is sc.st and again.lens is sc.lens and again.verts == sc.verts
     monkeypatch.undo()
     assert sc.lens == edge_lengths(sc.path) and sc.turns == vertex_turns(sc.path)
     assert sc.st == structure_of(sc.path, P8) and sc.st.type_word == "ABA"
+
+
+def test_one_walk_per_applied_path(monkeypatch):
+    # every walk of a path during shorten is a measure pass: one for the
+    # input, one per probe, and one per canonical path that got a cut; so
+    # each applied path is walked once, by the probe that accepted it, and
+    # the trace's lengths and types are read off that walk
+    walked, edge_walks, probes = [], [], []
+    walk, measure = model._lengths_and_turns, model.measure
+
+    def counting(path, tol):
+        walked.append(path)
+        return walk(path, tol)
+
+    def probing(path, params):
+        probes.append(path)
+        return measure(path, params)
+
+    params = Params.from_sides(16, 2.0 * math.sin(math.pi / 16))
+    gamma = SmoothPath(Configuration((0.0, 0.0), (1.0, 0.0)),
+                       (ArcSeg(1, 1.5), LineSeg(2.0), ArcSeg(-1, 0.7)))
+    path = discretize(gamma, params.theta)
+    monkeypatch.setattr(model, "_lengths_and_turns", counting)
+    monkeypatch.setattr(rewrite, "measure", probing)
+    monkeypatch.setattr(rewrite, "edge_lengths",
+                        lambda p: edge_walks.append(p) or edge_lengths(p))
+    frames = []
+    out, trace = shorten(path, params, observer=lambda _i, p: frames.append(p))
+    monkeypatch.undo()
+    cut = [p for p in walked if p.canonical]
+    assert len(trace.entries) >= 5 and not edge_walks
+    assert len(walked) == len(probes) + len(cut)
+    assert len({id(p) for p in walked}) == len(walked)
+    assert all(any(p is w for w in walked) for p in frames)
+    assert not {p.vertices for p in cut} & {p.vertices for p in frames}
+    for before, after, e in zip(frames, frames[1:], trace.entries):
+        assert (e.length_before, e.length_after) == (path_length(before), path_length(after))
+        assert e.type_after == type_or_none(after, params)
+    assert out is frames[-1]
+
+
+def test_halving_skips_only_rejected_steps(monkeypatch):
+    # a block slide or AAB rotation that fails at d_max probes only the
+    # halving steps that no corner's closed-form turn rules out; every step
+    # so ruled out is one the probe rejects, so the halving lands on the
+    # same step and result.  The rule is checked at d_max and past the
+    # motion's end too, where the built list no longer follows the motion.
+    kinds, ruled_out, past_until = set(), 0, 0
+    for frame, builder, d_max in _motion_attempts(monkeypatch, _harness_inputs()):
+        base, params, motion = frame.path, frame.params, builder.motion
+        asked = []
+
+        def probe(d):
+            asked.append(d)
+            return rewrite._eval_step(base, params, builder, d)
+
+        rejects = rewrite._turn_rejects(motion, base, builder(0.0),
+                                        params.theta + rewrite.TOL_ANG)
+        steps = [d_max]
+        if probe(d_max) is None:
+            d_min = rewrite.STEP_MIN_FRACTION * params.ell
+            plain = rewrite._halve(probe, d_max, d_min)
+            steps = list(asked)
+            skipping = rewrite._halve(probe, d_max, d_min, rejects)
+            assert plain[0].hex() == skipping[0].hex() and plain[1] == skipping[1]
+            kinds.add(builder.__qualname__.split(".")[0])
+        if motion.until < math.inf:
+            steps += [motion.until * k for k in (1.0, 1.1, 1.5)]
+        for d in steps:
+            past_until += d >= motion.until
+            if rejects(d):
+                ruled_out += 1
+                assert rewrite._eval_step(base, params, builder, d) is None, (d, motion)
+    assert kinds == {"_block_slide_attempt", "_aab_attempt"}
+    assert ruled_out >= 200 and past_until >= 100, (ruled_out, past_until)
+
+
+def test_turn_rejects_at_the_tolerance():
+    # a corner held at the tolerance, far from the origin, where the
+    # rounding of the probed vertices decides whether its turn passes: the
+    # closed-form test rules out only steps whose probe is rejected, and it
+    # rules out every step of a corner turned clearly past the tolerance
+    bound = P8.theta + rewrite.TOL_ANG
+    ruled_out = accepted = 0
+    for excess in [k * 2.0 ** -52 for k in range(-40, 41)] + [1e-11, 1e-9]:
+        u, w = from_angle(bound + excess), from_angle(bound + excess + 0.1)
+        v0, v1 = (999.3, -700.2), (1000.3, -700.2)
+        v3 = add(add(v1, u), scale(w, 5.0))
+        path = DiscretePath(Configuration(v0, (1.0, 0.0)), Configuration(v3, w),
+                            (v0, v1, add(v1, u), v3))
+        verts = list(path.vertices)
+
+        def builder(d):  # the turn at v1 holds as v2 slides along u
+            return rewrite._shift_block(verts, 2, 3, scale(u, d))
+
+        rejects = rewrite._turn_rejects(rewrite._Motion(2, 3, u), path, verts, bound)
+        for d in (0.01, 0.1, 0.3, 0.5, 0.7, 1.0, 1.7, 3.0):
+            got, ruled = rewrite._eval_step(path, P8, builder, d), rejects(d)
+            assert got is None or not ruled, (excess, d)
+            assert ruled or excess < 1e-11, (excess, d)
+            accepted += got is not None
+            ruled_out += ruled
+    assert accepted >= 100 and ruled_out == 16
