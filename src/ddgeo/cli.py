@@ -143,7 +143,7 @@ def _cmd_plan(args) -> int:
     params = _parse_params(args)
     U = _parse_config(args.start)
     V = _parse_config(args.end)
-    result = plan(U, V, params, k_max=args.k_max)
+    result = plan(U, V, params)
     st = structure_of(result.best, params)
     print(f"type {result.type_word} length {result.length:.12g} "
           f"vertices {len(result.best.vertices)}")
@@ -321,8 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="shortest path between two configurations")
     p.add_argument("--start", required=True, help="x,y,heading_degrees")
     p.add_argument("--end", required=True, help="x,y,heading_degrees")
-    p.add_argument("--k-max", type=int, default=None,
-                   help="cap per-arc edge counts")
     common(p, needs_params=True)
 
     p = sub.add_parser("shorten", help="drive a path to a rewriting fixed point")

@@ -178,7 +178,7 @@ def edge_lengths(path: DiscretePath) -> list[float]:
 
 def path_length(path: DiscretePath) -> float:
     """Total length of the path edges (pre/post-edges excluded)."""
-    return sum(edge_lengths(path))
+    return sum(edge_lengths(path), 0.0)
 
 
 def augmented(path: DiscretePath, params: Params) -> list[Point2]:

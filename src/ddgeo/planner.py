@@ -60,8 +60,12 @@ built, and the solved rows turn their t = 0 vectors rather than evaluate
 the closure again.
 
 A discretization of the smooth Dubins curve between the configurations is
-always included as a candidate, which makes the planned length at most the
-discretized smooth length on every instance.
+always feasible, so its length is the first incumbent: a bound that prunes
+rows, never a candidate.  By the discrete analogue of Dubins' theorem a
+shortest path has a true type, so a complete enumeration's shortest
+candidate has one.  The guided enumeration of fine grids can miss the
+optimum and leave a winner without a true type; only such a winner is
+polished with the rewriter.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ from .model import (
     validate,
 )
 from .rewrite import shorten
-from .structure import find_forbidden_subtype, type_or_none
+from .structure import is_true_type, type_or_none
 from . import smooth as _smooth
 
 log = logging.getLogger("ddgeo.planner")
@@ -132,7 +136,7 @@ class CandidateDiag:
       built.
     """
 
-    word: str                # true-type word, a partial-arc shape over {A, F}, or "(seed)"
+    word: str                # true-type word or a partial-arc shape over {A, F}
     orientations: tuple[int, ...]
     ks: tuple[int, ...]
     status: str
@@ -1121,8 +1125,7 @@ def _smooth_guess(inst: _Instance):
             else (0, seg.length) for seg in inst.dubins.segments]
 
 
-def plan(U: Configuration, V: Configuration, params: Params,
-         k_max: int | None = None) -> PlanResult:
+def plan(U: Configuration, V: Configuration, params: Params) -> PlanResult:
     """Minimum-length feasible path over the candidate shapes of the module
     docstring.
 
@@ -1132,19 +1135,13 @@ def plan(U: Configuration, V: Configuration, params: Params,
     arc edge counts are limited to a few steps around the smooth Dubins
     solution's sweeps plus small counts, and three-arc shapes to the CCC
     orientations.  Ties are broken by shorter type word, then
-    lexicographically.  A winner
-    outside the typing domain or with a forbidden factor (the raw Dubins
-    seed can be one) is polished with the rewriter.  The result always
-    validates and carries a true type.  ``k_max`` must be at least 1: an arc
-    has one edge or more, so a lower cap would leave no arc candidate.
+    lexicographically.  A winner outside the typing domain or with a
+    forbidden factor (the guided enumeration can leave one) is polished with
+    the rewriter.  The result always validates and carries a true type.
     """
-    if k_max is not None and k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
     inst = _Instance(U, V, params)
     th, ell, tol_len = params.theta, params.ell, params.tol_len
     k_cap = params.n_sides - 1
-    if k_max is not None:
-        k_cap = min(k_cap, k_max)
     guided = params.n_sides > 48
     counts = (_guided_range(_smooth_guess(inst), th, k_cap) if guided
               else list(range(1, k_cap + 1)))
@@ -1184,10 +1181,7 @@ def plan(U: Configuration, V: Configuration, params: Params,
 
     seed = _dubins_seed(inst)
     if seed is not None:
-        length = path_length(seed)
-        incumbent = length
-        found.append((length, seed, "(seed)"))
-        diags.append(CandidateDiag("(seed)", (), (), "solved", length))
+        incumbent = path_length(seed)
 
     # Every word's rows come from the heading band, pruned by the length
     # floor: the arcs' edges plus what their chords leave of the
@@ -1226,8 +1220,7 @@ def plan(U: Configuration, V: Configuration, params: Params,
     found.sort(key=lambda t: t[0])
     best_len = found[0][0]
     tol = 1e-9 * max(1.0, best_len)
-    # candidates outside the typing domain (the raw Dubins seed can be one)
-    # type as None and sort after typed ties
+    # untypeable candidates type as None and sort after typed ties
     tied = [(length, path, type_or_none(path, params))
             for length, path, _ in found if length <= best_len + tol]
 
@@ -1241,8 +1234,8 @@ def plan(U: Configuration, V: Configuration, params: Params,
         if _is_true(word):
             return PlanResult(best=path, type_word=word, length=length,
                               diagnostics=diags)
-        # untypeable or not true-type (e.g. the raw seed won): polish with
-        # the rewriter
+        # no true type: the enumeration missed the optimum (the guided one
+        # can), so polish the winner with the rewriter
         polished, _trace = shorten(path, params, budget=4000)
         pword = type_or_none(polished, params)
         plen = path_length(polished)
@@ -1253,7 +1246,7 @@ def plan(U: Configuration, V: Configuration, params: Params,
 
 
 def _is_true(word: str | None) -> bool:
-    return word is not None and (word == "" or find_forbidden_subtype(word) is None)
+    return word == "" or is_true_type(word)
 
 
 # ---------------------------------------------------------------------------

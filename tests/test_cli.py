@@ -174,12 +174,6 @@ def test_usage_error_exit_two(capsys):
     assert run(["plan", "--start", "0,0,0", "--end", "1,1,0"]) == 2
 
 
-def test_plan_arc_cap_below_one_exit_two(capsys):
-    assert run(["plan", "--params-n", "8", "--ell", "1.0", "--start", "0,0,0",
-                "--end", "3,1,90", "--k-max", "0"]) == 2
-    assert "k_max" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     ["plan", "--params-n", "0", "--ell", "1", "--start", "0,0,0", "--end", "5,0,0"],
     ["discretize", "--word", "L1.5", "--n", "0"],

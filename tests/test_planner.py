@@ -60,7 +60,7 @@ from ddgeo.planner import (
 )
 from ddgeo.rewrite import find_applicable, shorten
 from ddgeo.smooth import DiscretizationPlan, LineSeg, discretize, dubins_solve
-from ddgeo.structure import find_forbidden_subtype, type_or_none, type_string
+from ddgeo.structure import find_forbidden_subtype, type_string
 
 from gen import build_path, random_configuration_pair
 
@@ -122,10 +122,16 @@ def test_plan_straight_far_apart():
 
 
 def test_plan_point_degenerate():
+    # U = V, or U and V at one point with a turn below theta: the path is the
+    # single vertex, of empty type and float length 0.0
     U = Configuration((0.0, 0.0), (1.0, 0.0))
-    res = plan(U, U, P8)
-    assert res.length == pytest.approx(0.0, abs=1e-12)
-    assert len(res.best.vertices) == 1
+    V30 = Configuration.at_angle((0.0, 0.0), math.radians(30.0))
+    for V, params in ((U, P8), (V30, Params.from_sides(8, 2.0 * math.sin(math.pi / 8)))):
+        res = plan(U, V, params)
+        assert (res.type_word, res.length) == ("", 0.0)
+        assert type(res.length) is float
+        assert len(res.best.vertices) == 1
+        assert validate(res.best, params) == []
 
 
 def test_plan_output_true_type_random():
@@ -289,29 +295,52 @@ def test_uturn_n8_seed_shortens_to_true_type():
     assert _true_word(type_string(fixed, P8))
 
 
-def test_plan_rejects_arc_cap_below_one():
-    # a cap below one edge would drop every arc row and leave the Dubins seed
+def test_plan_ba_quarter_turn_at_n8():
     params = Params.from_sides(8, 2.0 * math.sin(math.pi / 8))
     U = Configuration.at_angle((0.0, 0.0), 0.0)
     V = Configuration.at_angle((3.0, 1.0), math.pi / 2)
-    for k_max in (None, 1, 7):
-        res = plan(U, V, params, k_max=k_max)
-        assert (res.type_word, res.length) == ("BA", pytest.approx(3.26661008290, abs=1e-10))
-    for k_max in (0, -1):
-        with pytest.raises(ValueError, match="k_max"):
-            plan(U, V, params, k_max=k_max)
+    res = plan(U, V, params)
+    assert (res.type_word, res.length) == ("BA", pytest.approx(3.26661008290, abs=1e-10))
 
 
-def test_plan_polishes_untypeable_seed():
-    # with arcs capped at one edge the raw Dubins seed wins the sort; it is
-    # outside the typing domain, so plan must send it to the rewriter
-    params = Params.from_sides(16, 2.0 * math.sin(math.pi / 16))
-    seed = _dubins_seed(_Instance(*LOOP, params))
-    assert type_or_none(seed, params) is None
-    res = plan(*LOOP, params, k_max=1)
+def test_plan_never_calls_the_rewriter(monkeypatch):
+    # on these the enumeration alone answers; the Dubins seed only bounds it
+    def no_rewrite(*args, **kwargs):
+        raise AssertionError("plan called the rewriter")
+
+    monkeypatch.setattr(planner, "shorten", no_rewrite)
+    near = [((0.0, 0.0, 0.0), (1.0, 0.5, 2.0)), ((0.0, 0.0, 0.0), (2.0, -1.0, -1.5)),
+            ((0.0, 0.0, 0.0), (0.5, 0.5, math.pi)), ((0.0, 0.0, 1.0), (3.0, 0.0, 0.8))]
+    cases = [(n, U, V) for n in (6, 8, 12, 16) for U, V in (U_TURN, LOOP, ANTIPARALLEL)]
+    cases += [(64, Configuration.at_angle(u[:2], u[2]), Configuration.at_angle(v[:2], v[2]))
+              for u, v in near]
+    for n, U, V in cases:
+        params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+        res = plan(U, V, params)
+        assert validate(res.best, params) == []
+        seed = _dubins_seed(_Instance(U, V, params))
+        assert seed is not None
+        assert res.length <= path_length(seed) + params.tol_len
+        assert all(d.word != "(seed)" for d in res.diagnostics)
+
+
+@pytest.mark.parametrize("U, V, word, length", [
+    (((0.0, 0.0), (-0.9974445105941095, 0.07144542172649895)),
+     ((0.4426216736103688, -0.18348011329187336), (-0.4925415199513043, 0.8702889469159417)),
+     "AAA", 5.81271038143565),
+    (((0.0, 0.0), (-0.9823304023658345, -0.18715496410135038)),
+     ((0.29172532329301654, 0.08077826642816935), (-0.9897333978352357, 0.1429258591351442)),
+     "ABA", 6.014671388735986),
+], ids=["aaa", "aba"])
+def test_guided_plan_polishes_a_forbidden_winner(U, V, word, length):
+    # at n = 128 the guided enumeration misses the optimum: its shortest
+    # candidate types ABAA, and the rewriter takes it to the true type (a full
+    # enumeration finds that type too, some 1e-9 relative shorter)
+    params = Params.from_sides(128, 2.0 * math.sin(math.pi / 128))
+    res = plan(Configuration(*U), Configuration(*V), params)
     assert validate(res.best, params) == []
-    assert _true_word(res.type_word)
-    assert res.length <= path_length(seed) + 1e-9
+    assert res.type_word == word
+    assert res.length <= length + 1e-9
 
 
 @pytest.mark.parametrize("n", [6, 8, 12, 16, 24])
