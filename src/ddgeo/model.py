@@ -129,14 +129,12 @@ class DiscretePath:
     """Vertex polyline with its two boundary configurations.
 
     ``vertices[0]`` must equal ``start.point`` and ``vertices[-1]`` must equal
-    ``end.point``.  ``canonical`` marks paths whose bridge endpoints have been
-    inserted as (zero-turn) vertices.
+    ``end.point``.
     """
 
     start: Configuration
     end: Configuration
     vertices: tuple[Point2, ...]
-    canonical: bool = False
 
     def __post_init__(self):
         verts = tuple(map(tuple, self.vertices))
@@ -149,15 +147,15 @@ class DiscretePath:
             raise ValueError("last vertex must equal end.point")
 
     @classmethod
-    def from_vertices(cls, vertices, start_heading: Vec2, end_heading: Vec2,
-                      canonical: bool = False) -> "DiscretePath":
+    def from_vertices(cls, vertices, start_heading: Vec2,
+                      end_heading: Vec2) -> "DiscretePath":
         verts = tuple(tuple(p) for p in vertices)
         return cls(Configuration(verts[0], start_heading),
-                   Configuration(verts[-1], end_heading), verts, canonical)
+                   Configuration(verts[-1], end_heading), verts)
 
-    def with_vertices(self, vertices, canonical: bool = False) -> "DiscretePath":
+    def with_vertices(self, vertices) -> "DiscretePath":
         """Same boundary configurations over a new vertex list (endpoints must agree)."""
-        return DiscretePath(self.start, self.end, vertices, canonical)
+        return DiscretePath(self.start, self.end, vertices)
 
 
 def classify_edge(length: float, params: Params) -> EdgeClass:
@@ -312,7 +310,6 @@ def reverse(path: DiscretePath) -> DiscretePath:
         start=Configuration(path.end.point, neg(path.end.heading)),
         end=Configuration(path.start.point, neg(path.start.heading)),
         vertices=tuple(reversed(path.vertices)),
-        canonical=path.canonical,
     )
 
 
@@ -334,6 +331,5 @@ def transform(path: DiscretePath, angle: float = 0.0,
         start=Configuration(tp(path.start.point), tv(path.start.heading)),
         end=Configuration(tp(path.end.point), tv(path.end.heading)),
         vertices=tuple(tp(p) for p in path.vertices),
-        canonical=path.canonical,
     )
 

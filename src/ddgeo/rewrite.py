@@ -3,19 +3,18 @@
 Every move is a one-parameter family of candidate vertex lists in a step d.
 The step harness ``_attempt`` checks full feasibility of each trial step
 with one ``model.measure`` pass.  Its candidates are exact steps, with no
-sampled search: the first feasible step of halving from the largest step,
-the move's event steps (edge lengths crossing ell, edges shrinking to
-nothing, a rotation family's closest approach, in closed form), and the
-boundary step where a turn reaches the cap.  Block slides and AAB rotations
-move one vertex block rigidly, so they give that boundary in closed form
-(``_cap_step``) and it costs one probe; a bisection finds it only when that
-probe is rejected or the move gives no motion.  The same closed form lets
-their halving skip, unprobed, each step at which a corner of the moving
-block turns past the tolerance (``_turn_rejects``).  Translation families
-never lengthen the path as d grows and rotation families have one interior
-minimum, their event, so when the feasible steps form an interval the
-shortest feasible improving candidate is the family's best step; when they
-do not, the boundary step is the edge of the interval that halving reached.
+sampled search: the largest step, the move's event steps (edge lengths
+crossing ell, edges shrinking to nothing, a rotation family's closest
+approach, in closed form), and, when the largest step fails, the boundary
+step where a turn reaches the cap.  Block slides and AAB rotations move one
+vertex block rigidly, so they give that boundary in closed form
+(``_cap_step``) and it costs one probe; a bisection from 0 finds it only
+when that probe is rejected or the move gives no motion.  Translation
+families never lengthen the path as d grows and rotation families have one
+interior minimum, their event, so when the feasible steps form an interval
+the shortest feasible improving candidate is the family's best step; when
+they do not, the boundary step is the upper edge of an interval the search
+reached.
 Applied moves strictly decrease (length, type length)
 lexicographically, so repeated application drives a path toward a fixed
 point whose type word carries no forbidden factor.
@@ -104,9 +103,8 @@ from .structure import (  # noqa: F401
     type_or_none,
 )
 
-STEP_MIN_FRACTION = 1e-10  # smallest trial step, as a fraction of ell
+STEP_MIN_FRACTION = 1e-10  # floor of the boundary search, as a fraction of ell
 IMPROVE_FRACTION = 1e-10   # minimal accepted gain, as a fraction of ell
-HALVINGS = 40
 # Corners this flat between uncovered (short/long) edges are removed outright:
 # the slide rules' gains fall below IMPROVE_FRACTION there, but the corner
 # would keep the uncovered stretch from being straight.
@@ -317,9 +315,9 @@ def _turn_noise(size: float, la: float, lb: float) -> float:
 
 
 def _cap_step(motion: _Motion, base_path: DiscretePath, verts: list,
-              bound: float, d_lo: float, d_hi: float) -> float | None:
-    """The step in [d_lo, min(d_hi, until)) at which a turn at a corner of
-    the moving block first lies outside [-bound, bound], or None.
+              bound: float, d_hi: float) -> float | None:
+    """The step in [0, min(d_hi, until)) at which a turn at a corner of the
+    moving block first leaves [-bound, bound], or None.
 
     ``verts`` is the builder's list at d = 0.  The turn t = atan2(cross, dot)
     of edges a, b equals s*bound (s = +-1) where
@@ -336,56 +334,22 @@ def _cap_step(motion: _Motion, base_path: DiscretePath, verts: list,
     d_hi = min(d_hi, motion.until)
     best = None
     for corner in _corners(motion, base_path, verts):
-        a, b = _edges_at(motion, corner, d_lo)
         for s in (1.0, -1.0):
-            if (s * cross(a, b) * cb - dot(a, b) * sb > 0.0
-                    and dot(a, b) * cb + s * cross(a, b) * sb > 0.0):
-                return d_lo  # outside already: the cap binds at d_lo
             g = [c * cb - s * k * sb for c, k in zip(corner.crosses, corner.dots)]
             roots = (_poly_roots(g) if motion.pivot is None
                      else _trig_roots(g, motion.sign))
             for d, rise in roots:
-                if not (d_lo < d < d_hi and s * rise > 0.0):
+                if not (0.0 < d < d_hi and s * rise > 0.0):
                     continue
                 ea, eb = _edges_at(motion, corner, d)
                 if dot(ea, eb) * cb + s * cross(ea, eb) * sb <= 0.0:
                     continue
                 la, lb = math.hypot(*ea), math.hypot(*eb)
                 noise = _turn_noise(corner.size, la, lb)
-                d = max(d_lo, d - noise * la * lb / abs(rise))
+                d = max(0.0, d - noise * la * lb / abs(rise))
                 if best is None or d < best:
                     best = d
     return best
-
-
-def _turn_rejects(motion: _Motion, base_path: DiscretePath, verts: list, bound: float):
-    """Test of steps d: True when the probe of d is sure to be rejected,
-    because d < ``until`` and the closed-form turn at a corner of the moving
-    block lies outside [-bound, bound] by more than the rounding noise.
-
-    ``verts`` is the builder's list at d = 0.  The noise is twice
-    ``_turn_noise``, once for the probed turn and once for the closed form,
-    taken at the largest coordinate the step can reach and at least the
-    edges' lengths (the closed form rounds its edges relative to them).
-    """
-    corners = _corners(motion, base_path, verts)
-    speed = max(abs(motion.u[0]), abs(motion.u[1]))
-
-    def rejects(d: float) -> bool:
-        if not d < motion.until:
-            return False  # the built list no longer follows the motion
-        for corner in corners:
-            ea, eb = _edges_at(motion, corner, d)
-            size = 4.0 * corner.size if motion.pivot is not None else corner.size + d * speed
-            la, lb = math.hypot(*ea), math.hypot(*eb)
-            if la == 0.0 or lb == 0.0:
-                continue  # no turn to bound
-            noise = _turn_noise(max(size, la, lb), la, lb)
-            if abs(math.atan2(cross(ea, eb), dot(ea, eb))) > bound + 2.0 * noise:
-                return True
-        return False
-
-    return rejects
 
 
 def _poly_roots(g) -> list[tuple[float, float]]:
@@ -418,58 +382,37 @@ def _trig_roots(g, sign: float) -> list[tuple[float, float]]:
     return out
 
 
-def _bisect(probe, lo: float, at_lo, hi: float):
-    """Bisect from a step ``lo`` that ``probe`` accepts (with result
-    ``at_lo``) toward a step ``hi`` that it rejects, until the midpoint
-    rounds to an end; returns the last accepted (step, result)."""
-    while True:
+def _bisect(probe, lo: float, at_lo, hi: float, floor: float = 0.0):
+    """Bisect from a step ``lo`` toward a step ``hi`` that ``probe``
+    rejects, until the midpoint rounds to an end; returns the last accepted
+    (step, result).  ``at_lo`` is ``probe``'s result at lo, or None when lo
+    is not known to be accepted: then the search gives up, returning
+    (lo, None), once hi falls below ``floor`` with nothing accepted."""
+    while at_lo is not None or hi >= floor:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
-            return lo, at_lo
+            break
         got = probe(mid)
         if got is None:
             hi = mid
         else:
             lo, at_lo = mid, got
-
-
-def _halve(probe, d: float, d_min: float, rejects=None):
-    """(step, result) of the first of d/2, d/4, ... that ``probe`` accepts,
-    or of the last one tried, with None: at most HALVINGS - 1 steps, none
-    below d_min.  A step that ``rejects`` proves infeasible is not probed."""
-    got = None
-    for _ in range(HALVINGS - 1):
-        if 0.5 * d < d_min:
-            break
-        d *= 0.5
-        if rejects is None or not rejects(d):
-            got = probe(d)
-            if got is not None:
-                break
-    return d, got
+    return lo, at_lo
 
 
 def _attempt(base: _Frame, builder, d_max: float, events=()):
     """Find the best feasible improving step of a move on the path of frame
     ``base``.
 
-    The candidates are exact steps, in tie order: the first feasible step of
-    halving from d_max, the move's event steps (edge lengths crossing ell,
-    edges shrinking to nothing, a rotation's closest approach) and the
-    boundary step in (d_feas, 2 d_feas] where a turn reaches the cap.  When
-    the builder carries a ``_Motion`` (block slides, AAB rotations), the
-    halving probes only the steps below d_max at which no corner of the
-    moving block turns past the tolerance in closed form
-    (``_turn_rejects``); the others would be rejected, so d_feas is the
-    same.  The boundary is then the closed-form cap step, probed once under
-    the cap; the bisection of [d_feas, step] stays as the fallback for a
-    rejected probe (a non-turn constraint binding first) and for moves
-    without a motion.  A translation family never lengthens the path as d
-    grows and a rotation family has its one interior minimum at its event,
-    so no sampled search is needed: the shortest candidate wins.  It is the
-    family's best step when the feasible steps form an interval; otherwise
-    the boundary stops at the edge of the interval that holds the halving
-    step.  Returns (frame of the new path, used step) or None.
+    The candidates are exact steps, in tie order: d_max, the move's event
+    steps in (0, d_max] (edge lengths crossing ell, edges shrinking to
+    nothing, a rotation's closest approach) and, only when d_max fails, the
+    ``_boundary`` step where a turn reaches the cap.  A translation family
+    never lengthens the path as d grows and a rotation family has its one
+    interior minimum at its event, so no sampled search is needed: the
+    shortest candidate wins.  It is the family's best step when the feasible
+    steps form an interval.  Returns (frame of the new path, used step) or
+    None.
     """
     if d_max <= 0.0:
         return None
@@ -478,16 +421,10 @@ def _attempt(base: _Frame, builder, d_max: float, events=()):
     def probe(d, cap=None):
         return _eval_step(path, params, builder, d, cap)
 
-    d_feas, feas = d_max, probe(d_max)
-    if feas is None:
-        motion = getattr(builder, "motion", None)
-        rejects = (None if motion is None else
-                   _turn_rejects(motion, path, builder(0.0), params.theta + TOL_ANG))
-        d_feas, feas = _halve(probe, d_max, STEP_MIN_FRACTION * params.ell, rejects)
-    cands = [(d_feas, feas)]
+    cands = [(d_max, probe(d_max))]
     cands += [(d, probe(d)) for d in events if 0.0 < d <= d_max * (1.0 + 1e-12)]
-    if feas is not None and d_feas < d_max:
-        cands.append(_boundary(base, builder, probe, d_feas, feas))
+    if cands[0][1] is None:
+        cands.append(_boundary(base, builder, probe, d_max))
     best = min(((got[1], d, got) for d, got in cands if got is not None),
                key=lambda c: c[0], default=None)
     if best is None or best[0] > sum(base.lengths) - IMPROVE_FRACTION * params.ell:
@@ -495,26 +432,25 @@ def _attempt(base: _Frame, builder, d_max: float, events=()):
     return _tidy(_framed(best[2], params)), best[1]
 
 
-def _boundary(base: _Frame, builder, probe, d_feas: float, feas):
-    """(step, probe result) at the turn cap's boundary in [d_feas, 2 d_feas]:
-    the motion's closed-form cap step, or the last step that bisection
-    accepts."""
-    # 2 d_feas failed the halving, so it fails under the cap too; the cap
-    # keeps the boundary step a margin inside the tolerance
+def _boundary(base: _Frame, builder, probe, d_max: float):
+    """(step, probe result) at the turn cap's boundary below d_max, searched
+    once from 0, or (0.0, None) when nothing above the floor passes.
+
+    When the builder carries a ``_Motion`` (block slides, AAB rotations),
+    the step is the closed-form first turn exit (``_cap_step``), probed once
+    under the cap.  Without a motion, or when that probe is rejected (a
+    non-turn constraint binds first), bisection from 0 toward that step
+    finds it; it gives up below STEP_MIN_FRACTION * ell.  The cap keeps the
+    step a margin inside the tolerance.
+    """
     cap = _turn_cap(base)
-    hi = 2.0 * d_feas
     motion = getattr(builder, "motion", None)
-    if motion is not None:
-        step = _cap_step(motion, base.path, builder(0.0),
-                         min(cap, base.params.theta + TOL_ANG), d_feas, hi)
-        if step == d_feas:
-            return d_feas, feas  # the cap binds at the halving step itself
-        if step is not None:
-            got = probe(step, cap)
-            if got is not None:
-                return step, got
-            hi = step
-    return _bisect(lambda d: probe(d, cap), d_feas, feas, hi)
+    step = None if motion is None else _cap_step(
+        motion, base.path, builder(0.0), min(cap, base.params.theta + TOL_ANG), d_max)
+    if step is not None and (got := probe(step, cap)) is not None:
+        return step, got
+    return _bisect(lambda d: probe(d, cap), 0.0, None, d_max if step is None else step,
+                   STEP_MIN_FRACTION * base.params.ell)
 
 
 def _rotation_events(x: Point2, centre: Point2, y: Point2,
@@ -1330,7 +1266,7 @@ def find_applicable(path: DiscretePath,
 def apply(path: DiscretePath, rule: RewriteRule, location: tuple,
           params: Params) -> DiscretePath:
     """Apply one rule at a location by running that site's attempt from the
-    move table (``_attempt``'s halving, event and boundary steps).
+    move table (``_attempt``'s largest, event and boundary steps).
     ``rule.step`` is not read.
 
     The location must be one that ``find_applicable`` can report for this

@@ -368,8 +368,7 @@ def _canonical(path: DiscretePath, params: Params, frame: _Frame | None = None,
 
     ``frame``, when given, is the path's frame from a ``measure`` pass that
     found it feasible, and ``arcs`` its arcs.  The result is measured again
-    only when a cut is inserted; otherwise it reads the path's lengths and
-    turns.
+    only when a cut is inserted; otherwise it is the path's frame itself.
     """
     if frame is None:
         frame = _measured(path, params)
@@ -394,18 +393,17 @@ def _canonical(path: DiscretePath, params: Params, frame: _Frame | None = None,
         if ci < len(cuts) and abs(cuts[ci] - s) <= params.tol_dedup:
             ci += 1  # already a vertex
         new_vertices.append(path.vertices[vi])
-    result = _Frame(path.with_vertices(path.vertices, canonical=True), params,
-                    frame.lengths, frame.turns)
     if len(new_vertices) == n:  # every cut is already a vertex
-        return result
+        return frame
     try:
-        return _measured(path.with_vertices(new_vertices, canonical=True), params)
+        return _measured(path.with_vertices(new_vertices), params)
     except ValueError:
         pass
     # Outside the shortest-path domain an inserted endpoint can sit next to
     # an existing short edge (the input had a long edge adjacent to a short
     # one, which shortest paths never do).  Keep the cuts that are
     # individually feasible.
+    result = frame
     for c in cuts:
         pt = frame.point_at(c)
         verts = list(result.path.vertices)
@@ -416,8 +414,7 @@ def _canonical(path: DiscretePath, params: Params, frame: _Frame | None = None,
                     and dist(pt, verts[i + 1]) > params.tol_dedup):
                 candidate = verts[:i + 1] + [pt] + verts[i + 1:]
                 try:
-                    result = _measured(result.path.with_vertices(candidate, canonical=True),
-                                       params)
+                    result = _measured(result.path.with_vertices(candidate), params)
                 except ValueError:
                     pass
                 break
