@@ -6,10 +6,12 @@ with one ``model.measure`` pass.  Its candidates are exact steps, with no
 sampled search: the largest step, the move's event steps (edge lengths
 crossing ell, edges shrinking to nothing, a rotation family's closest
 approach, in closed form), and, when the largest step fails, the boundary
-step where a turn reaches the cap.  Block slides and AAB rotations move one
-vertex block rigidly, so they give that boundary in closed form
-(``_cap_step``) and it costs one probe; a bisection from 0 finds it only
-when that probe is rejected or the move gives no motion.  Translation
+step where a turn reaches the cap.  Block slides (the one-vertex local
+slides among them), AAB rotations and the trio slide's rotation about its
+junction and translation along its target edge move one vertex block
+rigidly, so they give that boundary in closed form (``_cap_step``) and it
+costs one probe; a bisection from 0 finds it only when that probe is
+rejected or the move gives no motion.  Translation
 families never lengthen the path as d grows and rotation families have one
 interior minimum, their event, so when the feasible steps form an interval
 the shortest feasible improving candidate is the family's best step; when
@@ -407,7 +409,9 @@ def _attempt(base: _Frame, builder, d_max: float, events=()):
     The candidates are exact steps, in tie order: d_max, the move's event
     steps in (0, d_max] (edge lengths crossing ell, edges shrinking to
     nothing, a rotation's closest approach) and, only when d_max fails, the
-    ``_boundary`` step where a turn reaches the cap.  A translation family
+    ``_boundary`` step where a turn reaches the cap.  Each step is probed
+    once: a probe depends on its step alone, and ``min`` keeps the first of
+    equal candidates.  A translation family
     never lengthens the path as d grows and a rotation family has its one
     interior minimum at its event, so no sampled search is needed: the
     shortest candidate wins.  It is the family's best step when the feasible
@@ -422,7 +426,8 @@ def _attempt(base: _Frame, builder, d_max: float, events=()):
         return _eval_step(path, params, builder, d, cap)
 
     cands = [(d_max, probe(d_max))]
-    cands += [(d, probe(d)) for d in events if 0.0 < d <= d_max * (1.0 + 1e-12)]
+    cands += [(d, probe(d)) for d in dict.fromkeys(events)
+              if d != d_max and 0.0 < d <= d_max * (1.0 + 1e-12)]
     if cands[0][1] is None:
         cands.append(_boundary(base, builder, probe, d_max))
     best = min(((got[1], d, got) for d, got in cands if got is not None),
@@ -436,8 +441,9 @@ def _boundary(base: _Frame, builder, probe, d_max: float):
     """(step, probe result) at the turn cap's boundary below d_max, searched
     once from 0, or (0.0, None) when nothing above the floor passes.
 
-    When the builder carries a ``_Motion`` (block slides, AAB rotations),
-    the step is the closed-form first turn exit (``_cap_step``), probed once
+    When the builder carries a ``_Motion`` (block slides, AAB rotations and
+    the trio slide's rotation and translation), the step is the closed-form
+    first turn exit (``_cap_step``), probed once
     under the cap.  Without a motion, or when that probe is rejected (a
     non-turn constraint binds first), bisection from 0 toward that step
     finds it; it gives up below STEP_MIN_FRACTION * ell.  The cap keeps the
@@ -599,28 +605,10 @@ def _long_short_sites(ctx: _Ctx):
 
 
 def _long_short_attempt(ctx: _Ctx, loc):
+    """Slide the shared vertex of a long/short pair into the long edge: the
+    block slide of that one vertex with the long edge as its source."""
     j, side = loc
-    params = ctx.params
-    verts = ctx.verts
-    if side == 0:  # long then short: pull the shared vertex back along the long edge
-        d_max = ctx.lens[j] - params.ell
-        move = scale(ctx.dirs[j], -1.0)
-        far = verts[j + 2]
-    else:          # short then long: push the shared vertex into the long edge
-        d_max = ctx.lens[j + 1] - params.ell
-        move = ctx.dirs[j + 1]
-        far = verts[j]
-
-    def builder(d):
-        out = list(verts)
-        out[j + 1] = add(verts[j + 1], scale(move, d))
-        return out
-
-    # step at which the short edge grows to exactly ell (it then joins the
-    # arc layer as a normal edge), plus the long edge reaching ell
-    events = _ell_cross_events(verts[j + 1], move, far, params.ell)
-    events.append(d_max)
-    return _attempt(ctx.frame, builder, d_max, events)
+    return _block_slide_attempt(ctx, (j, j + 1, "direct") if side == 0 else (j + 1, j, "direct"))
 
 
 def _inflection_rotate_sites(ctx: _Ctx):
@@ -637,54 +625,17 @@ def _inflection_rotate_sites(ctx: _Ctx):
 
 
 def _inflection_rotate_attempt(ctx: _Ctx, loc):
+    """Mode +-1: slide the endpoint of inflection edge j along its
+    non-normal neighbour j + mode, the block slide of that one vertex with
+    the neighbour as its source.  Mode 0: bypass the vertex shared with the
+    next inflection edge."""
     j, mode = loc
-    params = ctx.params
-    verts = ctx.verts
-    if mode == 0:
-        got = _drop_vertex(ctx.frame, j + 1)
-        if got is not None and got[1] <= sum(ctx.lens) - IMPROVE_FRACTION * params.ell:
-            return _tidy(_framed(got, params)), 1.0
-        return None
-    if mode == +1:
-        nb, moving = j + 1, j + 1
-        move = ctx.dirs[nb]
-        opposite = verts[j]      # far end of the inflection edge
-        absorb = verts[j + 2]    # vertex the neighbor edge shrinks toward
-    else:
-        nb, moving = j - 1, j
-        move = scale(ctx.dirs[nb], -1.0)
-        opposite = verts[j + 1]
-        absorb = verts[j - 1]
-    merge_at = ctx.lens[nb] - 20.0 * params.tol_dedup
-
-    if ctx.classes[nb] is EdgeClass.SHORT:
-        cap = ctx.lens[nb]
-
-        def builder(d):
-            if d >= merge_at:
-                # the neighbor edge is fully consumed: its vertices merge
-                out = list(verts)
-                out[moving] = absorb
-                del out[absorb_idx]
-                return out
-            out = list(verts)
-            out[moving] = add(verts[moving], scale(move, d))
-            return out
-
-        absorb_idx = j + 2 if mode == +1 else j - 1
-        events = [ctx.lens[nb]]
-    else:
-        cap = ctx.lens[nb] - params.ell
-
-        def builder(d):
-            out = list(verts)
-            out[moving] = add(verts[moving], scale(move, d))
-            return out
-
-        events = [cap]
-    # the inflection edge itself grows; crossing ell exactly keeps typing clean
-    events += _ell_cross_events(verts[moving], move, opposite, params.ell)
-    return _attempt(ctx.frame, builder, cap, events)
+    if mode:
+        return _block_slide_attempt(ctx, (j + mode, j, "direct"))
+    got = _drop_vertex(ctx.frame, j + 1)
+    if got is not None and got[1] <= sum(ctx.lens) - IMPROVE_FRACTION * ctx.params.ell:
+        return _tidy(_framed(got, ctx.params)), 1.0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -759,17 +710,20 @@ def _make_struct(frame: _Frame, st: PathStructure | None = None) -> _Struct | No
 # ---------------------------------------------------------------------------
 # block slides between two free sites
 
-def _block_slide_attempt(sc: _Struct, loc):
+def _block_slide_attempt(ctx: _Ctx, loc):
     """Translate the subpath between two edges along the source edge
     (shrinking it), reconnecting at the sink edge either directly or by
     breaking the sink at distance ell from one of its ends.
 
-    At a step equal to the source length the source edge is consumed and
-    its endpoints merge.
+    The block is the vertices between the two edges: for adjacent edges,
+    the one vertex they share, which is how the local long/short and
+    inflection-endpoint slides run.  A long source shrinks to ell; any other
+    is consumed at a step equal to its length, where its endpoints merge.
+    The builder carries the block's ``_Motion``.
     """
     src_edge, sink_edge, mode = loc
-    verts = sc.verts
-    ell = sc.params.ell
+    verts = ctx.verts
+    ell = ctx.params.ell
     if src_edge < sink_edge:
         lo, hi = src_edge + 1, sink_edge + 1
         t_dir = unit(sub(verts[src_edge], verts[src_edge + 1]))
@@ -780,10 +734,10 @@ def _block_slide_attempt(sc: _Struct, loc):
         t_dir = unit(sub(verts[src_edge + 1], verts[src_edge]))
         anchor, moving = sink_edge, sink_edge + 1
         src_gone = src_edge
-    sink_len = sc.lens[sink_edge]
-    src_len = sc.lens[src_edge]
+    sink_len = ctx.lens[sink_edge]
+    src_len = ctx.lens[src_edge]
     to_anchor = unit(sub(verts[anchor], verts[moving]))
-    merge_at = src_len - 20.0 * sc.params.tol_dedup
+    merge_at = src_len - 20.0 * ctx.params.tol_dedup
 
     if mode != "direct" and sink_len <= ell:
         return None
@@ -818,8 +772,8 @@ def _block_slide_attempt(sc: _Struct, loc):
     events = [src_len]
     if mode == "direct":
         events += _ell_cross_events(verts[moving], t_dir, verts[anchor], ell)
-    cap = src_len - ell if sc.classes[src_edge] is EdgeClass.LONG else src_len
-    return _attempt(sc.frame, builder, cap, events)
+    cap = src_len - ell if ctx.classes[src_edge] is EdgeClass.LONG else src_len
+    return _attempt(ctx.frame, builder, cap, events)
 
 
 def _two_inflection_sites(sc: _Struct):
@@ -1001,8 +955,11 @@ def _trio_slide(cp: _Frame, b_idx: int, c_idx: int):
     if qd[0] < 0.0 and qd[1] < 0.0:
         # target edge leaves into the third quadrant: rotate the block after
         # b clockwise about b
-        return _attempt(cp, lambda phi: _rotate_block(verts, b_idx + 1, c_idx + 1, b, -phi),
-                        0.4 * params.theta, _rotation_events(c, b, d, -1.0))
+        def rotate_b(phi):
+            return _rotate_block(verts, b_idx + 1, c_idx + 1, b, -phi)
+
+        rotate_b.motion = _Motion(b_idx + 1, c_idx + 1, pivot=b, sign=-1.0)
+        return _attempt(cp, rotate_b, 0.4 * params.theta, _rotation_events(c, b, d, -1.0))
 
     if qd[0] >= 0.0:
         return None  # not the configuration this move targets
@@ -1018,9 +975,11 @@ def _trio_slide(cp: _Frame, b_idx: int, c_idx: int):
     if _angle_between(a, b, c) <= math.pi / 2.0 + 1e-12:
         foot = _foot_on_line(c, a, b)
         if dist(foot, c) > 1e-12 and _in_wedge(cd_dir, ey, unit(sub(foot, c))):
-            return _attempt(cp, lambda dd: _shift_block(verts, b_idx, c_idx + 1,
-                                                        scale(cd_dir, dd)),
-                            0.5 * dist(c, d))
+            def slide_cd(dd):  # the block b..c slides along the target edge
+                return _shift_block(verts, b_idx, c_idx + 1, scale(cd_dir, dd))
+
+            slide_cd.motion = _Motion(b_idx, c_idx + 1, cd_dir)
+            return _attempt(cp, slide_cd, 0.5 * dist(c, d))
         return _attempt(cp, rotate_ab, 0.4 * params.theta, ab_events)
 
     ab_dir = unit(sub(b, a))

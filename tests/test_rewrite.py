@@ -1,13 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from ddgeo import model, rewrite, structure
-from ddgeo.geometry import from_angle, scale
+from ddgeo.geometry import add, from_angle, scale
 from ddgeo.model import (
     Configuration,
     DiscretePath,
+    EdgeClass,
     Params,
     edge_lengths,
     path_length,
@@ -296,11 +298,14 @@ def test_attempt_beats_dense_step_search(monkeypatch):
     # harness's choice: translation families never lengthen the path as the
     # step grows, and a rotation family's one interior minimum is an event
     harness = rewrite._attempt
-    calls = {}  # (builder name, line) -> [(base path, params, builder, d_max, result)]
+    # (builder name, line, caller of its attempt) -> [(base path, params,
+    # builder, d_max, result)]: the caller tells a block slide's rules apart
+    calls = {}
 
     def recording(base, builder, d_max, events=()):
         got = harness(base, builder, d_max, events)
-        key = (builder.__qualname__, builder.__code__.co_firstlineno)
+        key = (builder.__qualname__, builder.__code__.co_firstlineno,
+               sys._getframe(2).f_code.co_name)
         calls.setdefault(key, []).append((base.path, base.params, builder, d_max, got))
         return got
 
@@ -337,9 +342,121 @@ def _harness_inputs():
     return inputs
 
 
+def _hand_built_slide(ctx, rule, loc):
+    """(builder, d_max, events, merge step) of a local slide as the
+    long/short and inflection-endpoint rules built it by hand: one vertex
+    moved along a line and, once a short neighbour edge is consumed, merged
+    into that edge's far end (merge step None when it cannot be)."""
+    j, side = loc
+    verts, lens, ell = ctx.verts, ctx.lens, ctx.params.ell
+    merge_at = absorb = None
+    if rule == "_long_short_attempt":
+        moving = j + 1
+        if side == 0:  # long then short: back along the long edge
+            nb, move, far = j, scale(ctx.dirs[j], -1.0), verts[j + 2]
+        else:          # short then long: into the long edge
+            nb, move, far = j + 1, ctx.dirs[j + 1], verts[j]
+        d_max = lens[nb] - ell
+    else:
+        if side == +1:
+            nb, moving, far, absorb = j + 1, j + 1, verts[j], j + 2
+            move = ctx.dirs[nb]
+        else:
+            nb, moving, far, absorb = j - 1, j, verts[j + 1], j - 1
+            move = scale(ctx.dirs[nb], -1.0)
+        if ctx.classes[nb] is EdgeClass.SHORT:
+            d_max, merge_at = lens[nb], lens[nb] - 20.0 * ctx.params.tol_dedup
+        else:
+            d_max = lens[nb] - ell
+
+    def builder(d):
+        out = list(verts)
+        if merge_at is not None and d >= merge_at:
+            out[moving] = verts[absorb]
+            del out[absorb]
+        else:
+            out[moving] = add(verts[moving], scale(move, d))
+        return out
+
+    events = [d_max] + rewrite._ell_cross_events(verts[moving], move, far, ell)
+    return builder, d_max, events, merge_at
+
+
+def test_local_slides_are_block_slides(monkeypatch):
+    # the long/short and inflection-endpoint slides run as one-vertex block
+    # slides: their builders carry a motion and build the hand-built
+    # slide's vertex lists, with its d_max and in-range events
+    harness = rewrite._attempt
+    recorded = []
+
+    def recording(base, builder, d_max, events=()):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_block_slide_attempt":
+            caller = caller.f_back
+        rule = caller.f_code.co_name
+        if rule in ("_long_short_attempt", "_inflection_rotate_attempt"):
+            recorded.append((rule, caller.f_locals["ctx"], caller.f_locals["loc"],
+                             builder, d_max, list(events)))
+        return harness(base, builder, d_max, events)
+
+    monkeypatch.setattr(rewrite, "_attempt", recording)
+    for params, path in _harness_inputs():
+        shorten(path, params)
+    monkeypatch.undo()
+    seen, merges = set(), 0
+    for rule, ctx, loc, builder, d_max, events in recorded:
+        assert isinstance(getattr(builder, "motion", None), rewrite._Motion), (rule, loc)
+        ref, ref_max, ref_events, merge_at = _hand_built_slide(ctx, rule, loc)
+        assert d_max == ref_max, (rule, loc)
+
+        def in_range(evs):
+            return {d for d in evs if 0.0 < d <= d_max * (1.0 + 1e-12)} | {d_max}
+
+        assert in_range(events) == in_range(ref_events), (rule, loc)
+        steps = {0.0, 0.5 * d_max} | in_range(events)
+        if merge_at is not None:
+            steps.add(merge_at)
+            merges += 1
+        for d in steps:
+            assert builder(d) == ref(d), (rule, loc, d)
+        seen.add((rule, loc[1]))
+    assert merges and seen == {
+        ("_long_short_attempt", 0), ("_long_short_attempt", 1),
+        ("_inflection_rotate_attempt", +1), ("_inflection_rotate_attempt", -1)}
+
+
+# three paths of the fixed shorten corpus (ell = 1, n = 6, 12, 12) whose
+# four-arc runs reach the trio slide's boundary search
+TRIO_INPUTS = [(Params.from_sides(n, 1.0), DiscretePath(Configuration(*u), Configuration(*v),
+                                                        verts))
+               for n, u, v, verts in (
+    (6, ((-1.4679329239316048, -1.3117089800782162), (-0.9997055834430804, 0.02426409760799585)),
+     ((-4.512519408468904, -2.6566246065348413), (0.8591065801164892, -0.5117967213655733)),
+     ((-1.4679329239316048, -1.3117089800782162), (-2.4676385073746854, -1.2874448824702205),
+      (-2.946477974167796, -0.4095424020993711), (-3.732689318489416, 0.20841530038518508),
+      (-4.729103144188685, 0.12380154290245551), (-5.600500120271233, -0.366777003381614),
+      (-5.925761245837965, -1.3124012417527882), (-5.371625988585394, -2.144827885169268),
+      (-4.512519408468904, -2.6566246065348413))),
+    (12, ((1.722146329287861, 0.3513959525221839), (-0.9997086054968207, -0.02413926460359062)),
+     ((-4.303556759060173, -0.840080657002326), (-0.9080673917930507, 0.4188240823569796)),
+     ((1.722146329287861, 0.3513959525221839), (0.9988928576826805, 0.3339320567123979),
+      (0.1451894412423136, -0.18682746241139625), (-0.5800097946045697, -0.8753665450545651),
+      (-1.4653533664967826, -1.3403039168683806), (-2.44132678882101, -1.5581935194581678),
+      (-3.395489367267123, -1.2589047393593056), (-4.303556759060173, -0.840080657002326))),
+    (12, ((0.6908046543271453, 0.21391458241293781), (-0.9129833528556007, 0.4079968105372217)),
+     ((-5.604880420430251, -2.2051697681561726), (-0.6204944740439364, -0.7842108183906537)),
+     ((0.6908046543271453, 0.21391458241293781), (-0.2221786985284554, 0.6219113929501595),
+      (-1.2204002716524576, 0.6815242351055426), (-2.1146919336612005, 0.23403968424189536),
+      (-2.84772800135489, -0.4461500859400537), (-3.6676149058771914, -1.018675599601095),
+      (-4.054916559761075, -1.0520596961385966), (-4.984385946386315, -1.420958949765519),
+      (-5.604880420430251, -2.2051697681561726))),
+)]
+
+
 def _motion_attempts(monkeypatch, inputs):
-    """(base frame, builder, d_max) of every block-slide and AAB-rotation
-    attempt that ``shorten`` makes on the inputs."""
+    """(base frame, builder, d_max) of every attempt with a ``_Motion``
+    (block slides, AAB rotations, trio slides) that ``shorten`` makes on
+    the inputs."""
     harness = rewrite._attempt
     recorded = []
 
@@ -356,10 +473,10 @@ def _motion_attempts(monkeypatch, inputs):
 
 
 def test_turn_cap_step_matches_bisection(monkeypatch):
-    # when a block slide or AAB rotation fails at d_max, its closed-form
-    # boundary step passes its cap probe, and bisection finds no feasible
-    # step above it beyond the float noise of the probed vertices
-    recorded = _motion_attempts(monkeypatch, _harness_inputs())
+    # when a move with a motion fails at d_max, its closed-form boundary
+    # step passes its cap probe, and bisection finds no feasible step above
+    # it beyond the float noise of the probed vertices
+    recorded = _motion_attempts(monkeypatch, _harness_inputs() + TRIO_INPUTS)
 
     def last_accepted(probe, lo, hi):
         while (mid := 0.5 * (lo + hi)) not in (lo, hi):
@@ -390,7 +507,7 @@ def test_turn_cap_step_matches_bisection(monkeypatch):
         # whatever the step's size
         top = last_accepted(lambda d: probe(d, cap), step, hi)
         assert top <= step * (1.0 + 1e-12) + 1e-13 * params.ell, (top, step)
-    assert searches >= 50 and kinds == {"_block_slide_attempt", "_aab_attempt"}
+    assert searches >= 50 and kinds == {"_block_slide_attempt", "_aab_attempt", "_trio_slide"}
 
 
 def test_one_walk_of_the_canonical_path(monkeypatch):
