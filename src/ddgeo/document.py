@@ -21,6 +21,26 @@ class DocumentError(ValueError):
     """Malformed or schema-invalid path document."""
 
 
+def _number(x: Any, name: str) -> float:
+    """x as a float, where it is a finite JSON number: ``json`` reads the
+    booleans as ints and NaN and Infinity as floats, and neither is a
+    number here."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise DocumentError(f"{name} must be a finite number")
+
+
+def _point(x: Any, name: str) -> tuple[float, float]:
+    if not isinstance(x, list) or len(x) != 2:
+        raise DocumentError(f"{name} must be [x, y]")
+    return _number(x[0], f"{name}[0]"), _number(x[1], f"{name}[1]")
+
+
 def params_to_json(params: Params) -> dict:
     return {"n_sides": params.n_sides, "ell": params.ell}
 
@@ -28,17 +48,17 @@ def params_to_json(params: Params) -> dict:
 def params_from_json(obj: Any) -> Params:
     if not isinstance(obj, dict):
         raise DocumentError("params must be an object")
-    ell = obj.get("ell")
-    if not isinstance(ell, (int, float)) or not ell > 0:
-        raise DocumentError("params.ell must be a positive number")
+    ell = _number(obj.get("ell"), "params.ell")
+    if not ell > 0:
+        raise DocumentError("params.ell must be positive")
     if "n_sides" in obj:
         n = obj["n_sides"]
-        if not isinstance(n, int) or n < 4:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 4:
             raise DocumentError("params.n_sides must be an integer >= 4")
-        return Params.from_sides(n, float(ell))
+        return Params.from_sides(n, ell)
     if "theta_degrees" in obj:
-        theta = math.radians(float(obj["theta_degrees"]))
-        return Params(theta=theta, ell=float(ell))
+        theta = math.radians(_number(obj["theta_degrees"], "params.theta_degrees"))
+        return Params(theta=theta, ell=ell)
     raise DocumentError("params needs n_sides or theta_degrees")
 
 
@@ -50,15 +70,9 @@ def _config_to_json(c: Configuration) -> dict:
 def _config_from_json(obj: Any, name: str) -> Configuration:
     if not isinstance(obj, dict):
         raise DocumentError(f"{name} must be an object")
-    pt = obj.get("point")
-    if (not isinstance(pt, list) or len(pt) != 2
-            or not all(isinstance(x, (int, float)) for x in pt)):
-        raise DocumentError(f"{name}.point must be [x, y]")
-    deg = obj.get("heading_degrees")
-    if not isinstance(deg, (int, float)):
-        raise DocumentError(f"{name}.heading_degrees must be a number")
-    return Configuration((float(pt[0]), float(pt[1])),
-                         from_angle(math.radians(float(deg))))
+    pt = _point(obj.get("point"), f"{name}.point")
+    deg = _number(obj.get("heading_degrees"), f"{name}.heading_degrees")
+    return Configuration(pt, from_angle(math.radians(deg)))
 
 
 def structure_to_json(st: PathStructure) -> dict:
@@ -110,12 +124,7 @@ def path_from_json(doc: Any) -> tuple[DiscretePath, Params]:
     verts = doc.get("vertices")
     if not isinstance(verts, list) or not verts:
         raise DocumentError("vertices must be a non-empty list")
-    pts = []
-    for i, v in enumerate(verts):
-        if (not isinstance(v, list) or len(v) != 2
-                or not all(isinstance(x, (int, float)) for x in v)):
-            raise DocumentError(f"vertices[{i}] must be [x, y]")
-        pts.append((float(v[0]), float(v[1])))
+    pts = [_point(v, f"vertices[{i}]") for i, v in enumerate(verts)]
     # anchor the boundary configurations on the actual vertices
     start = Configuration(pts[0], start.heading)
     end = Configuration(pts[-1], end.heading)

@@ -23,9 +23,7 @@ point has a tangent-style construction (``_aba_rows``, ``_ab_rows``).  The
 words A, AA and AAA share one exact solver (``_solve_arcs``): the chord
 directions fix every turn, so a row is feasible iff its chords close
 position with every turn within theta, and the one-parameter AAA family is
-searched where one of its angles is at a bound or turns back.  One
-enumerator (``_word_rows``) builds the rows of every word and every
-partial-arc shape from the heading band.
+searched where one of its angles is at a bound or turns back.
 
 ``_PARTIAL_SHAPES`` holds every other word over at most three arcs with one
 or two F edges.  Their F lengths solve position closure linearly, and their
@@ -36,15 +34,23 @@ edges, for the turns that close position with one).  Joints strictly inside
 their bounds beyond these are not searched.  F lengths that would leave a
 bridge where no true type has one are left out (``_f_caps``), and so are
 words over four or more arcs, whose types all carry the forbidden factor
-AAAA.  All rows are pruned by the incumbent length: the arcs' edges plus a
-lower bound on the length the other edges must cover (what the chords
-leave of |UV|, or for the partial-arc shapes the finer ``_chord_gap``).
+AAAA.
 
-The partial-arc solve (``_solve_partial``) takes every row of a shape
-whose floor the incumbent leaves live in one pass, against the joint
-patterns of ``_joint_patterns``; the pass works through the rows in chunks
-of at most ``_PAIR_BUDGET`` row-pattern pairs, which bounds its memory, and
-finishes the feasible candidates of all chunks together.  Patterns that fix
+Every word, true type or partial-arc shape, takes one pipeline.  One
+enumerator (``_word_rows``) builds its rows from the heading band; rows are
+pruned by the incumbent length against a floor, the arcs' edges plus a
+lower bound on the length the other edges must cover (what the chords
+leave of |UV|, or for the partial-arc shapes the finer ``_chord_gap``);
+the word's row solver gives each live row its length, and ``plan``'s
+``push_rows`` finishes the rows shortest first.  Only the floor depends on
+the word's family.
+
+The partial-arc row solver (``_solve_partial``) takes every live row of a
+shape in one pass against the joint patterns of ``_joint_patterns``, in
+chunks of at most ``_PAIR_BUDGET`` row-pattern pairs, which bounds its
+memory.  A row's length is that of its shortest closed-form realization
+within the incumbent (inf where there is none), and the row is built from
+its own direct closure at that realization's joint turns.  Patterns that fix
 both joints of a partial end edge at one turn bound can never close and are
 dropped once per shape and theta; the heading test runs once per pattern
 sum.  At the family parameter t = 0 every token direction is a lead angle
@@ -128,12 +134,14 @@ class CandidateDiag:
 
     * ``solved``: its path validated; ``length`` is the path's length and
       ``residual`` how far the built endpoint missed V before snapping;
-    * ``failed``: its shortest realization did not validate;
-    * ``infeasible``: no realization keeps every turn within theta (for a
-      partial-arc shape, no live row gave a feasible path; one diag with
-      empty orientations and counts stands for the shape);
+    * ``failed``: its shortest realization did not validate; ``length`` is
+      that realization's length;
     * ``pruned``: its exact length exceeds the incumbent, so it was not
       built.
+
+    Only rows with a realization are listed: a row whose turns cannot all
+    stay within theta, or a partial-arc row with no realization within the
+    incumbent, gets no entry.
     """
 
     word: str                # true-type word or a partial-arc shape over {A, F}
@@ -159,20 +167,6 @@ def _chord(params: Params, k):
     """Distance between the two endpoints of an arc of k ell-edges (k may be
     an array of counts)."""
     return params.ell * np.sin(k * params.theta / 2.0) / math.sin(params.theta / 2.0)
-
-
-def _arc_points(p: Point2, psi1: float, sigma: int, k: int,
-                params: Params) -> list[Point2]:
-    """The k successive vertices of an arc starting at p with first edge
-    direction psi1 (start point not included)."""
-    pts = []
-    x, y = p
-    for j in range(k):
-        a = psi1 + j * sigma * params.theta
-        x += params.ell * math.cos(a)
-        y += params.ell * math.sin(a)
-        pts.append((x, y))
-    return pts
 
 
 def _norm_arr(a):
@@ -245,12 +239,20 @@ class _Instance:
 
 
 def _build_elements(inst: _Instance, elements) -> list[Point2]:
-    """elements: ('arc', sigma, k, psi1) or ('bridge', s, psi)."""
+    """Vertices from U along elements ('arc', sigma, k, psi1), k ell-edges
+    from first edge direction psi1 turning by sigma theta at each vertex, or
+    ('bridge', s, psi)."""
+    ell, th = inst.params.ell, inst.params.theta
     verts = [inst.U.point]
     for el in elements:
         if el[0] == "arc":
             _, sigma, k, psi1 = el
-            verts.extend(_arc_points(verts[-1], psi1, sigma, k, inst.params))
+            x, y = verts[-1]
+            for j in range(k):
+                a = psi1 + j * sigma * th
+                x += ell * math.cos(a)
+                y += ell * math.sin(a)
+                verts.append((x, y))
         else:
             _, s, psi = el
             if s > 0.0:
@@ -985,49 +987,39 @@ def _partial_candidates(inst: _Instance, shape: str, sigma_rows, ks_rows,
     return tup[rows[ok]], joints[ok], total[ok]
 
 
-def _solve_partial(inst: _Instance, shape: str, sigmas, ks, patterns: _Patterns,
-                   length_cap: float):
-    """Shortest feasible closed-form realization of a partial-arc shape over
-    rows of arc orientations and edge counts, if one is no longer than
-    ``length_cap``: (sigmas, ks, path, endpoint miss before snapping), or
-    None.
+def _solve_partial(inst: _Instance, shape: str, sigmas, ks, length_cap: float):
+    """Row solver of a partial-arc shape: per row of arc orientations and
+    edge counts, the length of its shortest feasible closed-form realization
+    no longer than ``length_cap`` (inf where there is none), and a function
+    building a row's vertices, as for the words of ``_ROW_SOLVERS``.
 
     ``_partial_candidates`` takes the rows in chunks of at most
-    ``_PAIR_BUDGET`` row-pattern pairs, which bounds the memory of the pass,
-    and the candidates of all chunks are finished together, shortest first
-    and ties by row, so the answer does not depend on the chunk size.
+    ``_PAIR_BUDGET`` row-pattern pairs, which bounds the memory of the pass;
+    a row's candidates all come from its own chunk, so the answer does not
+    depend on the chunk size.  A row keeps its first shortest candidate and
+    is built from its own direct closure at that candidate's joint turns.
     """
-    if not len(ks):
-        return None
+    patterns = _joint_patterns(shape, inst.params.theta)
     step = max(1, _PAIR_BUDGET // len(patterns.vals))
-    rows, joints, total = [], [], []
+    lengths, joints = np.full(len(ks), math.inf), np.zeros((len(ks), len(shape) + 1))
     for c0 in range(0, len(ks), step):
-        at, j, t = _partial_candidates(inst, shape, sigmas[c0:c0 + step], ks[c0:c0 + step],
-                                       patterns, length_cap)
-        rows.append(at + c0)
-        joints.append(j)
-        total.append(t)
-    rows, joints, total = map(np.concatenate, (rows, joints, total))
-    for i in np.lexsort((rows, total)).tolist():
-        # the row is built from its own direct closure
-        row_s, row_k, one = sigmas[rows[i]:rows[i] + 1], ks[rows[i]:rows[i] + 1], joints[i:i + 1]
+        at, j, total = _partial_candidates(inst, shape, sigmas[c0:c0 + step],
+                                           ks[c0:c0 + step], patterns, length_cap)
+        order = np.lexsort((total, at))
+        rows, first = np.unique(at[order], return_index=True)
+        lengths[rows + c0], joints[rows + c0] = total[order[first]], j[order[first]]
+
+    def build(r: int) -> list[Point2]:
+        row_s, row_k, one = sigmas[r:r + 1], ks[r:r + 1], joints[r:r + 1]
         psi, e, rest, f_cols = _closure_terms(inst, shape, row_s, row_k, one)
-        lengths = (float(ln[0]) for ln in
-                   _partial_closure(inst, shape, row_k, one, e, rest, f_cols)[0])
+        f_lens = (float(ln[0]) for ln in
+                  _partial_closure(inst, shape, row_k, one, e, rest, f_cols)[0])
         arcs = zip(row_s[0].tolist(), row_k[0].tolist())
-        elements = []
-        for t, letter in enumerate(shape):
-            if letter == "A":
-                s, k = next(arcs)
-                elements.append(("arc", s, k, float(psi[0, t])))
-            else:
-                elements.append(("bridge", next(lengths), float(psi[0, t])))
-        verts = _build_elements(inst, elements)
-        path = inst.finish(verts)
-        if path is not None:
-            return (tuple(row_s[0].tolist()), tuple(row_k[0].tolist()), path,
-                    dist(verts[-1], inst.V.point))
-    return None
+        return _build_elements(inst, [
+            ("arc", *next(arcs), float(psi[0, t])) if letter == "A"
+            else ("bridge", next(f_lens), float(psi[0, t])) for t, letter in enumerate(shape)])
+
+    return lengths, build
 
 
 # ---------------------------------------------------------------------------
@@ -1138,6 +1130,11 @@ def plan(U: Configuration, V: Configuration, params: Params) -> PlanResult:
     lexicographically.  A winner outside the typing domain or with a
     forbidden factor (the guided enumeration can leave one) is polished with
     the rewriter.  The result always validates and carries a true type.
+
+    Every word goes through one loop body: its rows, a length floor that
+    prunes them against the incumbent, and ``push_rows``, the only place
+    rows are finished.  ``diagnostics`` lists the rows that had a
+    realization, solved, failed or pruned (``CandidateDiag``).
     """
     inst = _Instance(U, V, params)
     th, ell, tol_len = params.theta, params.ell, params.tol_len
@@ -1150,43 +1147,45 @@ def plan(U: Configuration, V: Configuration, params: Params) -> PlanResult:
     found: list[tuple[float, DiscretePath, str]] = []
     incumbent = math.inf
 
-    def record(word, sigmas, ks, path, miss):
-        nonlocal incumbent
-        real = path_length(path)
-        found.append((real, path, word))
-        diags.append(CandidateDiag(word, sigmas, ks, "solved", real, miss))
-        incumbent = min(incumbent, real)
-
     def push_rows(word, sigmas, ks):
-        """Solve rows of one word at once, then finish them shortest first
-        until one validates and every row tied with the incumbent is
-        finished."""
+        """Solve rows of one word at once with its row solver (for a
+        partial-arc shape, within the incumbent), then finish them shortest
+        first until one validates and every row tied with the incumbent is
+        finished.  Rows longer than the incumbent are listed as pruned; the
+        loop stops at the first row without a realization (inf length), and
+        no such row is listed."""
+        nonlocal incumbent
         if not len(ks):
             return
-        lengths, build = _ROW_SOLVERS[word](inst, sigmas, ks)
+        lengths, build = (_ROW_SOLVERS[word](inst, sigmas, ks) if word in _ROW_SOLVERS
+                          else _solve_partial(inst, word, sigmas, ks, incumbent + tol_len))
         for r in np.argsort(lengths, kind="stable").tolist():
-            row = (word, tuple(sigmas[r].tolist()), tuple(ks[r].tolist()))
             length = float(lengths[r])
             if length == math.inf:
-                diags.append(CandidateDiag(*row, "infeasible"))
-            elif length > incumbent + 1e-9 * max(1.0, incumbent):
+                break
+            row = (word, tuple(sigmas[r].tolist()), tuple(ks[r].tolist()))
+            if length > incumbent + 1e-9 * max(1.0, incumbent):
                 diags.append(CandidateDiag(*row, "pruned", length))
-            else:
-                verts = build(r)
-                path = inst.finish(verts)
-                if path is None:
-                    diags.append(CandidateDiag(*row, "failed", length))
-                else:
-                    record(*row, path, dist(verts[-1], V.point))
+                continue
+            verts = build(r)
+            path = inst.finish(verts)
+            if path is None:
+                diags.append(CandidateDiag(*row, "failed", length))
+                continue
+            real = path_length(path)
+            found.append((real, path, word))
+            diags.append(CandidateDiag(*row, "solved", real, dist(verts[-1], V.point)))
+            incumbent = min(incumbent, real)
 
     seed = _dubins_seed(inst)
     if seed is not None:
         incumbent = path_length(seed)
 
     # Every word's rows come from the heading band, pruned by the length
-    # floor: the arcs' edges plus what their chords leave of the
-    # displacement for the other edges, which must reach V (a bridge
-    # reaches anywhere, F edges as far as ``_f_caps``).
+    # floor: the arcs' edges plus a lower bound on what the other edges must
+    # cover, which must reach V (a bridge reaches anywhere, F edges as far as
+    # ``_f_caps``).  The bound is what the chords leave of the displacement,
+    # or for the partial-arc shapes the finer ``_chord_gap``.
     for word in itertools.chain(_ROW_SOLVERS, _PARTIAL_SHAPES):
         n_arcs = word.count("A")
         reach = math.inf if "B" in word else sum(_f_caps(word, ell))
@@ -1197,22 +1196,10 @@ def plan(U: Configuration, V: Configuration, params: Params) -> PlanResult:
         chords = _chord(params, ks).sum(axis=1)
         near = inst.d <= chords + reach + tol_len
         sigmas, ks, chords = sigmas[near], ks[near], chords[near]
-        if word in _ROW_SOLVERS:
-            floors = ks.sum(axis=1) * ell + np.maximum(0.0, inst.d - chords)
-            live = floors <= incumbent + tol_len
-            push_rows(word, sigmas[live], ks[live])
-            continue
-        # partial-arc shapes: a finer floor, then one solve over the live rows
-        gap = _chord_gap(inst, word, sigmas, ks)
+        gap = (np.maximum(0.0, inst.d - chords) if word in _ROW_SOLVERS
+               else _chord_gap(inst, word, sigmas, ks))
         live = (gap <= reach + tol_len) & (ks.sum(axis=1) * ell + gap <= incumbent + tol_len)
-        if not live.any():
-            continue
-        got = _solve_partial(inst, word, sigmas[live], ks[live], _joint_patterns(word, th),
-                             incumbent + tol_len)
-        if got is None:
-            diags.append(CandidateDiag(word, (), (), "infeasible"))
-        else:
-            record(word, *got)
+        push_rows(word, sigmas[live], ks[live])
 
     if not found:
         raise PlannerError("no candidate solved; this instance needs investigation")
@@ -1260,24 +1247,20 @@ def forward_construct(spec: CandidateSpec, U: Configuration, V: Configuration,
         raise ValueError("forward_construct needs explicit joint turns")
     psi = angle_of(U.heading)
     phis = list(spec.phis)
-    verts = [U.point]
-    arc_i = 0
+    elements = []
+    arcs = zip(spec.orientations, spec.ks)
     for letter in spec.word:
-        phi = phis.pop(0)
-        psi += phi
+        psi += phis.pop(0)
         if letter == "A":
-            sigma = spec.orientations[arc_i]
-            k = spec.ks[arc_i]
-            arc_i += 1
-            verts.extend(_arc_points(verts[-1], psi, sigma, k, params))
+            sigma, k = next(arcs)
+            elements.append(("arc", sigma, k, psi))
             psi += max(0, k - 1) * sigma * params.theta
         elif letter == "B":
-            s = spec.s if spec.s is not None else 0.0
-            if s > 0.0:
-                verts.append(add(verts[-1], scale(from_angle(psi), s)))
+            elements.append(("bridge", spec.s if spec.s is not None else 0.0, psi))
         else:
             raise ValueError(f"unknown letter {letter!r} in word {spec.word!r}")
     psi += phis.pop(0)
+    verts = _build_elements(_Instance(U, V, params), elements)
     end = Configuration(verts[-1], from_angle(psi))
     path = DiscretePath(Configuration(U.point, U.heading), end, tuple(verts))
     res = (verts[-1][0] - V.point[0], verts[-1][1] - V.point[1],

@@ -584,14 +584,10 @@ def _long_long_attempt(ctx: _Ctx, loc):
         c2 = add(verts[j + 1], scale(ctx.dirs[j + 1], d))
         return verts[:j + 1] + [a2, c2] + verts[j + 2:]
 
-    # the connector a2-c2 has length 2 d cos(turn/2); landing it exactly on
-    # ell keeps the decomposition clean
-    events = []
-    half = abs(ctx.turns[j + 1]) / 2.0
-    if math.cos(half) > 1e-9:
-        events.append(params.ell / (2.0 * math.cos(half)))
-    events += [ctx.lens[j] - params.ell, ctx.lens[j + 1] - params.ell]
-    return _attempt(ctx.frame, builder, d_max, events)
+    # no event lies below d_max: the connector a2-c2 reaches ell at
+    # d = ell / (2 cos(turn/2)) >= ell / 2, and each edge reaches ell at its
+    # own lens - ell >= d_max
+    return _attempt(ctx.frame, builder, d_max)
 
 
 def _long_short_sites(ctx: _Ctx):

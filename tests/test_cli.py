@@ -56,11 +56,27 @@ def test_malformed_json_exit_two(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
-def test_schema_error_exit_two(tmp_path):
+def test_schema_error_exit_two(tmp_path, capsys):
     fn = str(tmp_path / "schema.json")
     with open(fn, "w") as fh:
         json.dump({"version": 1, "params": {"ell": 1.0}}, fh)
     assert run(["validate", fn]) == 2
+    # JSON booleans and the NaN and Infinity that json reads are no numbers:
+    # one line naming the field
+    good = doc.path_to_json(build_path([0.0, 0.0], [2.0]), P8)
+    for field, edit in [("params.ell", lambda d: d["params"].update(ell=True)),
+                        ("start.heading_degrees",
+                         lambda d: d["start"].update(heading_degrees=math.inf)),
+                        ("vertices[1][0]", lambda d: d["vertices"][1].__setitem__(0, math.nan)),
+                        ("end.point[1]", lambda d: d["end"]["point"].__setitem__(1, False))]:
+        bad = json.loads(json.dumps(good))
+        edit(bad)
+        with open(fn, "w") as fh:
+            json.dump(bad, fh)  # writes NaN and Infinity as json reads them
+        capsys.readouterr()
+        assert run(["validate", fn]) == 2, field
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err, (field, err)
 
 
 def test_classify_ngon_type_a(tmp_path, capsys):

@@ -324,6 +324,26 @@ def test_plan_never_calls_the_rewriter(monkeypatch):
         assert all(d.word != "(seed)" for d in res.diagnostics)
 
 
+def test_diagnostics_list_only_rows_with_a_realization():
+    # every word goes through push_rows: each listed row was solved, failed
+    # or pruned at a length, and a partial-arc row names its orientations
+    # and edge counts like any other row
+    params = Params.from_sides(8, 2.0 * math.sin(math.pi / 8))
+    near = [(Configuration.at_angle(u[:2], u[2]), Configuration.at_angle(v[:2], v[2]))
+            for u, v in [((0.0, 0.0, 0.0), (1.0, 0.5, 2.0)),
+                         ((0.0, 0.0, 0.0), (2.0, -1.0, -1.5))]]
+    partial = 0
+    for U, V in [U_TURN, LOOP, ANTIPARALLEL] + near:
+        for d in plan(U, V, params).diagnostics:
+            assert d.status in ("solved", "failed", "pruned"), d
+            assert d.length is not None and math.isfinite(d.length), d
+            if d.word in _PARTIAL_SHAPES:
+                partial += 1
+                assert len(d.orientations) == len(d.ks) == d.word.count("A"), d
+                assert set(d.orientations) <= {-1, 1} and min(d.ks) >= 1, d
+    assert partial > 0
+
+
 @pytest.mark.parametrize("U, V, word, length", [
     (((0.0, 0.0), (-0.9974445105941095, 0.07144542172649895)),
      ((0.4426216736103688, -0.18348011329187336), (-0.4925415199513043, 0.8702889469159417)),
@@ -1024,7 +1044,6 @@ def test_partial_solve_matches_reference(n):
     rng = np.random.default_rng(90 + n)
     solved = capped = 0
     for shape in _PARTIAL_SHAPES:
-        patterns = _joint_patterns(shape, th)
         for trial in range(6):
             d = float(rng.uniform(0.0, 7.0)) * params.circumradius
             bearing, h_u, h_v = rng.uniform(0.0, 2.0 * math.pi, 3)
@@ -1049,13 +1068,17 @@ def test_partial_solve_matches_reference(n):
             batch = sigmas[np.sort(pick)], ks[np.sort(pick)]
 
             def same(cap):
+                # the first row that plan's shortest-first loop finishes
                 want = _ref_solve_partial(inst, shape, *batch, cap)
-                got = _solve_partial(inst, shape, *batch, patterns, cap)
+                lengths, build = _solve_partial(inst, shape, *batch, cap)
+                got = next((path for r in np.argsort(lengths, kind="stable").tolist()
+                            if lengths[r] < math.inf
+                            and (path := inst.finish(build(r))) is not None), None)
                 assert (got is None) == (want is None), (shape, n, trial, cap)
                 if want is None:
                     return None
-                assert path_length(got[2]) == pytest.approx(path_length(want[2]), rel=1e-9)
-                assert validate(got[2], params) == []
+                assert path_length(got) == pytest.approx(path_length(want[2]), rel=1e-9)
+                assert validate(got, params) == []
                 return path_length(want[2])
 
             best = same(math.inf)
