@@ -379,16 +379,10 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InternalInconsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # InternalInconsistencyError among them
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

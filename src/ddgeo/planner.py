@@ -43,14 +43,15 @@ lower bound on the length the other edges must cover (what the chords
 leave of |UV|, or for the partial-arc shapes the finer ``_chord_gap``);
 the word's row solver gives each live row its length, and ``plan``'s
 ``push_rows`` finishes the rows shortest first.  Only the floor depends on
-the word's family.
+the word's family.  A finished row is measured once (``_Instance.finish``):
+that frame gives its length and, in the tie-break, its type.
 
 The partial-arc row solver (``_solve_partial``) takes every live row of a
 shape in one pass against the joint patterns of ``_joint_patterns``, in
 chunks of at most ``_PAIR_BUDGET`` row-pattern pairs, which bounds its
 memory.  A row's length is that of its shortest closed-form realization
-within the incumbent (inf where there is none), and the row is built from
-its own direct closure at that realization's joint turns.  Patterns that fix
+within the incumbent (inf where there is none), and the row is laid out
+from that realization's joint turns and F lengths.  Patterns that fix
 both joints of a partial end edge at one turn bound can never close and are
 dropped once per shape and theta; the heading test runs once per pattern
 sum.  At the family parameter t = 0 every token direction is a lead angle
@@ -103,7 +104,7 @@ from .model import (
     validate,
 )
 from .rewrite import shorten
-from .structure import is_true_type, type_or_none
+from .structure import _Frame, _measured, _typed, is_true_type, type_or_none
 from . import smooth as _smooth
 
 log = logging.getLogger("ddgeo.planner")
@@ -132,8 +133,8 @@ class CandidateSpec:
 class CandidateDiag:
     """One candidate row ``plan`` considered, with its outcome ``status``:
 
-    * ``solved``: its path validated; ``length`` is the path's length and
-      ``residual`` how far the built endpoint missed V before snapping;
+    * ``solved``: its path validated; ``length`` is the path's length, from
+      the one ``measure`` pass that validated it;
     * ``failed``: its shortest realization did not validate; ``length`` is
       that realization's length;
     * ``pruned``: its exact length exceeds the incumbent, so it was not
@@ -149,7 +150,6 @@ class CandidateDiag:
     ks: tuple[int, ...]
     status: str
     length: float | None = None
-    residual: float | None = None
 
 
 @dataclass
@@ -215,8 +215,9 @@ class _Instance:
         except (ValueError, RuntimeError):
             return None
 
-    def finish(self, vertices: list[Point2]) -> DiscretePath | None:
-        """Snap the built endpoint onto V, dedup, and validate."""
+    def finish(self, vertices: list[Point2]) -> _Frame | None:
+        """Snap the built endpoint onto V, dedup, and measure: the frame of
+        the path's one ``measure`` pass, or None where it is infeasible."""
         if dist(vertices[-1], self.V.point) > self.snap_tol:
             return None
         verts = [self.U.point]
@@ -227,15 +228,9 @@ class _Instance:
         if len(verts) >= 2 and dist(verts[-2], verts[-1]) <= 10.0 * self.params.tol_dedup:
             del verts[-2]
         try:
-            path = DiscretePath(self.U, self.V, tuple(verts))
+            return _measured(DiscretePath(self.U, self.V, tuple(verts)), self.params)
         except ValueError:
             return None
-        try:
-            if validate(path, self.params):
-                return None
-        except ValueError:
-            return None
-        return path
 
 
 def _build_elements(inst: _Instance, elements) -> list[Point2]:
@@ -704,32 +699,6 @@ def _leads(inst: _Instance, shape: str, sigmas, ks):
         [inst.psi_u + lead, inst.psi_v + lead - sweep.sum(axis=1, keepdims=True)], axis=1))
 
 
-def _closure_terms(inst: _Instance, shape: str, sigmas, ks, joints):
-    """Closure pieces of partial-arc candidates, one per row of arc
-    orientations, edge counts and joint turns.
-
-    Returns the element entry directions, the unit vectors of the F edges
-    and the displacement r the F edges must cover (w minus the arc chords),
-    both as complex numbers, and the F token columns.
-    """
-    params = inst.params
-    th = params.theta
-    psi = inst.psi_u + np.cumsum(joints[:, :-1], axis=1)
-    r = np.full(len(joints), complex(*inst.w))
-    f_cols = []
-    arc_i = 0
-    for t, letter in enumerate(shape):
-        if letter == "F":
-            f_cols.append(t)
-            continue
-        k, sweep = ks[:, arc_i], (ks[:, arc_i] - 1) * sigmas[:, arc_i] * th
-        arc_i += 1
-        r -= _chord(params, k) * np.exp(1j * (psi[:, t] + sweep / 2.0))
-        psi[:, t + 1:] += sweep[:, None]
-    f_dirs = [np.exp(1j * psi[:, t]) for t in f_cols]
-    return psi, f_dirs, r, f_cols
-
-
 def _f_caps(shape: str, ell: float) -> list[float]:
     """Exclusive upper bounds on the F lengths of a partial-arc shape for a
     true type.
@@ -803,8 +772,7 @@ def _family_coeffs(f_dirs, r_out, r_in, rotating):
     cross product of a fixed and a rotating vector is a degree-one
     trigonometric polynomial in t (and one of two rotating vectors is
     constant).  With conj(u) v = dot(u, v) + i cross(u, v), cross(u, R(t) v)
-    = cross(u, v) cos t + dot(u, v) sin t.  ``_closure_terms`` with that
-    block flagged ``inside`` gives the vectors at t = 0.
+    = cross(u, v) cos t + dot(u, v) sin t.
     """
     out = []
     for e, m in zip(f_dirs, rotating):
@@ -906,7 +874,8 @@ def _partial_candidates(inst: _Instance, shape: str, sigma_rows, ks_rows,
                         patterns: _Patterns, length_cap: float):
     """Feasible closed-form realizations of a partial-arc shape over rows of
     arc orientations and edge counts that are no longer than ``length_cap``:
-    per realization, the index of its row, its joint turns and its length.
+    per realization, the index of its row, its joint turns, its F lengths
+    (realizations x F edges) and its length.
 
     Along a two-joint family the cross products of ``_family_coeffs`` are
     c0 + c1 cos t + c2 sin t.  With two F edges the F length sum is
@@ -982,9 +951,9 @@ def _partial_candidates(inst: _Instance, shape: str, sigma_rows, ks_rows,
     r = r_out[rows] - spin * r_in[rows]
     dirs = [np.where(m, spin * e[rows], e[rows])
             for e, m in zip(f_dirs, patterns.f_inside[solved].T)]
-    _, total, ok = _partial_closure(inst, shape, ks_rows[tup[rows]], joints, dirs, r, f_cols)
+    lens, total, ok = _partial_closure(inst, shape, ks_rows[tup[rows]], joints, dirs, r, f_cols)
     ok = np.flatnonzero(ok & (total <= length_cap))
-    return tup[rows[ok]], joints[ok], total[ok]
+    return tup[rows[ok]], joints[ok], np.column_stack(lens)[ok], total[ok]
 
 
 def _solve_partial(inst: _Instance, shape: str, sigmas, ks, length_cap: float):
@@ -996,28 +965,36 @@ def _solve_partial(inst: _Instance, shape: str, sigmas, ks, length_cap: float):
     ``_partial_candidates`` takes the rows in chunks of at most
     ``_PAIR_BUDGET`` row-pattern pairs, which bounds the memory of the pass;
     a row's candidates all come from its own chunk, so the answer does not
-    depend on the chunk size.  A row keeps its first shortest candidate and
-    is built from its own direct closure at that candidate's joint turns.
+    depend on the chunk size.  A row keeps its first shortest candidate: its
+    joint turns and the F lengths that ranked it lay the row out.
     """
-    patterns = _joint_patterns(shape, inst.params.theta)
+    th = inst.params.theta
+    patterns = _joint_patterns(shape, th)
     step = max(1, _PAIR_BUDGET // len(patterns.vals))
     lengths, joints = np.full(len(ks), math.inf), np.zeros((len(ks), len(shape) + 1))
+    f_lens = np.zeros((len(ks), shape.count("F")))
     for c0 in range(0, len(ks), step):
-        at, j, total = _partial_candidates(inst, shape, sigmas[c0:c0 + step],
-                                           ks[c0:c0 + step], patterns, length_cap)
+        at, j, f, total = _partial_candidates(inst, shape, sigmas[c0:c0 + step],
+                                              ks[c0:c0 + step], patterns, length_cap)
         order = np.lexsort((total, at))
         rows, first = np.unique(at[order], return_index=True)
-        lengths[rows + c0], joints[rows + c0] = total[order[first]], j[order[first]]
+        pick = order[first]
+        lengths[rows + c0], joints[rows + c0], f_lens[rows + c0] = total[pick], j[pick], f[pick]
 
     def build(r: int) -> list[Point2]:
-        row_s, row_k, one = sigmas[r:r + 1], ks[r:r + 1], joints[r:r + 1]
-        psi, e, rest, f_cols = _closure_terms(inst, shape, row_s, row_k, one)
-        f_lens = (float(ln[0]) for ln in
-                  _partial_closure(inst, shape, row_k, one, e, rest, f_cols)[0])
-        arcs = zip(row_s[0].tolist(), row_k[0].tolist())
-        return _build_elements(inst, [
-            ("arc", *next(arcs), float(psi[0, t])) if letter == "A"
-            else ("bridge", next(f_lens), float(psi[0, t])) for t, letter in enumerate(shape)])
+        # each token's entry direction: psi_u, the joints up to it and the
+        # sweeps of the arcs before it
+        psi = inst.psi_u + np.cumsum(joints[r, :-1])
+        arcs, f_len = zip(sigmas[r].tolist(), ks[r].tolist()), iter(f_lens[r].tolist())
+        elements = []
+        for t, letter in enumerate(shape):
+            if letter == "F":
+                elements.append(("bridge", next(f_len), float(psi[t])))
+                continue
+            sigma, k = next(arcs)
+            elements.append(("arc", sigma, k, float(psi[t])))
+            psi[t + 1:] += (k - 1) * sigma * th
+        return _build_elements(inst, elements)
 
     return lengths, build
 
@@ -1088,12 +1065,13 @@ def _guided_range(guess, theta: float, k_cap: int) -> list[int]:
     return sorted(ks)
 
 
-def _dubins_seed(inst: _Instance) -> DiscretePath | None:
-    """Scaled discretization of the smooth Dubins curve, each straight kept
-    as one edge; always feasible (chords over arclength steps theta keep
-    every constraint, and dropping a vertex between two collinear edges
-    changes no turn), so it both seeds the incumbent and guarantees the
-    planned length never exceeds the discretized smooth length."""
+def _dubins_seed(inst: _Instance) -> _Frame | None:
+    """Frame of the scaled discretization of the smooth Dubins curve, each
+    straight kept as one edge; always feasible (chords over arclength steps
+    theta keep every constraint, and dropping a vertex between two collinear
+    edges changes no turn), so its length both seeds the incumbent and
+    guarantees the planned length never exceeds the discretized smooth
+    length."""
     gamma, params = inst.dubins, inst.params
     if gamma is None or gamma.length <= params.theta * (1.0 + 1e-9):
         return None
@@ -1103,10 +1081,10 @@ def _dubins_seed(inst: _Instance) -> DiscretePath | None:
         return None
     verts = [scale(p, params.circumradius) for p, _ in samples]
     verts[-1] = inst.V.point
-    path = inst.finish(verts)
-    if path is None:
+    frame = inst.finish(verts)
+    if frame is None:
         log.warning("dubins discretization seed failed validation; skipped")
-    return path
+    return frame
 
 
 def _smooth_guess(inst: _Instance):
@@ -1144,7 +1122,7 @@ def plan(U: Configuration, V: Configuration, params: Params) -> PlanResult:
               else list(range(1, k_cap + 1)))
     dpsi = normalize_angle(inst.psi_v - inst.psi_u)
     diags: list[CandidateDiag] = []
-    found: list[tuple[float, DiscretePath, str]] = []
+    found: list[_Frame] = []
     incumbent = math.inf
 
     def push_rows(word, sigmas, ks):
@@ -1167,19 +1145,17 @@ def plan(U: Configuration, V: Configuration, params: Params) -> PlanResult:
             if length > incumbent + 1e-9 * max(1.0, incumbent):
                 diags.append(CandidateDiag(*row, "pruned", length))
                 continue
-            verts = build(r)
-            path = inst.finish(verts)
-            if path is None:
+            frame = inst.finish(build(r))
+            if frame is None:
                 diags.append(CandidateDiag(*row, "failed", length))
                 continue
-            real = path_length(path)
-            found.append((real, path, word))
-            diags.append(CandidateDiag(*row, "solved", real, dist(verts[-1], V.point)))
-            incumbent = min(incumbent, real)
+            found.append(frame)
+            diags.append(CandidateDiag(*row, "solved", frame.total))
+            incumbent = min(incumbent, frame.total)
 
     seed = _dubins_seed(inst)
     if seed is not None:
-        incumbent = path_length(seed)
+        incumbent = seed.total
 
     # Every word's rows come from the heading band, pruned by the length
     # floor: the arcs' edges plus a lower bound on what the other edges must
@@ -1204,29 +1180,30 @@ def plan(U: Configuration, V: Configuration, params: Params) -> PlanResult:
     if not found:
         raise PlannerError("no candidate solved; this instance needs investigation")
 
-    found.sort(key=lambda t: t[0])
-    best_len = found[0][0]
+    found.sort(key=lambda frame: frame.total)
+    best_len = found[0].total
     tol = 1e-9 * max(1.0, best_len)
-    # untypeable candidates type as None and sort after typed ties
-    tied = [(length, path, type_or_none(path, params))
-            for length, path, _ in found if length <= best_len + tol]
 
-    def tie_key(entry):
-        _, path, word = entry
-        return (word is None, len(word or ""), word or "", len(path.vertices))
+    def typed(frame):  # untypeable candidates type as None
+        st = _typed(frame)
+        return frame, None if st is None else st.type_word
 
-    rest = ((length, path, type_or_none(path, params))
-            for length, path, _ in found if length > best_len + tol)
-    for length, path, word in itertools.chain(sorted(tied, key=tie_key), rest):
+    def tie_key(entry):  # None sorts after typed ties
+        frame, word = entry
+        return (word is None, len(word or ""), word or "", len(frame.path.vertices))
+
+    tied = sorted((typed(f) for f in found if f.total <= best_len + tol), key=tie_key)
+    rest = (typed(f) for f in found if f.total > best_len + tol)
+    for frame, word in itertools.chain(tied, rest):
         if _is_true(word):
-            return PlanResult(best=path, type_word=word, length=length,
+            return PlanResult(best=frame.path, type_word=word, length=frame.total,
                               diagnostics=diags)
         # no true type: the enumeration missed the optimum (the guided one
         # can), so polish the winner with the rewriter
-        polished, _trace = shorten(path, params, budget=4000)
+        polished, _trace = shorten(frame.path, params, budget=4000)
         pword = type_or_none(polished, params)
         plen = path_length(polished)
-        if plen <= length + tol and _is_true(pword):
+        if plen <= frame.total + tol and _is_true(pword):
             return PlanResult(best=polished, type_word=pword, length=plen,
                               diagnostics=diags)
     raise PlannerError("no candidate produced a true-type feasible path")
@@ -1277,7 +1254,8 @@ def solve_candidate(spec: CandidateSpec, U: Configuration, V: Configuration,
     lengths, build = _ROW_SOLVERS[spec.word](
         inst, np.array([spec.orientations], dtype=int).reshape(1, -1),
         np.array([spec.ks], dtype=int).reshape(1, -1))
-    return inst.finish(build(0)) if lengths[0] < math.inf else None
+    frame = inst.finish(build(0)) if lengths[0] < math.inf else None
+    return None if frame is None else frame.path
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,7 @@ from .structure import (  # noqa: F401
     _canonical,
     _Frame,
     _structure,
+    _typed,
     canonicalize,
     structure_of,
     type_or_none,
@@ -1160,15 +1161,6 @@ _MOVES = (
     (True, _aab_sites, _aab_attempt),
     (True, _aaaa_sites, _aaaa_attempt),
 )
-
-
-def _typed(frame: _Frame) -> PathStructure | None:
-    """The structure of a feasible path's frame, or None where
-    ``type_or_none`` gives None (a bend in an uncovered stretch)."""
-    try:
-        return _structure(frame)
-    except (InternalInconsistencyError, ValueError):
-        return None
 
 
 def _sites(frame: _Frame, st: PathStructure | None = None, moves=_MOVES):

@@ -100,10 +100,6 @@ class SmoothPath:
                 out.append((p, h))
         return out
 
-    def end_configuration(self) -> Configuration:
-        p, h = self.eval(self.length)
-        return Configuration(p, h)
-
 
 def _advance(p: Point2, h: Vec2, seg: Segment, t: float) -> tuple[Point2, Vec2]:
     if isinstance(seg, LineSeg):

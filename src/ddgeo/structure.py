@@ -329,6 +329,15 @@ def _structure(frame: _Frame) -> PathStructure:
     return PathStructure(tuple(arcs), tuple(bridges), word)
 
 
+def _typed(frame: _Frame) -> PathStructure | None:
+    """The structure of a feasible path's frame, or None where
+    ``type_or_none`` gives None (a bend in an uncovered stretch)."""
+    try:
+        return _structure(frame)
+    except (InternalInconsistencyError, ValueError):
+        return None
+
+
 def type_string(path: DiscretePath, params: Params) -> str:
     """The path's type word over {A, B}.
 

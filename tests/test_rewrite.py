@@ -630,3 +630,29 @@ def test_shorten_commutes_with_exact_scaling(name, k):
         moves_f, word_f, length_f = _shortened(_scaled(path, f), big)
         assert (moves_f, word_f) == (moves, word), (path, k)
         assert length_f == pytest.approx(length * f, rel=1e-12), (path, k)
+
+
+def test_trio_slide_double_rotation(monkeypatch):
+    # the one input of a wide sample on which a trio slide reaches its
+    # double-rotation branch (an obtuse angle at the junction and the target
+    # edge outside the wedge); without that branch the path ends on AAAAA
+    harness = rewrite._attempt
+    done = []
+
+    def recording(base, builder, d_max, events=()):
+        got = harness(base, builder, d_max, events)
+        if builder.__name__ == "double_rotation" and got is not None:
+            done.append(got)
+        return got
+
+    monkeypatch.setattr(rewrite, "_attempt", recording)
+    U = Configuration((0.0722150898706353, -0.26250893490600236),
+                      (-0.04444487118543391, 0.9990118384810613))
+    V = Configuration((0.781254417706783, -2.7388197411856754),
+                      (-0.8708615265819643, 0.49152843409036956))
+    params = Params.from_sides(8, 2.0 * math.sin(math.pi / 8))
+    out, trace = shorten(discretize(dubins_solve(U, V), 2.0 * math.pi / 8), params)
+    assert not trace.budget_exhausted
+    assert type_string(out, params) == "ABA"
+    assert path_length(out) == pytest.approx(5.940930826927475, rel=1e-9)
+    assert done
