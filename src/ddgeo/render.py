@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
+
 from .geometry import add, scale, sub
-from .model import DiscretePath, Params
+from .model import DiscretePath, Params, edge_lengths
 from .smooth import SmoothPath
 from .structure import PathStructure
 
@@ -53,11 +56,12 @@ def render_path_svg(path: DiscretePath, params: Params,
         _polyline(verts, "#1f3b57", stroke),
     ]
     if structure is not None:
+        vertex_s = list(itertools.accumulate(edge_lengths(path), initial=0.0))
         for arc in structure.arcs:
-            seg = _structure_points(path, arc.start_s, arc.end_s)
+            seg = _structure_points(path, vertex_s, arc)
             parts.append(_polyline(_coords(seg), "#d9822b", stroke * 1.4))
         for b in structure.bridges:
-            seg = _structure_points(path, b.start_s, b.end_s)
+            seg = _structure_points(path, vertex_s, b)
             parts.append(_polyline(_coords(seg), "#2b7bd9", stroke * 1.1, dashed=True))
     r = _fmt(stroke)
     parts += [f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="#1f3b57"/>'
@@ -66,26 +70,13 @@ def render_path_svg(path: DiscretePath, params: Params,
     return "\n".join(parts)
 
 
-def _structure_points(path: DiscretePath, s0: float, s1: float):
-    from .geometry import dist, lerp
-    pts = []
-    acc = 0.0
-    v = path.vertices
-    for i in range(len(v) - 1):
-        ln = dist(v[i], v[i + 1])
-        lo, hi = acc, acc + ln
-        if hi < s0 or lo > s1 or ln == 0.0:
-            acc = hi
-            continue
-        a = max(lo, s0)
-        b = min(hi, s1)
-        pa = lerp(v[i], v[i + 1], (a - lo) / ln)
-        pb = lerp(v[i], v[i + 1], (b - lo) / ln)
-        if not pts or pts[-1] != pa:
-            pts.append(pa)
-        pts.append(pb)
-        acc = hi
-    return pts
+def _structure_points(path: DiscretePath, vertex_s: list[float], piece):
+    """The polyline of an arc or bridge: its end points and the path
+    vertices strictly between them.  ``vertex_s`` holds the vertices'
+    arclength positions."""
+    inside = path.vertices[bisect.bisect_right(vertex_s, piece.start_s):
+                           bisect.bisect_left(vertex_s, piece.end_s)]
+    return [piece.start_pt, *inside, piece.end_pt]
 
 
 def render_smooth_svg(gamma: SmoothPath, samples: int = 256,

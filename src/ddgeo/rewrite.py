@@ -6,28 +6,29 @@ with one ``model.measure`` pass.  Its candidates are exact steps, with no
 sampled search: the largest step, the move's event steps (edge lengths
 crossing ell, edges shrinking to nothing, a rotation family's closest
 approach, in closed form), and, when the largest step fails, the boundary
-step where a turn reaches the cap.  Block slides (the one-vertex local
-slides among them), AAB rotations and the trio slide's rotation about its
-junction and translation along its target edge move one vertex block
-rigidly, so they give that boundary in closed form (``_cap_step``) and it
-costs one probe; a bisection from 0 finds it only when that probe is
-rejected or the move gives no motion.  Translation
-families never lengthen the path as d grows and rotation families have one
-interior minimum, their event, so when the feasible steps form an interval
-the shortest feasible improving candidate is the family's best step; when
-they do not, the boundary step is the upper edge of an interval the search
-reached.
-Applied moves strictly decrease (length, type length)
-lexicographically, so repeated application drives a path toward a fixed
-point whose type word carries no forbidden factor.
+step where a turn reaches the cap.  Every move that translates or turns a
+vertex block rigidly is built by the block slide (``_block_slide_attempt``)
+or the block turn (``_block_turn_attempt``), whose builders carry the
+block's motion, so they give that boundary in closed form (``_cap_step``)
+and it costs one probe; a bisection from 0 finds it only when that probe is
+rejected or the move gives no motion.  Translation families never lengthen
+the path as d grows and rotation families have one interior minimum, their
+event, so when the feasible steps form an interval the shortest feasible
+improving candidate is the family's best step; when they do not, the
+boundary step is the upper edge of an interval the search reached.  Applied
+moves strictly decrease (length, type length) lexicographically, so repeated
+application drives a path toward a fixed point whose type word carries no
+forbidden factor.
 
 The moves sit in one ordered table, ``_MOVES``: per rule kind, a site
 generator and one attempt.  ``find_applicable`` and ``shorten`` take the
 first site whose attempt succeeds; ``apply`` runs the same attempt at a
-given site.  A path travels with the frame (``structure._Frame``) of the
-``measure`` pass that accepted it, so ``shorten`` walks each path once: the
-move contexts, the turn cap, its structure and the trace all read that
-frame, and canonicalizing measures again only when it inserts a cut.
+given site.  A probe returns the frame (``structure._Frame``) of the
+``measure`` pass that accepted its candidate, and the path travels with
+that frame, so ``shorten`` walks each path once: the move contexts, the
+turn cap, its structure and the trace all read that frame (the length is
+its ``total``), and canonicalizing measures again only when it inserts a
+cut.
 
 Move catalogue (structure-rule locations refer to the canonicalized path):
 
@@ -47,8 +48,8 @@ Move catalogue (structure-rule locations refer to the canonicalized path):
                           or a second (non-similar) bridge.
 * AAB_ELIM             -- rotate the arc of an arc-arc-bridge pattern about
                           the shared arc vertex, shortening the bridge; when
-                          the two arcs overlap inside a long edge, slide the
-                          arc next to the bridge back along that edge.
+                          the two arcs overlap, slide the arc next to the
+                          bridge back along the edge into its first turn.
 * AAAA_TO_AAA          -- reduce a run of four arcs: an equal-length
                           three-rotation family merges two arcs, with trio
                           slide fallbacks when the run contains an
@@ -57,6 +58,7 @@ Move catalogue (structure-rule locations refer to the canonicalized path):
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -156,17 +158,12 @@ class RewriteTrace:
 # step harness
 #
 # A path travels with its ``_Frame``: the edge lengths and vertex turns of the
-# ``measure`` pass that accepted it.  Moves, the trace and the structure all
-# read them there, so each path is walked once.
+# ``measure`` pass that accepted it, which ``_eval_step`` returns.  Moves, the
+# trace and the structure all read them there, so each path is walked once.
 
-def _framed(got, params: Params) -> _Frame:
-    """The frame of an accepted probe's candidate."""
-    return _Frame(got[0], params, got[2], got[3])
-
-
-def _drop_vertex(base: _Frame, i: int):
-    """``_eval_step``'s result for the path without vertex i, or None if that
-    is infeasible."""
+def _drop_vertex(base: _Frame, i: int) -> _Frame | None:
+    """The frame of the path without vertex i, or None if that is
+    infeasible."""
     verts = base.path.vertices
     return _eval_step(base.path, base.params, lambda _d: verts[:i] + verts[i + 1:], 0.0)
 
@@ -184,8 +181,7 @@ def _tidy(frame: _Frame) -> _Frame:
             got = _drop_vertex(cur, i)
             if got is None:
                 continue
-            cur = _framed(got, cur.params)
-            changed = True
+            cur, changed = got, True
             break
     return cur
 
@@ -199,15 +195,15 @@ def _turn_cap(base: _Frame) -> float:
 
 
 def _eval_step(base_path: DiscretePath, params: Params, builder, d: float,
-               cap: float | None = None):
-    """(candidate path, its length, edge lengths, vertex turns) for one step,
-    or None if infeasible.
+               cap: float | None = None) -> _Frame | None:
+    """The frame of the candidate path for one step, or None if infeasible.
 
     One ``measure`` pass gives the violations, the turns for the cap and the
-    edge lengths.  With ``cap`` the turn bound is tightened slightly below
-    the validator's tolerance, so that boundary-landed steps survive the
-    float drift of later re-derivations (canonicalization splits edges and
-    recomputes the same turns from different vectors).
+    edge lengths; the frame keeps them, and its ``total`` is the length.
+    With ``cap`` the turn bound is tightened slightly below the validator's
+    tolerance, so that boundary-landed steps survive the float drift of
+    later re-derivations (canonicalization splits edges and recomputes the
+    same turns from different vectors).
     """
     verts = builder(d)
     if verts is None:
@@ -221,7 +217,7 @@ def _eval_step(base_path: DiscretePath, params: Params, builder, d: float,
         return None
     if cap is not None and any(abs(t) > cap for t in turns):
         return None
-    return cand, sum(lengths), lengths, turns
+    return _Frame(cand, params, lengths, turns)
 
 
 class _Motion(NamedTuple):
@@ -412,12 +408,11 @@ def _attempt(base: _Frame, builder, d_max: float, events=()):
     nothing, a rotation's closest approach) and, only when d_max fails, the
     ``_boundary`` step where a turn reaches the cap.  Each step is probed
     once: a probe depends on its step alone, and ``min`` keeps the first of
-    equal candidates.  A translation family
-    never lengthens the path as d grows and a rotation family has its one
-    interior minimum at its event, so no sampled search is needed: the
-    shortest candidate wins.  It is the family's best step when the feasible
-    steps form an interval.  Returns (frame of the new path, used step) or
-    None.
+    equal candidates.  A translation family never lengthens the path as d
+    grows and a rotation family has its one interior minimum at its event,
+    so no sampled search is needed: the shortest candidate wins.  It is the
+    family's best step when the feasible steps form an interval.  Returns
+    (frame of the new path, used step) or None.
     """
     if d_max <= 0.0:
         return None
@@ -431,24 +426,23 @@ def _attempt(base: _Frame, builder, d_max: float, events=()):
               if d != d_max and 0.0 < d <= d_max * (1.0 + 1e-12)]
     if cands[0][1] is None:
         cands.append(_boundary(base, builder, probe, d_max))
-    best = min(((got[1], d, got) for d, got in cands if got is not None),
+    best = min(((got.total, d, got) for d, got in cands if got is not None),
                key=lambda c: c[0], default=None)
-    if best is None or best[0] > sum(base.lengths) - IMPROVE_FRACTION * params.ell:
+    if best is None or best[0] > base.total - IMPROVE_FRACTION * params.ell:
         return None
-    return _tidy(_framed(best[2], params)), best[1]
+    return _tidy(best[2]), best[1]
 
 
 def _boundary(base: _Frame, builder, probe, d_max: float):
     """(step, probe result) at the turn cap's boundary below d_max, searched
     once from 0, or (0.0, None) when nothing above the floor passes.
 
-    When the builder carries a ``_Motion`` (block slides, AAB rotations and
-    the trio slide's rotation and translation), the step is the closed-form
-    first turn exit (``_cap_step``), probed once
-    under the cap.  Without a motion, or when that probe is rejected (a
-    non-turn constraint binds first), bisection from 0 toward that step
-    finds it; it gives up below STEP_MIN_FRACTION * ell.  The cap keeps the
-    step a margin inside the tolerance.
+    When the builder carries a ``_Motion`` (the builders of the block slide
+    and the block turn), the step is the closed-form first turn exit
+    (``_cap_step``), probed once under the cap.  Without a motion, or when
+    that probe is rejected (a non-turn constraint binds first), bisection
+    from 0 toward that step finds it; it gives up below STEP_MIN_FRACTION *
+    ell.  The cap keeps the step a margin inside the tolerance.
     """
     cap = _turn_cap(base)
     motion = getattr(builder, "motion", None)
@@ -499,8 +493,8 @@ def _rotate_block(verts: list, lo: int, hi: int, pivot: Point2,
 # local edge rules (raw path)
 #
 # Site generators yield (kind, location); an attempt takes the context and a
-# location and returns (new_path, step, *outcome) or None, where outcome
-# (AAAA only) is appended to the reported location.
+# location and returns (frame of the new path, step, *outcome) or None, where
+# outcome (AAAA only) is appended to the reported location.
 
 class _Ctx:
     """A path's frame with the per-edge reads of the local rules."""
@@ -559,10 +553,10 @@ def _collapse_attempt(ctx: _Ctx, loc):
     got = _drop_vertex(ctx.frame, j + 1)
     if got is None:
         return None
-    base = sum(ctx.lens)
-    if got[1] > base + 1e-15 * max(1.0, base):
+    base = ctx.frame.total
+    if got.total > base + 1e-15 * max(1.0, base):
         return None
-    return _tidy(_framed(got, ctx.params)), abs(ctx.turns[j + 1])
+    return _tidy(got), abs(ctx.turns[j + 1])
 
 
 def _long_long_sites(ctx: _Ctx):
@@ -630,8 +624,8 @@ def _inflection_rotate_attempt(ctx: _Ctx, loc):
     if mode:
         return _block_slide_attempt(ctx, (j + mode, j, "direct"))
     got = _drop_vertex(ctx.frame, j + 1)
-    if got is not None and got[1] <= sum(ctx.lens) - IMPROVE_FRACTION * ctx.params.ell:
-        return _tidy(_framed(got, ctx.params)), 1.0
+    if got is not None and got.total <= ctx.frame.total - IMPROVE_FRACTION * ctx.params.ell:
+        return _tidy(got), 1.0
     return None
 
 
@@ -657,18 +651,17 @@ class _Struct(_Ctx):
                     self.bridges.append(j)
                     break
 
-    def vertex_at(self, pt: Point2) -> int | None:
-        tol = 1e-6 * max(1.0, self.params.ell)
-        for i, p in enumerate(self.verts):
-            if dist(p, pt) <= tol:
-                return i
-        return None
-
     def vertex_at_s(self, s: float) -> int | None:
+        """The first vertex within 1e-6 ell (at least 1e-6) of arclength s,
+        or None.  ``vertex_s`` is strictly increasing."""
         tol = 1e-6 * max(1.0, self.params.ell)
-        for i, vs in enumerate(self.vertex_s):
-            if abs(vs - s) <= tol:
+        for i in range(max(bisect.bisect_left(self.vertex_s, s - tol) - 1, 0),
+                       len(self.vertex_s)):
+            gap = self.vertex_s[i] - s
+            if abs(gap) <= tol:
                 return i
+            if gap > tol:
+                break
         return None
 
     def elements(self):
@@ -705,7 +698,7 @@ def _make_struct(frame: _Frame, st: PathStructure | None = None) -> _Struct | No
 
 
 # ---------------------------------------------------------------------------
-# block slides between two free sites
+# rigid block moves: a slide between two edges, or a turn about a vertex
 
 def _block_slide_attempt(ctx: _Ctx, loc):
     """Translate the subpath between two edges along the source edge
@@ -714,9 +707,11 @@ def _block_slide_attempt(ctx: _Ctx, loc):
 
     The block is the vertices between the two edges: for adjacent edges,
     the one vertex they share, which is how the local long/short and
-    inflection-endpoint slides run.  A long source shrinks to ell; any other
-    is consumed at a step equal to its length, where its endpoints merge.
-    The builder carries the block's ``_Motion``.
+    inflection-endpoint slides run.  The AAB overlap slide and the trio
+    slide's translation along its target edge are block slides too.  A long
+    source shrinks to ell; any other is consumed at a step equal to its
+    length, where its endpoints merge.  The builder carries the block's
+    ``_Motion``.
     """
     src_edge, sink_edge, mode = loc
     verts = ctx.verts
@@ -771,6 +766,29 @@ def _block_slide_attempt(ctx: _Ctx, loc):
         events += _ell_cross_events(verts[moving], t_dir, verts[anchor], ell)
     cap = src_len - ell if ctx.classes[src_edge] is EdgeClass.LONG else src_len
     return _attempt(ctx.frame, builder, cap, events)
+
+
+def _block_turn_attempt(frame: _Frame, lo: int, hi: int, pivot: int, sign: float,
+                        d_max: float):
+    """Turn the block of vertices lo..hi-1 by sign*d about the vertex
+    ``pivot`` next to it (lo - 1 or hi): the AAB rotation and the trio
+    slide's rotation about its junction.
+
+    The edge from the pivot into the block keeps its length; the block's
+    far edge is the one whose length changes, and its event is the step at
+    which that edge is shortest.  The builder carries the block's
+    ``_Motion``.
+    """
+    verts = list(frame.path.vertices)
+    centre = verts[pivot]
+    x, y = (hi - 1, hi) if pivot < lo else (lo, lo - 1)
+
+    def builder(d):
+        return _rotate_block(verts, lo, hi, centre, sign * d)
+
+    builder.motion = _Motion(lo, hi, pivot=centre, sign=sign)
+    return _attempt(frame, builder, d_max,
+                    _rotation_events(verts[x], centre, verts[y], sign))
 
 
 def _two_inflection_sites(sc: _Struct):
@@ -840,75 +858,60 @@ def _aab_attempt(sc: _Struct, loc):
     trip = sc.elements()[pos:pos + 3]
     first, second = (trip[0], trip[1]) if direction == +1 else (trip[1], trip[2])
     a1, a2 = sc.st.arcs[first[1]], sc.st.arcs[second[1]]
-    verts = sc.verts
     tol = 1e-3 * sc.params.ell
     if a2.start_s < a1.end_s - tol:
-        return _aab_overlap_slide(sc, a1, a2, direction, sign)
+        return _aab_overlap_slide(sc, a1, a2, direction) if sign > 0 else None
     # arcs joined at a vertex, or within a micro-short connector edge that a
     # stalled slide left behind; the rotation then pivots on the connector's
     # far endpoint and lets the connector absorb the mismatch
     if dist(a1.end_pt, a2.start_pt) > tol:
         return None  # arcs connect through real structure
     if direction == +1:
-        w = sc.vertex_at(a1.end_pt)
-        q = sc.vertex_at(a2.end_pt)
+        w = sc.vertex_at_s(a1.end_s)
+        q = sc.vertex_at_s(a2.end_s)
         if w is None or q is None or q <= w:
             return None
         lo, hi = w + 1, q + 1
     else:
-        w = sc.vertex_at(a2.start_pt)
-        q = sc.vertex_at(a1.start_pt)
+        w = sc.vertex_at_s(a2.start_s)
+        q = sc.vertex_at_s(a1.start_s)
         if w is None or q is None or q >= w:
             return None
         lo, hi = q, w
-    if lo <= 0 or hi >= len(verts):
+    if lo <= 0 or hi >= len(sc.verts):
         return None
-    pivot = verts[w]
-    # the block's far edge is the one whose length changes
-    x, y = (hi - 1, hi) if direction == +1 else (lo, lo - 1)
-
-    def builder(d):
-        return _rotate_block(verts, lo, hi, pivot, sign * d)
-
-    builder.motion = _Motion(lo, hi, pivot=pivot, sign=sign)
-    return _attempt(sc.frame, builder, 0.45 * sc.params.theta,
-                    _rotation_events(verts[x], pivot, verts[y], sign))
+    return _block_turn_attempt(sc.frame, lo, hi, w, sign, 0.45 * sc.params.theta)
 
 
-def _aab_overlap_slide(sc: _Struct, a1, a2, direction: int, sign: float):
-    """AAB/BAA elimination when the two arcs overlap inside a long edge.
+def _aab_overlap_slide(sc: _Struct, a1, a2, direction: int):
+    """AAB/BAA elimination when the two arcs overlap.
 
-    The arc next to the bridge takes in the ell-tail (or ell-head) of that
-    edge, so there is no shared vertex to rotate about; instead the arc's
-    block slides along the edge toward the other arc.  The edge shrinks by
-    the step while the bridge changes by at most the step, so the move never
-    lengthens the path and shortens it unless the bridge runs straight back
-    along the edge.
+    The arc next to the bridge begins ell before its first theta-turn,
+    inside the other arc, so there is no shared vertex to rotate about.
+    Instead the block from that turn to the bridge slides back toward the
+    other arc: the block slide whose source is the edge into the turn (a
+    short edge on every input seen) and whose sink is the bridge's edge.
+    The source shrinks by the step while the bridge changes by at most the
+    step, so the move never lengthens the path and shortens it unless the
+    bridge runs straight back along the source.  Sliding the other way
+    lengthens the source by the step, so it never improves and is not tried.
     """
     ell = sc.params.ell
-    verts = sc.verts
     if direction == +1:
         hinge = sc.vertex_at_s(a2.start_s + ell)  # first theta-turn of a2
-        last = sc.vertex_at(a2.end_pt)
+        last = sc.vertex_at_s(a2.end_s)
         if hinge is None or last is None or last < hinge:
             return None
-        lo, hi, edge = hinge, last + 1, hinge - 1
-        move = unit(sub(verts[hinge - 1], verts[hinge]))
+        src, sink = hinge - 1, last
     else:
         hinge = sc.vertex_at_s(a1.end_s - ell)  # last theta-turn of a1
-        first = sc.vertex_at(a1.start_pt)
+        first = sc.vertex_at_s(a1.start_s)
         if hinge is None or first is None or first > hinge:
             return None
-        lo, hi, edge = first, hinge + 1, hinge
-        move = unit(sub(verts[hinge + 1], verts[hinge]))
-    if lo <= 0 or hi >= len(verts):
-        return None
-
-    def builder(d):
-        return _shift_block(verts, lo, hi, scale(move, sign * d))
-
-    builder.motion = _Motion(lo, hi, scale(move, sign))
-    return _attempt(sc.frame, builder, sc.lens[edge] - 20.0 * sc.params.tol_dedup)
+        src, sink = hinge, first - 1
+    if min(src, sink) < 0 or max(src, sink) >= len(sc.lens):
+        return None  # the block has no edge on one side
+    return _block_slide_attempt(sc, (src, sink, "direct"))
 
 
 # ---------------------------------------------------------------------------
@@ -952,11 +955,7 @@ def _trio_slide(cp: _Frame, b_idx: int, c_idx: int):
     if qd[0] < 0.0 and qd[1] < 0.0:
         # target edge leaves into the third quadrant: rotate the block after
         # b clockwise about b
-        def rotate_b(phi):
-            return _rotate_block(verts, b_idx + 1, c_idx + 1, b, -phi)
-
-        rotate_b.motion = _Motion(b_idx + 1, c_idx + 1, pivot=b, sign=-1.0)
-        return _attempt(cp, rotate_b, 0.4 * params.theta, _rotation_events(c, b, d, -1.0))
+        return _block_turn_attempt(cp, b_idx + 1, c_idx + 1, b_idx, -1.0, 0.4 * params.theta)
 
     if qd[0] >= 0.0:
         return None  # not the configuration this move targets
@@ -972,11 +971,8 @@ def _trio_slide(cp: _Frame, b_idx: int, c_idx: int):
     if _angle_between(a, b, c) <= math.pi / 2.0 + 1e-12:
         foot = _foot_on_line(c, a, b)
         if dist(foot, c) > 1e-12 and _in_wedge(cd_dir, ey, unit(sub(foot, c))):
-            def slide_cd(dd):  # the block b..c slides along the target edge
-                return _shift_block(verts, b_idx, c_idx + 1, scale(cd_dir, dd))
-
-            slide_cd.motion = _Motion(b_idx, c_idx + 1, cd_dir)
-            return _attempt(cp, slide_cd, 0.5 * dist(c, d))
+            # the block b..c slides along the target edge
+            return _block_slide_attempt(_Ctx(cp), (c_idx, b_idx - 1, "direct"))
         return _attempt(cp, rotate_ab, 0.4 * params.theta, ab_events)
 
     ab_dir = unit(sub(b, a))
@@ -1047,7 +1043,8 @@ def _span_edges(sc: _Struct, s0: float, s1: float):
 
 
 def _aaaa_attempt(sc: _Struct, loc, allow_circ: bool = True):
-    """(new_path, step, how) for the run starting at arc loc[0], or None."""
+    """(frame of the new path, step, how) for the run starting at arc
+    loc[0], or None."""
     params = sc.params
     run = next(r for r in sc.arc_runs() if len(r) >= 4 and r[0] == loc[0])
     arcs = [sc.st.arcs[i] for i in run[:4]]
@@ -1074,10 +1071,7 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
     """Equal-length three-rotation family on the last three arcs of the run,
     swept until two arcs merge (type shortens) or a follow-up shortening
     becomes available."""
-    p1 = sc.vertex_at(arcs[0].end_pt)
-    p2 = sc.vertex_at(arcs[1].end_pt)
-    p3 = sc.vertex_at(arcs[2].end_pt)
-    p4 = sc.vertex_at(arcs[3].end_pt)
+    p1, p2, p3, p4 = (sc.vertex_at_s(a.end_s) for a in arcs)
     if None in (p1, p2, p3, p4):
         return None
     if not (0 < p1 < p2 < p3 < p4 <= len(sc.verts) - 1):
@@ -1086,7 +1080,7 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
     w1, w2, w3, w4 = verts[p1], verts[p2], verts[p3], verts[p4]
     r12, r23 = dist(w1, w2), dist(w2, w3)
     cp = sc.path
-    base_len = sum(sc.lens)
+    base_len = sc.frame.total
     base_type = len(sc.st.type_word)
 
     def build(eps):
@@ -1112,7 +1106,7 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
 
     def feasible(eps):
         got = _eval_step(cp, params, build, eps, cap=cap)
-        if got is None or abs(got[1] - base_len) > 1e-9 * max(1.0, base_len):
+        if got is None or abs(got.total - base_len) > 1e-9 * max(1.0, base_len):
             return None
         return got
 
@@ -1128,7 +1122,7 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
         if cand is None or abs(eps) > 2.0 * math.pi:
             continue
         lo, cand = _bisect(feasible, lo, cand, eps)
-        cand = _tidy(_framed(cand, params))
+        cand = _tidy(cand)
         st = _typed(cand)
         if st is not None and len(st.type_word) < base_type:
             return cand, abs(lo), "circ"
@@ -1138,7 +1132,7 @@ def _aaaa_circ(sc: _Struct, params: Params, arcs):
         follow = _first_move(_sites(cand, st, follow_moves))
         if follow is not None:
             out, _k, _l, step = follow
-            if sum(out.lengths) < base_len - IMPROVE_FRACTION * params.ell:
+            if out.total < base_len - IMPROVE_FRACTION * params.ell:
                 return out, step, "circ_chain"
     return None
 
@@ -1262,8 +1256,8 @@ def shorten(path: DiscretePath, params: Params, budget: int = 10_000,
         trace.entries.append(TraceEntry(
             rule=RewriteRule(kind, step),
             location=loc,
-            length_before=sum(frame.lengths),
-            length_after=sum(new.lengths),
+            length_before=frame.total,
+            length_after=new.total,
             type_before=None if st is None else st.type_word,
             type_after=None if new_st is None else new_st.type_word,
         ))

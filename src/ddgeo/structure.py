@@ -130,15 +130,11 @@ class _Frame:
         return lerp(v[i], v[i + 1], t)
 
     def vertices_in(self, s0: float, s1: float, tol: float) -> tuple[int, int]:
-        """First and last path-vertex indices whose position lies in [s0, s1]."""
-        first = None
-        last = None
-        for i, s in enumerate(self.vertex_s):
-            if s0 - tol <= s <= s1 + tol:
-                if first is None:
-                    first = i
-                last = i
-        if first is None:
+        """First and last path-vertex indices whose position lies in
+        [s0 - tol, s1 + tol]."""
+        first = bisect.bisect_left(self.vertex_s, s0 - tol)
+        last = bisect.bisect_right(self.vertex_s, s1 + tol) - 1
+        if first > last:
             raise InternalInconsistencyError("arc span contains no path vertex")
         return first, last
 

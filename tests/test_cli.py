@@ -186,6 +186,54 @@ def test_render_command(tmp_path):
     assert content.startswith("<svg") and "polyline" in content
 
 
+def test_render_structure_points_match_edge_walk():
+    # each arc and bridge is drawn through its end points and the vertices
+    # strictly between them: the same SVG points as a walk over every edge
+    # clipped to its span, once consecutive repeats are dropped
+    import itertools
+
+    import numpy as np
+
+    from ddgeo import render
+    from ddgeo.geometry import dist, lerp
+    from ddgeo.model import edge_lengths
+    from ddgeo.structure import InternalInconsistencyError, structure_of
+
+    from gen import random_feasible_path
+
+    def walk(path, s0, s1):
+        pts, acc, v = [], 0.0, path.vertices
+        for i in range(len(v) - 1):
+            ln = dist(v[i], v[i + 1])
+            lo, hi = acc, acc + ln
+            acc = hi
+            if hi < s0 or lo > s1:
+                continue
+            pa = lerp(v[i], v[i + 1], (max(lo, s0) - lo) / ln)
+            pb = lerp(v[i], v[i + 1], (min(hi, s1) - lo) / ln)
+            pts += [pa, pb]
+        return pts
+
+    def drawn(points):
+        coords = render._coords(points)
+        return [c for i, c in enumerate(coords) if i == 0 or c != coords[i - 1]]
+
+    rng = np.random.default_rng(25)
+    pieces = 0
+    for _ in range(60):
+        path = random_feasible_path(P8, rng)
+        try:
+            st = structure_of(path, P8)
+        except InternalInconsistencyError:
+            continue
+        vertex_s = list(itertools.accumulate(edge_lengths(path), initial=0.0))
+        for piece in st.arcs + st.bridges:
+            pieces += 1
+            assert drawn(render._structure_points(path, vertex_s, piece)) == \
+                drawn(walk(path, piece.start_s, piece.end_s))
+    assert pieces >= 100
+
+
 def test_usage_error_exit_two(capsys):
     assert run(["plan", "--start", "0,0,0", "--end", "1,1,0"]) == 2
 

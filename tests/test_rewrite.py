@@ -293,19 +293,26 @@ def test_negative_budget_raises():
         shorten(AAAA, P8, budget=-1)
 
 
+def _calling_rule(frame):
+    """(function, line) of the rule that made an attempt from ``frame``, the
+    attempt's caller: past the block slide and the block turn, which build
+    the moves of several rules, to the call that asked for the move."""
+    while frame.f_code.co_name in ("_block_slide_attempt", "_block_turn_attempt"):
+        frame = frame.f_back
+    return frame.f_code.co_name, frame.f_lineno
+
+
 def test_attempt_beats_dense_step_search(monkeypatch):
     # no feasible step on a 401-point grid of (0, d_max] is shorter than the
     # harness's choice: translation families never lengthen the path as the
     # step grows, and a rotation family's one interior minimum is an event
     harness = rewrite._attempt
-    # (builder name, line, caller of its attempt) -> [(base path, params,
-    # builder, d_max, result)]: the caller tells a block slide's rules apart
+    # (calling rule, line) -> [(base path, params, builder, d_max, result)]
     calls = {}
 
     def recording(base, builder, d_max, events=()):
         got = harness(base, builder, d_max, events)
-        key = (builder.__qualname__, builder.__code__.co_firstlineno,
-               sys._getframe(2).f_code.co_name)
+        key = _calling_rule(sys._getframe(1))
         calls.setdefault(key, []).append((base.path, base.params, builder, d_max, got))
         return got
 
@@ -317,7 +324,7 @@ def test_attempt_beats_dense_step_search(monkeypatch):
         inputs += [(params, random_feasible_path(params, rng)) for _ in range(20)]
     for params, path in inputs:
         shorten(path, params)
-    aab = [key for key in calls if key[0].startswith("_aab_attempt")]
+    aab = [key for key in calls if key[0] == "_aab_attempt"]
     assert aab and len(calls[aab[0]]) >= 20
     for key, recorded in calls.items():
         for base, params, builder, d_max, got in recorded[:20]:
@@ -326,11 +333,11 @@ def test_attempt_beats_dense_step_search(monkeypatch):
             if got is None:
                 best = path_length(base) - rewrite.IMPROVE_FRACTION * params.ell
             else:
-                best = rewrite._eval_step(base, params, builder, got[1])[1]
+                best = rewrite._eval_step(base, params, builder, got[1]).total
             for d in np.linspace(0.0, d_max, 402)[1:]:
                 trial = rewrite._eval_step(base, params, builder, float(d))
-                assert trial is None or trial[1] >= best - 1e-9 * params.ell, \
-                    (key, float(d), trial[1], best)
+                assert trial is None or trial.total >= best - 1e-9 * params.ell, \
+                    (key, float(d), trial.total, best)
 
 
 def _harness_inputs():
@@ -454,15 +461,15 @@ TRIO_INPUTS = [(Params.from_sides(n, 1.0), DiscretePath(Configuration(*u), Confi
 
 
 def _motion_attempts(monkeypatch, inputs):
-    """(base frame, builder, d_max) of every attempt with a ``_Motion``
-    (block slides, AAB rotations, trio slides) that ``shorten`` makes on
+    """(calling rule, base frame, builder, d_max) of every attempt with a
+    ``_Motion`` (block slides and block turns) that ``shorten`` makes on
     the inputs."""
     harness = rewrite._attempt
     recorded = []
 
     def recording(base, builder, d_max, events=()):
         if getattr(builder, "motion", None) is not None:
-            recorded.append((base, builder, d_max))
+            recorded.append((_calling_rule(sys._getframe(1))[0], base, builder, d_max))
         return harness(base, builder, d_max, events)
 
     monkeypatch.setattr(rewrite, "_attempt", recording)
@@ -484,7 +491,7 @@ def test_turn_cap_step_matches_bisection(monkeypatch):
         return lo
 
     kinds, searches = set(), 0
-    for frame, builder, d_max in recorded:
+    for rule, frame, builder, d_max in recorded:
         base, params = frame.path, frame.params
 
         def probe(d, cap=None):
@@ -501,13 +508,14 @@ def test_turn_cap_step_matches_bisection(monkeypatch):
         if probe(hi, cap) is not None:
             continue
         searches += 1
-        kinds.add(builder.__qualname__.split(".")[0])
+        kinds.add(rule)
         # 1e-12 relative, plus 1e-13 ell for the rounding of the probed
         # vertices, which moves the accepted boundary by about 1e-16 ell
         # whatever the step's size
         top = last_accepted(lambda d: probe(d, cap), step, hi)
         assert top <= step * (1.0 + 1e-12) + 1e-13 * params.ell, (top, step)
-    assert searches >= 50 and kinds == {"_block_slide_attempt", "_aab_attempt", "_trio_slide"}
+    # the move table runs the structured block slides itself (_first_move)
+    assert searches >= 50 and kinds == {"_first_move", "_aab_attempt", "_trio_slide"}
 
 
 def test_one_walk_of_the_canonical_path(monkeypatch):
@@ -656,3 +664,104 @@ def test_trio_slide_double_rotation(monkeypatch):
     assert type_string(out, params) == "ABA"
     assert path_length(out) == pytest.approx(5.940930826927475, rel=1e-9)
     assert done
+
+
+# the three AAB paths of tier-1 (taken from the shorten trajectories of the
+# u_turn n = 8 plans at ell = 1 and 2 sin(pi/8) and of the antiparallel
+# n = 12 plan) on which the AAB rule's arcs overlap: the bridge-side arc
+# begins ell before its first turn, across a short edge
+OVERLAP_INPUTS = [(Params.from_sides(n, ell), DiscretePath(Configuration(*u), Configuration(*v),
+                                                           verts))
+                  for n, ell, u, v, verts in (
+    (8, 1.0, ((0.0, 0.0), (1.0, 0.0)), ((0.0, 0.0), (-1.0, -0.0)),
+     ((0.0, 0.0), (0.7071067804928864, 0.7071067818802087),
+      (1.2985395761365457, 1.2985395792981556), (2.298539576136546, 1.2985395797981492),
+      (3.0056463573230934, 0.591432798611602), (3.0056463573230934, -0.4085672013883987),
+      (2.298539576136547, -1.115673982574946), (1.2985395761365452, -1.115673982574946),
+      (0.0, 0.0))),
+    (8, 0.7653668647301796, ((0.0, 0.0), (1.0, 0.0)), ((0.0, 0.0), (-1.0, -0.0)),
+     ((0.0, 0.0), (0.5411960996152916, 0.5411961006771024),
+      (0.9938591641156838, 0.9938591665354756), (1.7592260288458632, 0.9938591669181541),
+      (2.30042212899206, 0.45266306677195745), (2.30042212899206, -0.3127037979582227),
+      (1.7592260288458637, -0.8538998981044194), (0.9938591641156835, -0.8538998981044194),
+      (0.0, 0.0))),
+    (12, 0.5176380902050415, ((0.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (-1.0, 0.0)),
+     ((0.0, 0.0), (0.4482877358883463, -0.2588190454414491),
+      (0.8394855458764593, -0.4846772070257048), (1.3571236360815004, -0.48467720728451963),
+      (1.8054113721655272, -0.22585816218199886), (2.0642304172680483, 0.2224295739020276),
+      (2.0642304172680483, 0.7400676641070694), (1.8054113721655272, 1.1883554001910963),
+      (1.357123636081501, 1.447174445293617), (0.8394855458764593, 1.447174445293617),
+      (0.0, 1.0))),
+)]
+
+
+@pytest.mark.parametrize("k", range(len(OVERLAP_INPUTS)))
+def test_aab_overlap_slide_both_directions(monkeypatch, k):
+    # the overlap slide runs on the AAB path (direction +1) and on its
+    # reversal, a BAA path (direction -1), and both end on the same word and
+    # length
+    params, path = OVERLAP_INPUTS[k]
+    slide = rewrite._aab_overlap_slide
+    moved = []
+
+    def recording(sc, a1, a2, direction):
+        got = slide(sc, a1, a2, direction)
+        if got is not None:
+            moved.append(direction)
+        return got
+
+    monkeypatch.setattr(rewrite, "_aab_overlap_slide", recording)
+    fixed, _ = shorten(path, params)
+    assert moved == [+1]
+    back, _ = shorten(model.reverse(path), params)
+    assert moved == [+1, -1]
+    assert type_string(back, params) == type_string(fixed, params) == "AAA"
+    assert path_length(back) == pytest.approx(path_length(fixed), rel=1e-12)
+
+
+def test_vertex_at_s_matches_linear_scan():
+    # the bisection returns the first vertex within the tolerance of s, as
+    # a scan of the positions does
+    for params, path in OVERLAP_INPUTS + TRIO_INPUTS:
+        lengths, turns, _ = model.measure(path, params)
+        sc = rewrite._make_struct(structure._Frame(path, params, lengths, turns))
+        tol = 1e-6 * max(1.0, params.ell)
+        for v in sc.vertex_s:
+            for s in (v - 2.0 * tol, v - tol, v - 0.5 * tol, v, v + 0.5 * tol, v + tol,
+                      v + 2.0 * tol, v + 0.5 * params.ell):
+                want = next((i for i, vs in enumerate(sc.vertex_s) if abs(vs - s) <= tol), None)
+                assert sc.vertex_at_s(s) == want, (s, want)
+
+
+def test_trio_slide_along_the_target_edge(monkeypatch):
+    # a right-turning run (n = 5) whose junction angle is acute with the
+    # target edge inside the wedge to the foot: the trio slide translates
+    # the block b..c along the target edge as a block slide, and the move
+    # is feasible and strictly shorter
+    params = Params.from_sides(5, 1.0)
+    path = DiscretePath(
+        Configuration((1.7106300705266753, -1.1917705477228298),
+                      (-0.9861004768620476, -0.1661500813494908)),
+        Configuration((-0.8479134144915146, -0.48687314213996924),
+                      (-0.8852798535696056, -0.46505868539763623)),
+        ((1.7106300705266753, -1.1917705477228298), (0.7245295936646277, -1.3579206290723205),
+         (0.5778259066925989, -2.3471011122142054), (0.7592052697181655, -2.5114710003898444),
+         (0.5739302306833984, -3.4941577052508928), (-0.41791349927399885, -3.621617563026577),
+         (-0.8456315950400042, -2.717705382251087), (0.038321231289890616, -1.8406168916969379),
+         (0.08698011195354072, -0.8418014366039761), (-0.8479134144915146, -0.48687314213996924)))
+    lengths, turns, violations = model.measure(path, params)
+    assert not violations
+    slide = rewrite._block_slide_attempt
+    slides = []
+
+    def recording(ctx, loc):
+        slides.append((sys._getframe(1).f_code.co_name, loc))
+        return slide(ctx, loc)
+
+    monkeypatch.setattr(rewrite, "_block_slide_attempt", recording)
+    got = rewrite._trio_slide(structure._Frame(path, params, lengths, turns), 3, 6)
+    assert slides == [("_trio_slide", (6, 2, "direct"))]
+    assert got is not None
+    out = got[0].path
+    assert validate(out, params) == []
+    assert path_length(out) < path_length(path) - 1e-3

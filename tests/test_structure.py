@@ -254,6 +254,31 @@ def test_structure_invariants_random():
                            for a in st.arcs), f"theta vertex {i} uncovered"
 
 
+def test_vertices_in_matches_linear_scan():
+    # the bisection finds the same first and last vertex as a scan of the
+    # positions, and raises when the span holds none
+    from ddgeo.structure import InternalInconsistencyError, _measured
+
+    def scan(vertex_s, s0, s1, tol):
+        inside = [i for i, s in enumerate(vertex_s) if s0 - tol <= s <= s1 + tol]
+        return (inside[0], inside[-1]) if inside else None
+
+    rng = np.random.default_rng(24)
+    tol = P8.tol_dedup
+    for _ in range(30):
+        frame = _measured(random_feasible_path(P8, rng), P8)
+        vs = frame.vertex_s
+        ends = [v + e for v in vs for e in (-2.0 * tol, -tol, 0.0, tol, 2.0 * tol)]
+        ends += list(rng.uniform(-0.5, vs[-1] + 0.5, 20))
+        for s0, s1 in itertools.product(ends, repeat=2):
+            want = scan(vs, s0, s1, tol)
+            if want is None:
+                with pytest.raises(InternalInconsistencyError):
+                    frame.vertices_in(s0, s1, tol)
+            else:
+                assert frame.vertices_in(s0, s1, tol) == want
+
+
 def test_deterministic_extraction():
     from ddgeo.structure import InternalInconsistencyError
     rng = np.random.default_rng(23)
