@@ -1,20 +1,20 @@
 """Local shortening and restructuring moves on feasible paths.
 
 Every move is a one-parameter family of candidate vertex lists in a step d.
-The step harness ``_attempt`` checks full feasibility of each trial step
-with one ``model.measure`` pass.  Its candidates are exact steps, with no
-sampled search: the largest step, the move's event steps (edge lengths
-crossing ell, edges shrinking to nothing, a rotation family's closest
-approach, in closed form), and, when the largest step fails, the boundary
-step where a turn reaches the cap.  Every move that translates or turns a
-vertex block rigidly is built by the block slide (``_block_slide_attempt``)
-or the block turn (``_block_turn_attempt``), whose builders carry the
-block's motion, so they give that boundary in closed form (``_cap_step``)
-and it costs one probe; a bisection from 0 finds it only when that probe is
-rejected or the move gives no motion.  Translation families never lengthen
-the path as d grows and rotation families have one interior minimum, their
-event, so when the feasible steps form an interval the shortest feasible
-improving candidate is the family's best step; when they do not, the
+The step harness ``_attempt`` checks full feasibility of a trial step with
+one ``model.measure`` pass, and probes one exact step, with no sampled
+search: the family's best step.  Translation families never lengthen the
+path as d grows, so theirs is the largest step; rotation families have one
+interior minimum, their event (the closest approach, in closed form), so
+theirs is that event when it lies in range.  Only when that probe fails does
+a search below it find the boundary step where a turn reaches the cap.
+Every move that translates or turns a vertex block rigidly is built by the
+block slide (``_block_slide_attempt``) or the block turn
+(``_block_turn_attempt``), whose builders carry the block's motion, so they
+give that boundary in closed form (``_cap_step``) and it costs one probe; a
+bisection from 0 finds it only when that probe is rejected or the move gives
+no motion.  When the feasible steps form an interval, the probed step or
+its boundary is the family's best feasible step; when they do not, the
 boundary step is the upper edge of an interval the search reached.  Applied
 moves strictly decrease (length, type length) lexicographically, so repeated
 application drives a path toward a fixed point whose type word carries no
@@ -401,18 +401,15 @@ def _bisect(probe, lo: float, at_lo, hi: float, floor: float = 0.0):
 
 def _attempt(base: _Frame, builder, d_max: float, events=()):
     """Find the best feasible improving step of a move on the path of frame
-    ``base``.
+    ``base``, with one probe when that step passes.
 
-    The candidates are exact steps, in tie order: d_max, the move's event
-    steps in (0, d_max] (edge lengths crossing ell, edges shrinking to
-    nothing, a rotation's closest approach) and, only when d_max fails, the
-    ``_boundary`` step where a turn reaches the cap.  Each step is probed
-    once: a probe depends on its step alone, and ``min`` keeps the first of
-    equal candidates.  A translation family never lengthens the path as d
-    grows and a rotation family has its one interior minimum at its event,
-    so no sampled search is needed: the shortest candidate wins.  It is the
-    family's best step when the feasible steps form an interval.  Returns
-    (frame of the new path, used step) or None.
+    The family's best step is its event in (0, d_max] when it has one (a
+    rotation's closest approach), else d_max: a translation family never
+    lengthens the path as d grows and a rotation family has its one
+    interior minimum at its event, so no sampled search is needed.  Only
+    when that step fails does ``_boundary`` search below it for the step
+    where a turn reaches the cap.  Returns (frame of the new path, used
+    step) or None.
     """
     if d_max <= 0.0:
         return None
@@ -421,21 +418,19 @@ def _attempt(base: _Frame, builder, d_max: float, events=()):
     def probe(d, cap=None):
         return _eval_step(path, params, builder, d, cap)
 
-    cands = [(d_max, probe(d_max))]
-    cands += [(d, probe(d)) for d in dict.fromkeys(events)
-              if d != d_max and 0.0 < d <= d_max * (1.0 + 1e-12)]
-    if cands[0][1] is None:
-        cands.append(_boundary(base, builder, probe, d_max))
-    best = min(((got.total, d, got) for d, got in cands if got is not None),
-               key=lambda c: c[0], default=None)
-    if best is None or best[0] > base.total - IMPROVE_FRACTION * params.ell:
+    step = next((d for d in events if 0.0 < d <= d_max), d_max)
+    got = probe(step)
+    if got is None:
+        step, got = _boundary(base, builder, probe, step)
+    if got is None or got.total > base.total - IMPROVE_FRACTION * params.ell:
         return None
-    return _tidy(best[2]), best[1]
+    return _tidy(got), step
 
 
-def _boundary(base: _Frame, builder, probe, d_max: float):
-    """(step, probe result) at the turn cap's boundary below d_max, searched
-    once from 0, or (0.0, None) when nothing above the floor passes.
+def _boundary(base: _Frame, builder, probe, top: float):
+    """(step, probe result) at the turn cap's boundary below ``top``, the
+    best step that failed, searched once from 0, or (0.0, None) when
+    nothing above the floor passes.
 
     When the builder carries a ``_Motion`` (the builders of the block slide
     and the block turn), the step is the closed-form first turn exit
@@ -447,10 +442,10 @@ def _boundary(base: _Frame, builder, probe, d_max: float):
     cap = _turn_cap(base)
     motion = getattr(builder, "motion", None)
     step = None if motion is None else _cap_step(
-        motion, base.path, builder(0.0), min(cap, base.params.theta + TOL_ANG), d_max)
+        motion, base.path, builder(0.0), min(cap, base.params.theta + TOL_ANG), top)
     if step is not None and (got := probe(step, cap)) is not None:
         return step, got
-    return _bisect(lambda d: probe(d, cap), 0.0, None, d_max if step is None else step,
+    return _bisect(lambda d: probe(d, cap), 0.0, None, top if step is None else step,
                    STEP_MIN_FRACTION * base.params.ell)
 
 
@@ -761,11 +756,11 @@ def _block_slide_attempt(ctx: _Ctx, loc):
         builder.motion = _Motion(lo + 1, hi + 1, t_dir, until=merge_at)
     else:
         builder.motion = _Motion(lo, hi, t_dir, until=merge_at)
-    events = [src_len]
-    if mode == "direct":
-        events += _ell_cross_events(verts[moving], t_dir, verts[anchor], ell)
+    # no events: the slide never lengthens the path as the step grows, so
+    # its best step is the largest; where an ell crossing splits its
+    # feasible steps, the boundary search takes the interval from 0
     cap = src_len - ell if ctx.classes[src_edge] is EdgeClass.LONG else src_len
-    return _attempt(ctx.frame, builder, cap, events)
+    return _attempt(ctx.frame, builder, cap)
 
 
 def _block_turn_attempt(frame: _Frame, lo: int, hi: int, pivot: int, sign: float,
@@ -1207,8 +1202,8 @@ def find_applicable(path: DiscretePath,
 def apply(path: DiscretePath, rule: RewriteRule, location: tuple,
           params: Params) -> DiscretePath:
     """Apply one rule at a location by running that site's attempt from the
-    move table (``_attempt``'s largest, event and boundary steps).
-    ``rule.step`` is not read.
+    move table (``_attempt``'s best step, or its boundary when that step
+    fails).  ``rule.step`` is not read.
 
     The location must be one that ``find_applicable`` can report for this
     path; an AAAA_TO_AAA location may leave out its outcome tag.  Raises

@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 
@@ -392,7 +393,7 @@ def _hand_built_slide(ctx, rule, loc):
 def test_local_slides_are_block_slides(monkeypatch):
     # the long/short and inflection-endpoint slides run as one-vertex block
     # slides: their builders carry a motion and build the hand-built
-    # slide's vertex lists, with its d_max and in-range events
+    # slide's vertex lists, with its d_max, at its in-range ell crossings too
     harness = rewrite._attempt
     recorded = []
 
@@ -415,12 +416,8 @@ def test_local_slides_are_block_slides(monkeypatch):
         assert isinstance(getattr(builder, "motion", None), rewrite._Motion), (rule, loc)
         ref, ref_max, ref_events, merge_at = _hand_built_slide(ctx, rule, loc)
         assert d_max == ref_max, (rule, loc)
-
-        def in_range(evs):
-            return {d for d in evs if 0.0 < d <= d_max * (1.0 + 1e-12)} | {d_max}
-
-        assert in_range(events) == in_range(ref_events), (rule, loc)
-        steps = {0.0, 0.5 * d_max} | in_range(events)
+        steps = {0.0, 0.5 * d_max, d_max} | {
+            d for d in ref_events if 0.0 < d <= d_max * (1.0 + 1e-12)}
         if merge_at is not None:
             steps.add(merge_at)
             merges += 1
@@ -516,6 +513,49 @@ def test_turn_cap_step_matches_bisection(monkeypatch):
         assert top <= step * (1.0 + 1e-12) + 1e-13 * params.ell, (top, step)
     # the move table runs the structured block slides itself (_first_move)
     assert searches >= 50 and kinds == {"_first_move", "_aab_attempt", "_trio_slide"}
+
+
+def test_one_probe_per_attempt(monkeypatch):
+    # an attempt probes its family's best step once, and once more, at the
+    # closed-form boundary, only when that step fails; only a bisection
+    # fallback probes more.  A probe is an _eval_step call with the
+    # attempt's own builder, so the drops of _tidy are not counted
+    harness, evaluate, bisection = rewrite._attempt, rewrite._eval_step, rewrite._bisect
+    done, stack = [], []
+
+    def recording(base, builder, d_max, events=()):
+        stack.append((builder, [], []))
+        try:
+            return harness(base, builder, d_max, events)
+        finally:
+            done.append(stack.pop()[1:])
+
+    def probing(base_path, params, builder, d, cap=None):
+        got = evaluate(base_path, params, builder, d, cap)
+        if stack and builder is stack[-1][0]:
+            stack[-1][1].append(got is not None)
+        return got
+
+    def bisecting(*args):
+        if stack:
+            stack[-1][2].append(args)
+        return bisection(*args)
+
+    monkeypatch.setattr(rewrite, "_attempt", recording)
+    monkeypatch.setattr(rewrite, "_eval_step", probing)
+    monkeypatch.setattr(rewrite, "_bisect", bisecting)
+    for params, path in _harness_inputs() + TRIO_INPUTS:
+        shorten(path, params)
+    monkeypatch.undo()
+    kinds = collections.Counter()
+    for passed, bisected in done:
+        if bisected:
+            assert passed[0] is False, passed
+            kinds["bisection"] += 1
+        else:
+            assert passed in ([True], [False, True]), passed
+            kinds[len(passed)] += 1
+    assert kinds[1] >= 500 and kinds[2] >= 50, kinds
 
 
 def test_one_walk_of_the_canonical_path(monkeypatch):
