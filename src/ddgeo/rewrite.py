@@ -263,14 +263,16 @@ def _edge_forms(motion: _Motion, verts: list, base_path: DiscretePath, i: int):
 class _Corner(NamedTuple):
     """A corner of the moving block: the (alpha, beta) forms of its edges,
     the coefficients of their cross and dot products (of 1, d, d^2 for a
-    translation, of 1, cos(phi), sin(phi) for a turn by phi = sign*d), and
-    the largest coordinate its probed turn is computed from at d = 0."""
+    translation, of 1, cos(phi), sin(phi) for a turn by phi = sign*d), the
+    largest coordinate its probed turn is computed from at d = 0, and
+    whether its edge into and out of it is the start or end heading."""
 
     into: tuple
     out: tuple
     crosses: tuple
     dots: tuple
     size: float
+    headings: tuple
 
 
 def _corners(motion: _Motion, base_path: DiscretePath, verts: list) -> list[_Corner]:
@@ -294,7 +296,7 @@ def _corners(motion: _Motion, base_path: DiscretePath, verts: list) -> list[_Cor
         # the coordinates' size sets the rounding error of the probed turn
         for p in verts[max(i - 1, 0):i + 2]:
             size = max(size, abs(p[0]), abs(p[1]))
-        out.append(_Corner(*forms, crosses, dots, size))
+        out.append(_Corner(*forms, crosses, dots, size, (i == 0, i == len(verts) - 1)))
     return out
 
 
@@ -344,7 +346,10 @@ def _cap_step(motion: _Motion, base_path: DiscretePath, verts: list,
                 if dot(ea, eb) * cb + s * cross(ea, eb) * sb <= 0.0:
                     continue
                 la, lb = math.hypot(*ea), math.hypot(*eb)
-                noise = _turn_noise(corner.size, la, lb)
+                # a boundary heading is exact: it adds no coordinate rounding
+                into, out = corner.headings
+                noise = _turn_noise(corner.size, math.inf if into else la,
+                                    math.inf if out else lb)
                 d = max(0.0, d - noise * la * lb / abs(rise))
                 if best is None or d < best:
                     best = d
