@@ -5,8 +5,7 @@ from __future__ import annotations
 import bisect
 import itertools
 
-from .geometry import add, scale, sub
-from .model import DiscretePath, Params, edge_lengths
+from .model import DiscretePath, Params, augmented, edge_lengths
 from .smooth import SmoothPath
 from .structure import PathStructure
 
@@ -42,9 +41,8 @@ def render_path_svg(path: DiscretePath, params: Params,
                     structure: PathStructure | None = None) -> str:
     """SVG picture of a discrete path: arcs highlighted, bridges dashed,
     boundary headings as small arrows."""
-    pre = sub(path.start.point, scale(path.start.heading, params.ell))
-    post = add(path.end.point, scale(path.end.heading, params.ell))
-    pts = [pre, *path.vertices, post]
+    pts = augmented(path, params)
+    pre, post = pts[0], pts[-1]
     x, y, w, h = _viewbox(pts)
     stroke = 0.012 * max(w, h)
     verts = _coords(path.vertices)
@@ -82,7 +80,7 @@ def _structure_points(path: DiscretePath, vertex_s: list[float], piece):
 def render_smooth_svg(gamma: SmoothPath, samples: int = 256,
                       overlay: DiscretePath | None = None) -> str:
     """SVG of a smooth path (sampled) with an optional discrete overlay."""
-    pts = [gamma.eval(t * gamma.length / samples)[0] for t in range(samples + 1)]
+    pts = [p for p, _ in gamma.sample([t * gamma.length / samples for t in range(samples + 1)])]
     every = list(pts) + (list(overlay.vertices) if overlay is not None else [])
     x, y, w, h = _viewbox(every)
     stroke = 0.012 * max(w, h)

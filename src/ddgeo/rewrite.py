@@ -59,6 +59,8 @@ Move catalogue (structure-rule locations refer to the canonicalized path):
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -418,16 +420,12 @@ def _attempt(base: _Frame, builder, d_max: float, events=()):
     """
     if d_max <= 0.0:
         return None
-    path, params = base.path, base.params
-
-    def probe(d, cap=None):
-        return _eval_step(path, params, builder, d, cap)
-
+    probe = functools.partial(_eval_step, base.path, base.params, builder)
     step = next((d for d in events if 0.0 < d <= d_max), d_max)
     got = probe(step)
     if got is None:
         step, got = _boundary(base, builder, probe, step)
-    if got is None or got.total > base.total - IMPROVE_FRACTION * params.ell:
+    if got is None or got.total > base.total - IMPROVE_FRACTION * base.params.ell:
         return None
     return _tidy(got), step
 
@@ -671,17 +669,8 @@ class _Struct(_Ctx):
         return labeled
 
     def arc_runs(self):
-        runs, cur = [], []
-        for kind, i, *_ in self.elements():
-            if kind == "A":
-                cur.append(i)
-            else:
-                if cur:
-                    runs.append(cur)
-                cur = []
-        if cur:
-            runs.append(cur)
-        return runs
+        return [[i for _kind, i, *_ in run] for is_arc, run in
+                itertools.groupby(self.elements(), key=lambda e: e[0] == "A") if is_arc]
 
 
 def _make_struct(frame: _Frame, st: PathStructure | None = None) -> _Struct | None:
@@ -977,6 +966,11 @@ def _trio_slide(cp: _Frame, b_idx: int, c_idx: int):
 
     ab_dir = unit(sub(b, a))
     if _in_wedge(cd_dir, ey, ab_dir):
+        # only c-d changes length: |(w + u) - R(phi) u| with u = b - a and
+        # w = d - c falls for some phi <= 0.4 theta only if cross(u, w) > 0,
+        # which the wedge rules out (but for its 1e-12 sliver), or if w + u
+        # lies within 0.2 theta of -u: c-d runs back along a-b, as after a
+        # long edge out and a U-turn, and there this rotation shortens
         return _attempt(cp, rotate_ab, 0.4 * params.theta, ab_events)
 
     # obtuse angle at b and the target edge outside the wedge: rotate the
@@ -1034,12 +1028,9 @@ def _aaaa_sites(sc: _Struct):
 
 
 def _span_edges(sc: _Struct, s0: float, s1: float):
-    out = []
     tol = 1e-9 * max(1.0, sc.params.ell)
-    for j in range(len(sc.lens)):
-        if sc.vertex_s[j] >= s0 - tol and sc.vertex_s[j + 1] <= s1 + tol:
-            out.append(j)
-    return out
+    return [j for j in range(len(sc.lens))
+            if sc.vertex_s[j] >= s0 - tol and sc.vertex_s[j + 1] <= s1 + tol]
 
 
 def _aaaa_attempt(sc: _Struct, loc, allow_circ: bool = True):

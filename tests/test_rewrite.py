@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ddgeo import model, rewrite, structure
-from ddgeo.geometry import add, from_angle, scale
+from ddgeo.geometry import add, cross, dot, from_angle, rotate_about, scale, sub, unit
 from ddgeo.model import (
     Configuration,
     DiscretePath,
@@ -699,6 +699,51 @@ def test_trio_slide_double_rotation(monkeypatch):
     assert type_string(out, params) == "ABA"
     assert path_length(out) == pytest.approx(5.940930826927475, rel=1e-9)
     assert done
+
+
+def _obtuse_rotation(frame, b_idx, c_idx):
+    """Whether the trio slide at (b_idx, c_idx) takes its obtuse-angle
+    rotation of b about a, and the smallest length change of that rotation
+    over 400 steps in (0, 0.4 theta]."""
+    verts = list(frame.path.vertices)
+    a, b, c, d = verts[b_idx - 1], verts[b_idx], verts[c_idx], verts[c_idx + 1]
+    ey = unit(sub(b, c))
+    qd = (cross(sub(d, c), ey), dot(sub(d, c), ey))
+    taken = (qd[0] < 0.0 <= qd[1] and rewrite._angle_between(a, b, c) > 0.5 * math.pi + 1e-12
+             and rewrite._in_wedge(unit(sub(d, c)), ey, unit(sub(b, a))))
+    gain = min(path_length(frame.path.with_vertices(rewrite._shift_block(
+        verts, b_idx, c_idx + 1, sub(rotate_about(b, a, phi), b)))) - frame.total
+        for phi in np.linspace(0.0, 0.4 * frame.params.theta, 401)[1:])
+    return taken, gain
+
+
+def test_trio_slide_obtuse_rotation():
+    # the trio slide's rotation of b about a, at an obtuse angle at b with
+    # the target edge in the wedge, can only shorten the path when the
+    # target edge runs back along a-b; a recorded input of the wide sample
+    # gains nothing, and a path that turns back onto a long edge gains
+    P6 = Params.from_sides(6, 1.0)
+    th = P6.theta
+    recorded = DiscretePath(
+        Configuration((-4.962705015236142, -4.434029991985619),
+                      (0.688718379344319, 0.7250289607686956)),
+        Configuration((-1.4927410065706614, -1.2253957388254277),
+                      (0.025454328604495032, -0.9996759860851386)),
+        ((-4.962705015236142, -4.434029991985619), (-4.273986635891823, -3.709001031216923),
+         (-3.249684933952544, -0.2698079442761924), (-2.3966672991953972, 0.2520741446992035),
+         (-1.5181953351751565, -0.2257197527402891), (-1.4927410065706614, -1.2253957388254277)))
+    back = build_path([0.0, 0.0, th, th, th, 0.5 * th, -5.0 * th / 12.0, 0.0],
+                      [1.0, 20.0, 1.0, 1.0, 1.0, 1.0, 20.0], start=(-1.0, 0.0))
+    for path, c_idx, moves in ((recorded, 3, False), (back, 6, True)):
+        frame = structure._measured(path, P6)
+        taken, gain = _obtuse_rotation(frame, 1, c_idx)
+        got = rewrite._trio_slide(frame, 1, c_idx)
+        assert taken and (got is not None) == moves, (c_idx, got)
+        if moves:
+            assert gain < -1e-2 and not validate(got[0].path, P6)
+            assert got[0].total < frame.total - 1e-2
+        else:
+            assert gain > 5e-4
 
 
 # the three AAB paths of tier-1 (taken from the shorten trajectories of the
