@@ -43,7 +43,8 @@ Move catalogue (structure-rule locations refer to the canonicalized path):
 * INFLECTION_SLIDE     -- slide the subpath between an inflection edge and a
                           bridge along the inflection edge.
 * LONG_BREAK_SLIDE     -- slide the subpath between a long edge and an
-                          inflection/long partner, breaking the long edge.
+                          inflection/long partner: reconnect directly, or
+                          else break the long edge.
 * BRIDGE_TRANSLATE     -- slide the subpath between a bridge and a long edge
                           or a second (non-similar) bridge.
 * AAB_ELIM             -- rotate the arc of an arc-arc-bridge pattern about
@@ -694,6 +695,10 @@ def _block_slide_attempt(ctx: _Ctx, loc):
     (shrinking it), reconnecting at the sink edge either directly or by
     breaking the sink at distance ell from one of its ends.
 
+    Every rule reconnects directly; the long-break slide tries that first,
+    then breaks its long sink ell from the block, the break vertex moving
+    with it (``"break_moving"``), or ell from the sink's fixed end
+    (``"break_anchor"``).
     The block is the vertices between the two edges: for adjacent edges,
     the one vertex they share, which is how the local long/short and
     inflection-endpoint slides run.  The AAB overlap slide and the trio
@@ -800,18 +805,14 @@ def _inflection_slide_sites(sc: _Struct):
 
 
 def _long_break_sites(sc: _Struct):
-    for i in sc.infl_edges:
-        for l in sc.longs:
-            if l == i:
-                continue
-            yield RuleKind.LONG_BREAK_SLIDE, (i, l, "break_moving")
-            yield RuleKind.LONG_BREAK_SLIDE, (i, l, "break_anchor")
-    for l1 in sc.longs:
-        for l2 in sc.longs:
-            if abs(l1 - l2) <= 1:
-                continue  # adjacent longs belong to the corner shortcut
-            yield RuleKind.LONG_BREAK_SLIDE, (l1, l2, "break_moving")
-            yield RuleKind.LONG_BREAK_SLIDE, (l1, l2, "break_anchor")
+    # a direct reconnection first: it reaches in one move the limit that
+    # breaking the long edge and merging the short piece back creep toward
+    pairs = [(i, l) for i in sc.infl_edges for l in sc.longs if l != i]
+    # adjacent longs belong to the corner shortcut
+    pairs += [(l1, l2) for l1 in sc.longs for l2 in sc.longs if abs(l1 - l2) > 1]
+    for a, b in pairs:
+        for mode in ("direct", "break_moving", "break_anchor"):
+            yield RuleKind.LONG_BREAK_SLIDE, (a, b, mode)
 
 
 def _bridge_translate_sites(sc: _Struct):

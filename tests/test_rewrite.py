@@ -235,18 +235,26 @@ def _cfg(x, y, deg):
     return Configuration((x, y), from_angle(math.radians(deg)))
 
 
-P16 = Params.from_sides(16, 2.0 * math.sin(math.pi / 16))
+def _unit(n):
+    """The grid whose discrete circle has circumradius 1."""
+    return Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+
+
+P16 = _unit(16)
 # the theta-discretized Dubins curves of _replay_inputs
 F1 = discretize(dubins_solve(_cfg(-1.1024, 0.7410, -108.23), _cfg(9.4036, -3.8864, 176.87)),
                 P16.theta)
 F2 = discretize(dubins_solve(_cfg(1.4182, 1.9902, 67.83), _cfg(9.0431, 4.1089, 143.17)),
                 P16.theta)
+CREEPER_U, CREEPER_V = _cfg(1.6848, 0.8468, -151.10), _cfg(3.9275, -4.0851, 94.75)
+CREEPER = discretize(dubins_solve(CREEPER_U, CREEPER_V), _unit(8).theta)
 
 
 def _replay_inputs():
-    """Random criterion-3 paths, the AAAA witness, and the theta-discretized
+    """Random criterion-3 paths, the AAAA witness, the theta-discretized
     Dubins curves F1 and F2 (n = 16, circumradius 1), whose fixed points are
-    faulty (ROADMAP item 1)."""
+    faulty (ROADMAP item 1), and the creeper (n = 8), whose long-break
+    slides reconnect directly."""
     for n in (6, 8, 12):
         params = Params.from_sides(n, 1.0)
         rng = np.random.default_rng(7000 + n)
@@ -255,6 +263,7 @@ def _replay_inputs():
     yield P8, AAAA
     yield P16, F1
     yield P16, F2
+    yield _unit(8), CREEPER
 
 
 def test_apply_replays_shorten_trace():
@@ -270,6 +279,27 @@ def test_apply_replays_shorten_trace():
             assert apply_rule(frames[i], e.rule, e.location, params) == frames[i + 1]
             kinds.add(e.rule.kind)
     assert kinds == set(RuleKind)
+
+
+@pytest.mark.parametrize("n, U, V, crept", [
+    pytest.param(8, CREEPER_U, CREEPER_V, 7.466582003638406, id="creeper"),
+    pytest.param(16, Configuration((0.0, 0.0), (0.5900864353655404, 0.8073400762984517)),
+                 Configuration((-4.483075148706566, 1.789678081219712),
+                               (0.7464287902420166, -0.6654652966893462)),
+                 7.6147260633338165, id="c16-16"),
+    pytest.param(32, _cfg(-1.9653, -0.1632, 218.80), _cfg(-1.6189, 3.1023, 325.74),
+                 5.947457334800173, id="n32"),
+])
+def test_long_break_slide_reconnects_directly(n, U, V, crept):
+    # breaking the long edge and merging the short piece back gains a
+    # little less each cycle, so these curves take thousands of moves that
+    # way to reach the length ``crept``; a direct reconnection takes the
+    # cycle's limit in one move
+    params = _unit(n)
+    out, trace = shorten(discretize(dubins_solve(U, V), params.theta), params)
+    assert _word(out, params) == "ABA"
+    assert len(trace.entries) < 100
+    assert path_length(out) <= crept + 1e-9 * params.ell
 
 
 def test_shorten_requires_feasible():
