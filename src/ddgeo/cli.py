@@ -3,7 +3,8 @@
 Subcommands: validate, classify, plan, shorten, discretize, dubins,
 converge, render.  Paths travel as JSON documents (degrees on the surface,
 radians inside).  Exit codes: 0 success/feasible, 1 infeasible input,
-2 usage error, 3 internal assertion.
+2 usage error (an input or output path that cannot be opened among them),
+3 internal assertion.
 """
 
 from __future__ import annotations
@@ -96,8 +97,6 @@ def _parse_word(text: str, start: Configuration) -> SmoothPath:
 def _load_path(filename: str):
     try:
         raw = doc.load(filename)
-    except FileNotFoundError:
-        raise UsageError(f"no such file: {filename}")
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{filename}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
@@ -379,7 +378,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (UsageError, ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:  # InternalInconsistencyError among them

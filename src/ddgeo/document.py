@@ -6,6 +6,7 @@ The on-disk surface uses degrees for angles and either ``n_sides`` or
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any
@@ -15,6 +16,9 @@ from .model import Configuration, DiscretePath, Params
 from .structure import PathStructure
 
 VERSION = 1
+
+# the string encoder of json.dumps (ensure_ascii)
+_quote = json.encoder.encode_basestring_ascii
 
 
 class DocumentError(ValueError):
@@ -39,6 +43,20 @@ def _point(x: Any, name: str) -> tuple[float, float]:
     if not isinstance(x, list) or len(x) != 2:
         raise DocumentError(f"{name} must be [x, y]")
     return _number(x[0], f"{name}[0]"), _number(x[1], f"{name}[1]")
+
+
+def _float_pairs(value: Any) -> list[float] | None:
+    """The coordinates of a non-empty list of ``[float, float]`` lists,
+    flattened, when every one is finite; None for any other value.  The
+    types are exact: a ``float`` subclass such as ``numpy.float64`` has its
+    own ``repr``."""
+    if (type(value) is not list or set(map(type, value)) != {list}
+            or set(map(len, value)) != {2}):
+        return None
+    flat = list(itertools.chain.from_iterable(value))
+    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+        return None
+    return flat
 
 
 def params_to_json(params: Params) -> dict:
@@ -124,7 +142,10 @@ def path_from_json(doc: Any) -> tuple[DiscretePath, Params]:
     verts = doc.get("vertices")
     if not isinstance(verts, list) or not verts:
         raise DocumentError("vertices must be a non-empty list")
-    pts = [_point(v, f"vertices[{i}]") for i, v in enumerate(verts)]
+    if _float_pairs(verts) is not None:
+        pts = list(map(tuple, verts))
+    else:  # names the first bad vertex
+        pts = [_point(v, f"vertices[{i}]") for i, v in enumerate(verts)]
     # anchor the boundary configurations on the actual vertices
     start = Configuration(pts[0], start.heading)
     end = Configuration(pts[-1], end.heading)
@@ -135,9 +156,38 @@ def path_from_json(doc: Any) -> tuple[DiscretePath, Params]:
     return path, params
 
 
+def _dumps(value: Any, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value that starts at indentation
+    ``indent``.  Strings, ints and finite floats are written as the json
+    module writes them, and a list of finite ``[float, float]`` pairs from one
+    ``%r`` template per pair: the module's indenting encoder is pure Python
+    and spends a generator step on every number.  Every other value is
+    delegated to ``json.dumps`` and re-indented."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    inner = indent + "  "
+    if kind is dict and value and all(type(k) is str for k in value):
+        return "{\n" + ",\n".join([f"{inner}{_quote(k)}: {_dumps(v, inner)}"
+                                    for k, v in value.items()]) + f"\n{indent}}}"
+    if (kind is list or kind is tuple) and value:
+        flat = _float_pairs(value)
+        if flat is not None:
+            pair = f"{inner}[\n{inner}  %r,\n{inner}  %r\n{inner}]"
+            return "[\n" + ",\n".join([pair] * len(value)) % tuple(flat) + f"\n{indent}]"
+        return "[\n" + ",\n".join([inner + _dumps(v, inner)
+                                    for v in value]) + f"\n{indent}]"
+    # NaN, infinities, True, False, None, empty containers, subclasses and
+    # keys that json converts; no string holds a raw newline
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def save(doc: dict, path: str) -> None:
-    """Write the document as indented JSON: encoded in full, then one write."""
-    text = json.dumps(doc, indent=2) + "\n"
+    """Write the document as indented JSON, byte for byte what
+    ``json.dumps(doc, indent=2)`` writes: encoded in full, then one write."""
+    text = _dumps(doc, "") + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -49,18 +49,18 @@ def render_path_svg(path: DiscretePath, params: Params,
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(x)} {_fmt(-y - h)} {_fmt(w)} {_fmt(h)}">',
-        _polyline(_coords([pre, path.vertices[0]]), "#bbbbbb", stroke * 0.7, dashed=True),
-        _polyline(_coords([path.vertices[-1], post]), "#bbbbbb", stroke * 0.7, dashed=True),
+        _polyline(_coords([pre]) + verts[:1], "#bbbbbb", stroke * 0.7, dashed=True),
+        _polyline(verts[-1:] + _coords([post]), "#bbbbbb", stroke * 0.7, dashed=True),
         _polyline(verts, "#1f3b57", stroke),
     ]
     if structure is not None:
         vertex_s = list(itertools.accumulate(edge_lengths(path), initial=0.0))
         for arc in structure.arcs:
-            seg = _structure_points(path, vertex_s, arc)
-            parts.append(_polyline(_coords(seg), "#d9822b", stroke * 1.4))
+            seg = _structure_points(verts, vertex_s, arc)
+            parts.append(_polyline(seg, "#d9822b", stroke * 1.4))
         for b in structure.bridges:
-            seg = _structure_points(path, vertex_s, b)
-            parts.append(_polyline(_coords(seg), "#2b7bd9", stroke * 1.1, dashed=True))
+            seg = _structure_points(verts, vertex_s, b)
+            parts.append(_polyline(seg, "#2b7bd9", stroke * 1.1, dashed=True))
     r = _fmt(stroke)
     parts += [f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="#1f3b57"/>'
               for cx, cy in verts]
@@ -68,13 +68,13 @@ def render_path_svg(path: DiscretePath, params: Params,
     return "\n".join(parts)
 
 
-def _structure_points(path: DiscretePath, vertex_s: list[float], piece):
-    """The polyline of an arc or bridge: its end points and the path
-    vertices strictly between them.  ``vertex_s`` holds the vertices'
-    arclength positions."""
-    inside = path.vertices[bisect.bisect_right(vertex_s, piece.start_s):
-                           bisect.bisect_left(vertex_s, piece.end_s)]
-    return [piece.start_pt, *inside, piece.end_pt]
+def _structure_points(verts: list[tuple[str, str]], vertex_s: list[float], piece):
+    """The SVG coordinates of an arc or bridge: its end points and the path
+    vertices strictly between them, sliced from ``verts``, the vertices'
+    coordinates.  ``vertex_s`` holds the vertices' arclength positions."""
+    inside = verts[bisect.bisect_right(vertex_s, piece.start_s):
+                   bisect.bisect_left(vertex_s, piece.end_s)]
+    return _coords([piece.start_pt]) + inside + _coords([piece.end_pt])
 
 
 def render_smooth_svg(gamma: SmoothPath, samples: int = 256,

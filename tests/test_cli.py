@@ -1,8 +1,10 @@
+import collections
 import json
 import math
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from ddgeo import document as doc
 from ddgeo.cli import _build_parser, run
@@ -79,6 +81,101 @@ def test_schema_error_exit_two(tmp_path, capsys):
         assert err.count("\n") == 1 and field in err, (field, err)
 
 
+def test_save_writes_json_dumps_bytes(tmp_path, monkeypatch):
+    # the documents the commands write, then values that take the json
+    # module's other branches: save's text is json.dumps(doc, indent=2) + "\n"
+    import numpy as np
+
+    written = []
+
+    def save(d, fn):
+        real_save(d, fn)
+        written.append((d, fn))
+
+    real_save = doc.save
+    monkeypatch.setattr(doc, "save", save)
+    d_json, s_json = str(tmp_path / "d.json"), str(tmp_path / "s.json")
+    assert run(["discretize", "--word", "L1.5 S2 R0.7", "--n", "16", "--out", d_json]) == 0
+    assert run(["shorten", d_json, "--out", s_json]) == 0
+    assert run(["classify", s_json, "--out", str(tmp_path / "c.json")]) == 0
+    assert run(["dubins", "--start", "0,0,0", "--end", "0,4,0",
+                "--out", str(tmp_path / "dub.json")]) == 0
+    assert run(["converge", "--start", "0,0,0", "--end", "8,3,45", "--n", "8,16",
+                "--out", str(tmp_path / "conv.json")]) == 0
+    by_name = {os.path.basename(fn): d for d, fn in written}
+    assert by_name["s.json"]["trace"] and by_name["c.json"]["structure"]["type"] == "ABA"
+    assert by_name["dub.json"]["kind"] == "smooth"
+    assert by_name["conv.json"]["kind"] == "convergence"
+
+    f64 = np.float64
+    for i, d in enumerate([
+        {"vertices": [[0, 0], [2, 0], [2, 2]], "point": [1, 2.5]},
+        {"vertices": [[0.0, math.nan], [math.inf, -math.inf]], "x": math.nan},
+        {"vertices": [[f64(0.5), f64(1.0)], [1.5, f64(-2.0)]], "s": f64(1e-300)},
+        {"vertices": [[1e308, 1e308], [-0.0, 5e-324]]},
+        {"label": "Ünïcode ✓ \u2028", "esc": "tab\tquote\"back\\slash\nnew\x00"},
+        {"empty": [], "none": {}, "nested": [[], {}, [[]]], "pairs": [[1.0, 2.0], []]},
+        {"tuple": (1.0, 2.0), "pairs": [(1.0, 2.0), (3.0, 4.0)], "t": ((), (1,))},
+        {"scalars": [True, False, None, 7, -0.0, "s"], "deep": {"a": {"b": [[1.5, 2.5]]}}},
+        {"keys": {1: "int", 2.5: "float", True: "bool", None: "null"}},
+        {"subclass": collections.OrderedDict(b=[[1.0, 2.0]], a=[])},
+    ]):
+        doc.save(d, str(tmp_path / f"v{i}.json"))
+    for d, fn in written:
+        with open(fn, encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(d, indent=2) + "\n", fn
+
+
+_PAIR = hst.lists(hst.floats(), min_size=2, max_size=2)
+_JSON_VALUES = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.text() | hst.lists(_PAIR),
+    lambda inner: (hst.lists(inner, max_size=4) | hst.tuples(inner, inner)
+                   | hst.dictionaries(hst.text(max_size=3), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_JSON_VALUES)
+def test_writer_matches_json_dumps(value):
+    assert doc._dumps(value, "") == json.dumps(value, indent=2)
+
+
+def test_path_from_json_one_pass_matches_vertex_walk():
+    import numpy as np
+
+    from gen import random_feasible_path
+
+    rng = np.random.default_rng(3)
+    for n in (8, 16, 64):
+        params = Params.from_sides(n, 1.0)
+        for _ in range(10):
+            raw = json.loads(json.dumps(doc.path_to_json(random_feasible_path(params, rng), params)))
+            assert doc._float_pairs(raw["vertices"]) is not None
+            walked = tuple(doc._point(v, f"vertices[{i}]") for i, v in enumerate(raw["vertices"]))
+            path, _ = doc.path_from_json(raw)
+            assert path.vertices == walked
+            assert all(type(c) is float for p in path.vertices for c in p)
+            assert path.start.point == walked[0] and path.end.point == walked[-1]
+
+
+@pytest.mark.parametrize("vertex, message", [
+    ([True, 0.0], "vertices[1][0] must be a finite number"),
+    ([1.0, math.nan], "vertices[1][1] must be a finite number"),
+    ([1.0, 0.0, 0.0], "vertices[1] must be [x, y]"),
+    ([[1.0, 0.0], 0.0], "vertices[1][0] must be a finite number"),
+    ("1,0", "vertices[1] must be [x, y]"),
+    ([10 ** 400, 0.0], "vertices[1][0] must be a finite number"),
+], ids=["bool", "nan", "three", "nested", "string", "huge-int"])
+def test_bad_vertex_keeps_message_exit_two(tmp_path, capsys, vertex, message):
+    d = doc.path_to_json(build_path([0.0, 0.0, 0.0], [2.0, 2.0]), P8)
+    d["vertices"][1] = vertex
+    fn = str(tmp_path / "bad-vertex.json")
+    with open(fn, "w") as fh:
+        json.dump(d, fh)
+    assert run(["validate", fn]) == 2
+    assert capsys.readouterr().err == f"error: {fn}: {message}\n"
+
+
 def test_classify_ngon_type_a(tmp_path, capsys):
     turns = [0.0] + [P8.theta] * 7 + [0.0]
     path = build_path(turns, [1.0] * 8)
@@ -106,6 +203,18 @@ def test_classify_repeated_vertex_exit_two(tmp_path, capsys):
     doc.save(d, fn)
     assert run(["classify", fn]) == 2
     assert "repeated vertex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["input-dir", "out-dir", "svg-missing-dir"])
+def test_unopenable_file_path_exit_two(tmp_path, capsys, case):
+    fn = _write_straight(tmp_path)
+    argv = {"input-dir": ["classify", str(tmp_path)],
+            "out-dir": ["classify", fn, "--out", str(tmp_path)],
+            "svg-missing-dir": ["classify", fn, "--svg", str(tmp_path / "missing" / "x.svg")],
+            }[case]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_repeated_runs_share_one_parser(tmp_path, capsys):
@@ -214,8 +323,7 @@ def test_render_structure_points_match_edge_walk():
             pts += [pa, pb]
         return pts
 
-    def drawn(points):
-        coords = render._coords(points)
+    def drawn(coords):
         return [c for i, c in enumerate(coords) if i == 0 or c != coords[i - 1]]
 
     rng = np.random.default_rng(25)
@@ -227,10 +335,11 @@ def test_render_structure_points_match_edge_walk():
         except InternalInconsistencyError:
             continue
         vertex_s = list(itertools.accumulate(edge_lengths(path), initial=0.0))
+        verts = render._coords(path.vertices)
         for piece in st.arcs + st.bridges:
             pieces += 1
-            assert drawn(render._structure_points(path, vertex_s, piece)) == \
-                drawn(walk(path, piece.start_s, piece.end_s))
+            assert drawn(render._structure_points(verts, vertex_s, piece)) == \
+                drawn(render._coords(walk(path, piece.start_s, piece.end_s)))
     assert pieces >= 100
 
 
