@@ -12,18 +12,19 @@ endpoints and between elements plus the F lengths, and a shortest path has
 at most two F lengths that are neither 0 nor ell (for fixed directions the
 lengths solve a linear program with two closure equations).
 
-The true-type words B, A, AB, BA, AA, ABA and AAA over full-edge arcs solve
-position closure in closed form (chord geometry and two-link inverse
-kinematics).  Each word has a batched row solver (``_ROW_SOLVERS``) that
-takes all rows of arc orientations and edge counts at once and returns the
-shortest realization of each.  AB, BA and ABA leave a one- or two-parameter
-family of end turns, over which their bridge length is minimized exactly:
-the minimum sits where at most two turn bounds are active, and each such
-point has a tangent-style construction (``_aba_rows``, ``_ab_rows``).  The
-words A, AA and AAA share one exact solver (``_solve_arcs``): the chord
-directions fix every turn, so a row is feasible iff its chords close
-position with every turn within theta, and the one-parameter AAA family is
-searched where one of its angles is at a bound or turns back.
+Each true-type word B, A, AB, BA, AA, ABA and AAA over full-edge arcs has a
+batched row solver (``_ROW_SOLVERS``) that takes all rows of arc
+orientations and edge counts at once and returns the shortest realization
+of each.  The words A, AA and AAA share one exact solver (``_solve_arcs``),
+which closes position in closed form (chord geometry and two-link inverse
+kinematics): the chord directions fix every turn, so a row is feasible iff
+its chords close position with every turn within theta, and the
+one-parameter AAA family is searched where one of its angles is at a bound
+or turns back.  A bridge is a free-length edge, so AB, BA and ABA are the
+partial-arc shapes AF, FA and AFA below, solved with no length cap.  Per
+row that can give a longer bridge than the exact minimum over the end
+turns, but never on a row that wins (the argument is at
+``_joint_patterns``).
 
 ``_PARTIAL_SHAPES`` holds every other word over at most three arcs with one
 or two F edges.  Their F lengths solve position closure linearly, and their
@@ -382,185 +383,6 @@ def _solve_arcs(inst: _Instance, sigmas, ks):
     return np.where(has, ks.sum(axis=1) * inst.params.ell, math.inf), build
 
 
-# Arc-bridge rows, solved exactly.  With the arcs' orientations and edge
-# counts fixed, arc 1 ends at P = u + c1 e^{ia} and arc 2 starts at
-# Q = v - c2 e^{ib}, where a and b are the chord directions (complex
-# numbers stand for points), and the bridge is Q - P.  The unknowns are the
-# turns phi_u at u and phi_v at v, which move a and b, under four bounds:
-# |phi_u|, |phi_v| and the joint turns |j1| (arc 1 into the bridge) and |j2|
-# (bridge into arc 2) are at most theta.  The shortest bridge sits where at
-# most two bounds are active, and every such point has a construction:
-#   none active:      u, P, Q and v are collinear;
-#   phi_u (phi_v):    Q (P) nearest to or farthest from the fixed P (Q);
-#   j1 (j2):          Q (P) lies on line uv, and the chain of chord and
-#                     bridge at a fixed angle reaches it (a quadratic in s);
-#   two active:       the four corners, a ray from a fixed end point against
-#                     the other circle, or a fixed-angle chain (for j1 and
-#                     j2 together, the whole chord-bridge-chord chain turned
-#                     rigidly about u).
-# Evaluating all of these (72 per row; 12 for AB, the same problem in one
-# dimension) and keeping the feasible ones gives each row's exact minimum.
-
-def _reach(w, e, rho):
-    """Both real s with |w + s e| = rho (complex w, unit e), on a new last
-    axis.  Where there is none the double root of the nearest approach is
-    returned; candidates are always re-checked on the geometry they give."""
-    b = (w * np.conj(e)).real
-    r = np.sqrt(np.maximum(b * b - np.abs(w) ** 2 + rho ** 2, 0.0))
-    return np.stack([-b - r, -b + r], axis=-1)
-
-
-def _elbow(target, w, e):
-    """Angles t with target = e^{it} (w + s e) for the s of ``_reach``: a
-    chain w then s e, turned rigidly to reach a point."""
-    target, w, e = np.broadcast_arrays(target, w, e)
-    s = _reach(w, e, np.abs(target))
-    return np.angle(target)[..., None] - np.angle(w[..., None] + s * e[..., None])
-
-
-def _ray(origin, beta, center, radius):
-    """Points where rays from ``origin`` in direction ``beta`` (both ways)
-    meet the circle about ``center``."""
-    origin, beta = np.broadcast_arrays(origin, beta)
-    e = np.exp(1j * beta)
-    return origin[..., None] + _reach(origin - center, e, radius) * e[..., None]
-
-
-def _shortest(s, ok, *values):
-    """Per row, the shortest feasible candidate's s (inf if none) and values."""
-    s = np.where(ok, s, np.inf)
-    i = np.argmin(s, axis=1)[:, None]
-    return [np.take_along_axis(x, i, axis=1)[:, 0] for x in (s,) + values]
-
-
-def _row_arcs(params: Params, sigmas, ks):
-    """Chords and half sweeps of arcs with orientations ``sigmas`` and edge
-    counts ``ks``, as columns."""
-    return _chord(params, ks)[:, None], ((ks - 1) * sigmas * params.theta / 2.0)[:, None]
-
-
-def _aba_rows(inst: _Instance, sigmas, ks):
-    """Shortest arc-bridge-arc realization of each row of ``sigmas`` and
-    ``ks`` (rows x 2): the bridge length (inf where no realization keeps
-    every turn within theta), arc 1's first edge direction, the bridge
-    direction and arc 2's first edge direction.
-
-    Where the two arcs can meet, bridges shrinking toward the meeting point
-    may stay feasible: the infimum 0 is not attained, and the shortest
-    stationary bridge is returned.  A short bridge must turn by at most
-    theta across it, so such paths tend to AA paths, which ``_solve_arcs``
-    finds exactly."""
-    th = inst.params.theta
-    (c1, h1), (c2, h2) = (_row_arcs(inst.params, sigmas[:, i], ks[:, i]) for i in (0, 1))
-    u, v = complex(*inst.U.point), complex(*inst.V.point)
-    a0, b0 = inst.psi_u + h1, inst.psi_v - h2  # chord directions at zero end turns
-    bound, flip = np.array([-th, th]), np.array([0.0, math.pi])
-    line = np.angle(v - u) + flip + np.zeros_like(c1)  # both ways along uv
-    a_end, b_end = a0 + bound, b0 + bound  # phi_u, phi_v at a bound
-    kap1, kap2 = h1 + bound, h2 + bound  # j1, j2 at a bound: beta = a + kap1 = b - kap2
-    p_end, q_end = u + c1 * np.exp(1j * a_end), v - c2 * np.exp(1j * b_end)
-    p_line, q_line = u + c1 * np.exp(1j * line), v - c2 * np.exp(1j * line)
-
-    def arc1_to(q, kappa):  # a with q - u = e^{ia} (c1 + s e^{i kappa})
-        return _elbow(q - u, c1[..., None], np.exp(1j * kappa))
-
-    def arc2_from(p, kappa):  # b with v - p = e^{ib} (c2 + s e^{-i kappa})
-        return _elbow(v - p, c2[..., None], np.exp(-1j * kappa))
-
-    beta = _elbow(v - u, (c1 * np.exp(-1j * kap1))[:, :, None]
-                  + (c2 * np.exp(1j * kap2))[:, None, :], 1.0 + 0j)
-    q_ray = _ray(p_end[:, :, None], a_end[:, :, None] + kap1[:, None, :], v, c2[..., None])
-    p_ray = _ray(q_end[:, :, None], b_end[:, :, None] - kap2[:, None, :], u, c1[..., None])
-    families = (  # (a, b) by active bounds
-        (line[:, :, None], line[:, None, :]),                               # none
-        (a_end[:, :, None], np.angle(p_end - v)[:, :, None] + flip),        # phi_u
-        (np.angle(q_end - u)[:, :, None] + flip, b_end[:, :, None]),        # phi_v
-        (arc1_to(q_line[:, :, None], kap1[:, None, :]), line[:, :, None, None]),   # j1
-        (line[:, :, None, None], arc2_from(p_line[:, :, None], kap2[:, None, :])),  # j2
-        (a_end[:, :, None], b_end[:, None, :]),                             # phi_u, phi_v
-        (a_end[:, :, None, None], np.angle(v - q_ray)),                     # phi_u, j1
-        (np.angle(p_ray - u), b_end[:, :, None, None]),                     # phi_v, j2
-        (a_end[:, :, None, None], arc2_from(p_end[:, :, None], kap2[:, None, :])),  # phi_u, j2
-        (arc1_to(q_end[:, :, None], kap1[:, None, :]), b_end[:, :, None, None]),    # phi_v, j1
-        (beta - kap1[:, :, None, None], beta + kap2[:, None, :, None]),     # j1, j2
-    )
-    pairs = [np.broadcast_arrays(x, y) for x, y in families]
-    a = np.concatenate([x.reshape(len(ks), -1) for x, _ in pairs], axis=1)
-    b = np.concatenate([y.reshape(len(ks), -1) for _, y in pairs], axis=1)
-    bridge = v - c2 * np.exp(1j * b) - u - c1 * np.exp(1j * a)
-    s, psi_b = np.abs(bridge), np.angle(bridge)
-    ok = (s > 1e-12) & _turns_ok(th, a - a0, b0 - b, psi_b - a - h1, b - h2 - psi_b)
-    return _shortest(s, ok, a - h1, psi_b, b - h2)
-
-
-def _ab_rows(inst: _Instance, sigmas, ks):
-    """Shortest arc-bridge realization of each row of ``sigmas`` and ``ks``
-    (rows,): the bridge length (inf where none keeps every turn within
-    theta), the arc's first edge direction and the bridge direction."""
-    th = inst.params.theta
-    c, h = _row_arcs(inst.params, sigmas, ks)
-    u, v = complex(*inst.U.point), complex(*inst.V.point)
-    a0 = inst.psi_u + h
-    bound = np.array([-th, th])
-    families = (  # a by active bound
-        np.angle(v - u) + np.array([0.0, math.pi]) + np.zeros_like(c),      # none
-        a0 + bound,                                                           # phi_u
-        _elbow(v - u, c[..., None], np.exp(1j * (h + bound))[:, None, :]),   # j1
-        np.angle(_ray(v, inst.psi_v + bound, u, c[..., None]) - u),          # phi_v
-    )
-    a = np.concatenate([x.reshape(len(ks), -1) for x in families], axis=1)
-    bridge = v - u - c * np.exp(1j * a)
-    s, psi_b = np.abs(bridge), np.angle(bridge)
-    ok = (s > 1e-12) & _turns_ok(th, a - a0, psi_b - a - h, inst.psi_v - psi_b)
-    return _shortest(s, ok, a - h, psi_b)
-
-
-def _solve_ABA(inst: _Instance, sigmas, ks):
-    """Arc, bridge, arc, with the shortest bridge of ``_aba_rows``."""
-    s, psi1, psi_b, psi2 = _aba_rows(inst, sigmas, ks)
-
-    def build(r: int) -> list[Point2]:
-        (s1, s2), (k1, k2) = sigmas[r].tolist(), ks[r].tolist()
-        return _build_elements(inst, [("arc", s1, k1, float(psi1[r])),
-                                      ("bridge", float(s[r]), float(psi_b[r])),
-                                      ("arc", s2, k2, float(psi2[r]))])
-
-    return ks.sum(axis=1) * inst.params.ell + s, build
-
-
-def _solve_AB(inst: _Instance, sigmas, ks, reverse: bool):
-    """Arc then bridge (``_ab_rows``) when reverse is False; bridge then arc
-    when True, solved as AB on the reversed instance, where the arc turns
-    the other way."""
-    work = inst if not reverse else _Instance(
-        Configuration(inst.V.point, scale(inst.V.heading, -1.0)),
-        Configuration(inst.U.point, scale(inst.U.heading, -1.0)),
-        inst.params)
-    (sigma,), (k,) = sigmas.T, ks.T
-    if reverse:
-        sigma = -sigma
-    s, psi1, psi_b = _ab_rows(work, sigma, k)
-
-    def build(r: int) -> list[Point2]:
-        verts = _build_elements(work, [("arc", int(sigma[r]), int(k[r]), float(psi1[r])),
-                                       ("bridge", float(s[r]), float(psi_b[r]))])
-        return [inst.U.point] + verts[::-1][1:] if reverse else verts
-
-    return k * inst.params.ell + s, build
-
-
-# the true-type words, in the order plan solves them
-_ROW_SOLVERS = {
-    "B": _solve_B,
-    "A": _solve_arcs,
-    "AA": _solve_arcs,
-    "AB": functools.partial(_solve_AB, reverse=False),
-    "BA": functools.partial(_solve_AB, reverse=True),
-    "ABA": _solve_ABA,
-    "AAA": _solve_arcs,
-}
-
-
 # ---------------------------------------------------------------------------
 # arcs with partial end edges
 
@@ -571,7 +393,8 @@ _ROW_SOLVERS = {
 # solve a linear program with two closure equations, so a shortest path has
 # at most two edges whose length is neither 0 nor ell.  These are the words
 # over at most three arcs with one or two F edges that the words above miss
-# (AF, FA and AFA are AB, BA and ABA).
+# (AF, FA and AFA are AB, BA and ABA, whose row solvers ``_solve_bridged``
+# builds from ``_solve_partial``).
 _PARTIAL_SHAPES = (
     "FAF",
     "FAA", "AAF", "FAFA", "AFAF", "FAAF",
@@ -635,6 +458,22 @@ def _joint_patterns(shape: str, theta: float) -> _Patterns:
     inflection, so its two joints must turn by at most theta together: rows
     fixing both at one bound, +theta or -theta, never close and are dropped,
     so they take no share of a chunk's pair budget.
+
+    AF, FA and AFA are the words AB, BA and ABA, and per row these patterns
+    need not find their shortest bridge: the exact minimum over the end
+    turns can hold one joint at a bound, or none, where the patterns hold
+    two.  Such a row never wins the plan, because its exact optimum is a
+    neighbouring row's polyline or loses to one.  Where a one-edge arc meets
+    the bridge at a zero turn, the optimum is the polyline of the row
+    without that arc, which the patterns reach: from (0, 0, 0 deg) to
+    (7, 2, 40 deg) at n = 16 the exact ABA row (1, 1) is 7.280261636878005,
+    the length of the BA winner, where AFA gives 7.283037569490061.  Every
+    other such optimum is beaten by a strictly shorter candidate of another
+    row; many type as AABA or ABAA, a forbidden factor.  On the 80 instances
+    of ``test_plan_not_beaten_by_exact_bridge_rows`` the patterns give 560
+    rows longer than an exact optimum that validates: 106 of those optima
+    are a neighbouring row's polyline and the other 454 lose to a shorter
+    candidate.
     """
     n_joints = len(shape) + 1
     choices = []
@@ -997,6 +836,24 @@ def _solve_partial(inst: _Instance, shape: str, sigmas, ks, length_cap: float):
         return _build_elements(inst, elements)
 
     return lengths, build
+
+
+def _solve_bridged(shape: str):
+    """Row solver of the true-type word with a bridge that ``shape`` spells
+    with an F: the partial-arc solver with no length cap."""
+    return lambda inst, sigmas, ks: _solve_partial(inst, shape, sigmas, ks, math.inf)
+
+
+# the true-type words, in the order plan solves them
+_ROW_SOLVERS = {
+    "B": _solve_B,
+    "A": _solve_arcs,
+    "AA": _solve_arcs,
+    "AB": _solve_bridged("AF"),
+    "BA": _solve_bridged("FA"),
+    "ABA": _solve_bridged("AFA"),
+    "AAA": _solve_arcs,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import bisect
-import itertools
 
-from .model import DiscretePath, Params, augmented, edge_lengths
+from .model import DiscretePath, Params, augmented
 from .smooth import SmoothPath
 from .structure import PathStructure
 
@@ -40,7 +39,8 @@ def _polyline(coords, color, width, dashed=False):
 def render_path_svg(path: DiscretePath, params: Params,
                     structure: PathStructure | None = None) -> str:
     """SVG picture of a discrete path: arcs highlighted, bridges dashed,
-    boundary headings as small arrows."""
+    boundary headings as small arrows.  ``structure`` must be the path's own:
+    its pieces are cut at the vertex positions it was measured on."""
     pts = augmented(path, params)
     pre, post = pts[0], pts[-1]
     x, y, w, h = _viewbox(pts)
@@ -54,12 +54,11 @@ def render_path_svg(path: DiscretePath, params: Params,
         _polyline(verts, "#1f3b57", stroke),
     ]
     if structure is not None:
-        vertex_s = list(itertools.accumulate(edge_lengths(path), initial=0.0))
         for arc in structure.arcs:
-            seg = _structure_points(verts, vertex_s, arc)
+            seg = _structure_points(verts, structure.vertex_s, arc)
             parts.append(_polyline(seg, "#d9822b", stroke * 1.4))
         for b in structure.bridges:
-            seg = _structure_points(verts, vertex_s, b)
+            seg = _structure_points(verts, structure.vertex_s, b)
             parts.append(_polyline(seg, "#2b7bd9", stroke * 1.1, dashed=True))
     r = _fmt(stroke)
     parts += [f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="#1f3b57"/>'

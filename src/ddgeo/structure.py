@@ -9,7 +9,7 @@ bridges (B) along the path gives its type word.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .geometry import Point2, dist, lerp
@@ -82,6 +82,10 @@ class PathStructure:
     arcs: tuple[Arc, ...]
     bridges: tuple[Bridge, ...]
     type_word: str
+    # the arclength position of each path vertex, which the pieces' start_s
+    # and end_s were measured on; not part of the structure's value, and not
+    # serialized
+    vertex_s: list[float] = field(repr=False, compare=False)
 
 
 class _Frame:
@@ -322,7 +326,7 @@ def _structure(frame: _Frame) -> PathStructure:
     labeled += [(b.start_s, b.end_s, "B") for b in bridges]
     labeled.sort(key=lambda t: (t[0], t[1]))
     word = "".join(letter for _, _, letter in labeled)
-    return PathStructure(tuple(arcs), tuple(bridges), word)
+    return PathStructure(tuple(arcs), tuple(bridges), word, frame.vertex_s)
 
 
 def _typed(frame: _Frame) -> PathStructure | None:

@@ -334,11 +334,13 @@ def test_render_structure_points_match_edge_walk():
             st = structure_of(path, P8)
         except InternalInconsistencyError:
             continue
-        vertex_s = list(itertools.accumulate(edge_lengths(path), initial=0.0))
+        # the renderer cuts at the positions the structure was measured on,
+        # the same floats as a walk over the edge lengths
+        assert st.vertex_s == list(itertools.accumulate(edge_lengths(path), initial=0.0))
         verts = render._coords(path.vertices)
         for piece in st.arcs + st.bridges:
             pieces += 1
-            assert drawn(render._structure_points(verts, vertex_s, piece)) == \
+            assert drawn(render._structure_points(verts, st.vertex_s, piece)) == \
                 drawn(render._coords(walk(path, piece.start_s, piece.end_s)))
     assert pieces >= 100
 

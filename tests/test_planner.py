@@ -37,8 +37,6 @@ from ddgeo.planner import (
     _ROW_SOLVERS,
     TWO_PI,
     CandidateSpec,
-    _ab_rows,
-    _aba_rows,
     _chord,
     _chord_gap,
     _dubins_seed,
@@ -61,6 +59,8 @@ from ddgeo.rewrite import find_applicable, shorten
 from ddgeo.smooth import DiscretizationPlan, LineSeg, discretize, dubins_solve
 from ddgeo.structure import find_forbidden_subtype, type_string
 
+from bridge_reference import SOLVERS as BRIDGE_SOLVERS
+from bridge_reference import ab_rows, aba_rows
 from gen import build_path, random_configuration_pair
 
 P8 = Params.from_sides(8, 1.0)
@@ -548,7 +548,7 @@ def test_plan_does_not_import_scipy():
         from ddgeo import Configuration, Params, plan
         params = Params.from_sides(16, 2.0 * math.sin(math.pi / 16))
         res = plan(Configuration.at_angle((0.0, 0.0), 0.0),
-                   Configuration.at_angle((7.0, 2.0), math.radians(40.0)), params)
+                   Configuration.at_angle((8.0, -3.0), math.radians(90.0)), params)
         print(json.dumps({"scipy": "scipy" in sys.modules,
                           "aba_solved": sum(d.word == "ABA" and d.status == "solved"
                                             for d in res.diagnostics)}))
@@ -654,8 +654,8 @@ def test_arc_bridge_rows_beat_dense_search(n):
             rows.append((s1, s2, k1, int(rng.choice(k2s))))
         rows = np.array(rows)
         sigmas, ks = rows[:, :2], rows[:, 2:]
-        s, psi1, psi_b, psi2 = _aba_rows(inst, sigmas, ks)
-        ab_s, ab_psi1, ab_psi_b = _ab_rows(inst, sigmas[:, 0], ks[:, 0])
+        s, psi1, psi_b, psi2 = aba_rows(inst, sigmas, ks)
+        ab_s, ab_psi1, ab_psi_b = ab_rows(inst, sigmas[:, 0], ks[:, 0])
         for r, (s1, s2, k1, k2) in enumerate(rows.tolist()):
             if not _arcs_meet(inst, (s1, s2), (k1, k2)):
                 ref = _grid_bridge(inst, (s1, s2), (k1, k2), grid[:, None], grid[None, :])
@@ -689,6 +689,41 @@ def test_arc_bridge_rows_beat_dense_search(n):
                     path = solve_candidate(CandidateSpec("AB", (s1,), (k1,)), U, V, params)
                     assert path is not None and validate(path, params) == []
     assert feasible >= 20 and on_joint >= 10
+
+
+def test_plan_not_beaten_by_exact_bridge_rows():
+    # plan solves AB, BA and ABA as the partial-arc shapes AF, FA and AFA,
+    # which realize some rows longer than their exact optimum (the argument
+    # at _joint_patterns); the shortest exact row that validates never beats
+    # the plan.  U sits at the origin with heading 0, d is in [0.5, 12].
+    rng = np.random.default_rng(3)
+    longer = 0
+    for _ in range(80):
+        n = int(rng.choice([6, 8, 12, 16]))
+        params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+        th = params.theta
+        d = float(rng.uniform(0.5, 12.0))
+        bearing, heading = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
+        U = Configuration.at_angle((0.0, 0.0), 0.0)
+        V = Configuration.at_angle((d * math.cos(bearing), d * math.sin(bearing)), heading)
+        inst = _Instance(U, V, params)
+        exact = math.inf
+        for word, solve in BRIDGE_SOLVERS.items():
+            sigmas, ks = _word_rows(word.count("A"), _wrap(inst.psi_v - inst.psi_u), th,
+                                    (len(word) + 1) * th, range(1, n), False, params.ell,
+                                    math.inf)
+            lengths, build = solve(inst, sigmas, ks)
+            longer += int(np.sum(_ROW_SOLVERS[word](inst, sigmas, ks)[0]
+                                 > lengths * (1.0 + 1e-9)))
+            for r in np.argsort(lengths, kind="stable").tolist():
+                if lengths[r] == math.inf:
+                    break
+                frame = inst.finish(build(r))
+                if frame is not None:
+                    exact = min(exact, frame.total)
+                    break
+        assert plan(U, V, params).length <= exact + 1e-9 * params.ell
+    assert longer >= 100
 
 
 def _ref_arc_rows(inst, sigmas, ks, samples):
