@@ -57,7 +57,6 @@ from .planner import (
     PlanResult,
     PlannerError,
     forward_construct,
-    oracle_search,
     plan,
     solve_candidate,
 )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .geometry import (
     DegenerateGeometryError,
@@ -40,7 +41,9 @@ class Params:
     """Model parameters: turn bound ``theta`` and edge length ``ell``.
 
     ``theta`` must divide 2*pi exactly; ``n_sides`` is that integer quotient,
-    the vertex count of the discrete circle.
+    the vertex count of the discrete circle.  The derived lengths are
+    computed once per instance; they are not fields, so equality and
+    hashing see only the three above.
     """
 
     theta: float
@@ -63,15 +66,15 @@ class Params:
             raise ValueError(f"n_sides must be at least 4, got {n_sides}")
         return cls(theta=2.0 * math.pi / n_sides, ell=ell, n_sides=n_sides)
 
-    @property
+    @cached_property
     def tol_len(self) -> float:
         return 1e-9 * self.ell
 
-    @property
+    @cached_property
     def tol_dedup(self) -> float:
         return 1e-12 * self.ell
 
-    @property
+    @cached_property
     def circumradius(self) -> float:
         """Circumradius of the discrete circle (regular n_sides-gon with side ell)."""
         return self.ell / (2.0 * math.sin(self.theta / 2.0))

@@ -89,7 +89,6 @@ from .model import (
     DiscretePath,
     EdgeClass,
     Params,
-    classify_edge,
     edge_lengths,
     measure,
     reverse,
@@ -504,7 +503,7 @@ class _Ctx:
         self.params = frame.params
         self.verts = list(self.path.vertices)
         self.lens = frame.lengths
-        self.classes = [classify_edge(ln, self.params) for ln in self.lens]
+        self.classes = frame.classes
         self.turns = frame.turns
         self.dirs = [unit(sub(self.verts[i + 1], self.verts[i]))
                      for i in range(len(self.verts) - 1)]

@@ -8,18 +8,19 @@ bridges (B) along the path gives its type word.
 
 from __future__ import annotations
 
-import bisect
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
-from .geometry import Point2, dist, lerp
+from .geometry import DegenerateGeometryError, Point2, dist, lerp
 from .model import (
     TOL_ANG,
     DiscretePath,
     EdgeClass,
     Params,
     _lengths_and_turns,
-    classify_edge,
     measure,
     validate,  # noqa: F401 -- bench/tracing.py wraps structure.validate
     vertex_turns,  # noqa: F401 -- bench/tracing.py wraps structure.vertex_turns
@@ -94,58 +95,48 @@ class _Frame:
 
     Built from the path's edge lengths and vertex turns, which the caller
     has already walked (``_measured`` takes them from one ``measure`` pass).
+    With ``params``, every path edge and every effective edge is classified
+    (``classes``, ``eff_class``) as ``classify_edge`` would.
     """
 
     def __init__(self, path: DiscretePath, params: Params | None,
                  lengths: list[float], turns: list[float]):
         self.path = path
         self.params = params
-        v = path.vertices
         self.lengths = lengths
-        self.vertex_s = [0.0]
-        for ln in lengths:
-            self.vertex_s.append(self.vertex_s[-1] + ln)
-        self.total = self.vertex_s[-1]
         self.turns = turns
+        self.vertex_s = vs = list(accumulate(lengths, initial=0.0))
+        self.total = vs[-1]
+        n = len(vs)
         # effective corners: endpoints always, interior only if turning
-        self.eff_idx = [0]
-        for i in range(1, len(v) - 1):
-            if abs(self.turns[i]) > TOL_ANG:
-                self.eff_idx.append(i)
-        if len(v) > 1:
-            self.eff_idx.append(len(v) - 1)
-        self.eff_s = [self.vertex_s[i] for i in self.eff_idx]
-        self.eff_turn = [self.turns[i] for i in self.eff_idx]
-        self.eff_len = [self.eff_s[k + 1] - self.eff_s[k]
-                        for k in range(len(self.eff_idx) - 1)]
+        self.eff_idx = [0, *(i for i in range(1, n - 1) if abs(turns[i]) > TOL_ANG)]
+        if n > 1:
+            self.eff_idx.append(n - 1)
+        self.eff_s = es = [vs[i] for i in self.eff_idx]
+        self.eff_turn = [turns[i] for i in self.eff_idx]
         if params is not None:
-            self.eff_class = [classify_edge(ln, params) for ln in self.eff_len]
+            # an effective edge spans whole path edges, so it is the one
+            # classify_edge rejects first
+            eff_len = [b - a for a, b in zip(es, es[1:])]
+            for ln in eff_len:
+                if not 0.0 < ln < math.inf:
+                    raise DegenerateGeometryError(f"edge length must be positive, got {ln}")
+            short, long = params.ell - params.tol_len, params.ell + params.tol_len
+            S, N, L = EdgeClass.SHORT, EdgeClass.NORMAL, EdgeClass.LONG
+            self.eff_class = [S if ln < short else L if ln > long else N for ln in eff_len]
+            self.classes = [S if ln < short else L if ln > long else N for ln in lengths]
 
-    def point_at(self, s: float) -> Point2:
+    def point_at(self, s: float, lo: int = 1) -> Point2:
+        """The point at arclength s; no vertex before index ``lo`` may lie
+        beyond s."""
         v = self.path.vertices
         if s <= 0.0:
             return v[0]
         if s >= self.total:
             return v[-1]
-        i = bisect.bisect_right(self.vertex_s, s) - 1
-        i = min(i, len(v) - 2)
-        seg = self.vertex_s[i + 1] - self.vertex_s[i]
-        t = (s - self.vertex_s[i]) / seg
-        return lerp(v[i], v[i + 1], t)
-
-    def vertices_in(self, s0: float, s1: float, tol: float) -> tuple[int, int]:
-        """First and last path-vertex indices whose position lies in
-        [s0 - tol, s1 + tol]."""
-        first = bisect.bisect_left(self.vertex_s, s0 - tol)
-        last = bisect.bisect_right(self.vertex_s, s1 + tol) - 1
-        if first > last:
-            raise InternalInconsistencyError("arc span contains no path vertex")
-        return first, last
-
-    def edge_at(self, s: float) -> int:
-        """Index of the path edge containing arclength position s."""
-        i = bisect.bisect_right(self.vertex_s, s) - 1
-        return max(0, min(i, len(self.path.vertices) - 2))
+        vs = self.vertex_s
+        i = bisect_right(vs, s, lo, len(v) - 1) - 1
+        return lerp(v[i], v[i + 1], (s - vs[i]) / (vs[i + 1] - vs[i]))
 
 
 def _measured(path: DiscretePath, params: Params) -> _Frame:
@@ -155,55 +146,6 @@ def _measured(path: DiscretePath, params: Params) -> _Frame:
     if violations:
         raise InfeasiblePathError("arc extraction requires a feasible path")
     return _Frame(path, params, lengths, turns)
-
-
-def _theta_seeds(frame: _Frame) -> list[int]:
-    # one-sided test: feasibility already caps |t| at theta + TOL_ANG, and a
-    # two-sided window can lose boundary turns to floating-point rounding
-    th = frame.params.theta
-    return [k for k, t in enumerate(frame.eff_turn) if abs(t) >= th - TOL_ANG]
-
-
-def _arc_spans(frame: _Frame) -> list[tuple[float, float, int, int, int]]:
-    """Arc spans as (start_s, end_s, eff_first, eff_last, sign) tuples.
-
-    Seeds every theta-turn corner, chains runs of same-sign seeds joined by
-    normal edges, then extends both run ends: a whole adjacent normal or short
-    edge joins the arc, while only the length-ell portion of an adjacent long
-    edge does.  Terminal seeds (flush starts/ends) extend only inward.
-    """
-    params = frame.params
-    seeds = _theta_seeds(frame)
-    if not seeds:
-        return []
-    signs = {k: (1 if frame.eff_turn[k] > 0 else -1) for k in seeds}
-
-    runs: list[list[int]] = []
-    for k in seeds:
-        if (runs and runs[-1][-1] == k - 1 and signs[runs[-1][-1]] == signs[k]
-                and frame.eff_class[k - 1] is EdgeClass.NORMAL):
-            runs[-1].append(k)
-        else:
-            runs.append([k])
-
-    last_eff = len(frame.eff_idx) - 1
-    spans = []
-    for run in runs:
-        f, l = run[0], run[-1]
-        if f == 0:
-            s0, ef = frame.eff_s[0], 0
-        elif frame.eff_class[f - 1] is EdgeClass.LONG:
-            s0, ef = frame.eff_s[f] - params.ell, f
-        else:
-            s0, ef = frame.eff_s[f - 1], f - 1
-        if l == last_eff:
-            s1, el = frame.eff_s[last_eff], last_eff
-        elif frame.eff_class[l] is EdgeClass.LONG:
-            s1, el = frame.eff_s[l] + params.ell, l
-        else:
-            s1, el = frame.eff_s[l + 1], l + 1
-        spans.append((s0, s1, ef, el, signs[f]))
-    return spans
 
 
 def extract_arcs(path: DiscretePath, params: Params) -> list[Arc]:
@@ -218,44 +160,88 @@ def extract_arcs(path: DiscretePath, params: Params) -> list[Arc]:
 
 
 def _arcs(frame: _Frame) -> list[Arc]:
+    """The frame's arcs, sorted by (start_s, end_s), left to right over its
+    effective corners.
+
+    Runs of same-sign theta-turn corners joined by normal edges become arcs
+    whose ends extend over the whole adjacent normal or short edge, or the
+    length-ell part of an adjacent long edge; terminal corners extend only
+    inward.  The run spans come out sorted by both ends, so a normal edge is
+    inside one (within tol_len) exactly when it ends within the last span
+    that starts at or before it; each other normal edge is a single-edge arc.
+    """
     if len(frame.path.vertices) == 1:
         return []
     params = frame.params
-    spans = _arc_spans(frame)
+    ell, tol, dedup = params.ell, params.tol_len, params.tol_dedup
+    idx, es, turn, cls = frame.eff_idx, frame.eff_s, frame.eff_turn, frame.eff_class
+    normal, long = EdgeClass.NORMAL, EdgeClass.LONG
+    last = len(es) - 1
 
-    covered = sorted((s0, s1) for s0, s1, *_ in spans)
-    tol = params.tol_len
+    # one-sided seed test: feasibility already caps |t| at theta + TOL_ANG,
+    # and a two-sided window can lose boundary turns to floating-point rounding
+    floor = params.theta - TOL_ANG
+    runs: list[list[int]] = []  # [first, last, sign] in effective corners
+    for k, t in enumerate(turn):
+        if abs(t) >= floor:
+            sign = 1 if t > 0 else -1
+            if runs and runs[-1][1] == k - 1 and runs[-1][2] == sign and cls[k - 1] is normal:
+                runs[-1][1] = k
+            else:
+                runs.append([k, k, sign])
+    spans = []  # (start_s, end_s, first and last effective corner, sign)
+    for f, l, sign in runs:
+        if f == 0:
+            s0, ef = es[0], 0
+        elif cls[f - 1] is long:
+            s0, ef = es[f] - ell, f
+        else:
+            s0, ef = es[f - 1], f - 1
+        if l == last:
+            s1, el = es[last], last
+        elif cls[l] is long:
+            s1, el = es[l] + ell, l
+        else:
+            s1, el = es[l + 1], l + 1
+        spans.append((s0, s1, ef, el, sign))
 
-    def is_covered(a: float, b: float) -> bool:
-        return any(s0 - tol <= a and b <= s1 + tol for s0, s1 in covered)
-
-    # single normal edges not inside any theta-run arc (m=2 admission)
-    for k, cls in enumerate(frame.eff_class):
-        if cls is not EdgeClass.NORMAL:
+    ordered = []
+    emitted = started = 0
+    for k, c in enumerate(cls):
+        if c is not normal:
             continue
-        a, b = frame.eff_s[k], frame.eff_s[k + 1]
-        if is_covered(a, b):
+        a, b = es[k], es[k + 1]
+        while started < len(spans) and spans[started][0] - tol <= a:
+            started += 1
+        if started and b <= spans[started - 1][1] + tol:
             continue
+        # an uncovered edge ends beyond every span starting at a, so spans
+        # sort before it exactly when they start no later
+        while emitted < len(spans) and spans[emitted][0] <= a:
+            ordered.append(spans[emitted])
+            emitted += 1
         # orientation of a single-edge arc is a convention; take the side of
         # the stronger endpoint turn, defaulting to left
-        ta, tb = frame.eff_turn[k], frame.eff_turn[k + 1]
+        ta, tb = turn[k], turn[k + 1]
         t = tb if abs(tb) > abs(ta) else ta
-        spans.append((a, b, k, k + 1, -1 if t < 0 else 1))
+        ordered.append((a, b, k, k + 1, -1 if t < 0 else 1))
+    ordered += spans[emitted:]
 
-    spans.sort(key=lambda sp: (sp[0], sp[1]))
+    vs = frame.vertex_s
     arcs = []
-    for s0, s1, ef, el, sign in spans:
-        fv, lv = frame.vertices_in(s0, s1, params.tol_dedup)
+    for s0, s1, ef, el, sign in ordered:
+        # corner ef - 1 lies before s0 (a long start lies past it, inside
+        # the long edge), and corner el at or before s1; positional
+        # arguments, as keywords double the cost of a frozen dataclass
         arcs.append(Arc(
-            start_pt=frame.point_at(s0),
-            end_pt=frame.point_at(s1),
-            first_vertex=fv,
-            last_vertex=lv,
-            orientation=Orientation.LEFT if sign > 0 else Orientation.RIGHT,
-            edge_count=el - ef + (0 if s0 >= frame.eff_s[ef] - tol else 1)
-            + (0 if s1 <= frame.eff_s[el] + tol else 1),
-            start_s=s0,
-            end_s=s1,
+            frame.point_at(s0, idx[ef - 1] + 1 if ef else 1),
+            frame.point_at(s1, idx[el] + 1),
+            bisect_left(vs, s0 - dedup),                            # first_vertex
+            bisect_right(vs, s1 + dedup) - 1,                       # last_vertex
+            Orientation.LEFT if sign > 0 else Orientation.RIGHT,
+            el - ef + (s0 < es[ef] - tol) + (s1 > es[el] + tol),    # edge_count
+            s0,
+            s1,
         ))
     return arcs
 
@@ -273,45 +259,61 @@ def _merged_spans(arcs: list[Arc]) -> list[tuple[float, float]]:
 
 def extract_bridges(path: DiscretePath, arcs: list[Arc],
                     params: Params | None = None) -> list[Bridge]:
-    """Straight segments of the path not covered by arcs, in path order.
+    """Straight segments of the path not covered by its arcs (as
+    ``extract_arcs`` gives them), in path order.
 
     Raises InternalInconsistencyError if an uncovered stretch contains a
     turning vertex: the complement of the arcs of a path at a rewriting fixed
     point is always straight, so a bend here means the caller handed in a path
     outside this function's domain.
     """
-    return _bridges(_Frame(path, params, *_lengths_and_turns(path, 0.0)), arcs)
+    frame = _Frame(path, params, *_lengths_and_turns(path, 0.0))
+    return _bridges(frame, sorted(arcs, key=lambda a: (a.start_s, a.end_s)))[0]
 
 
-def _bridges(frame: _Frame, arcs: list[Arc]) -> list[Bridge]:
-    if len(frame.path.vertices) == 1:
-        return []
-    total = frame.total
+def _bridges(frame: _Frame, arcs: list[Arc]) -> tuple[list[Bridge], str]:
+    """The bridges between the frame's arcs, sorted by (start_s, end_s), and
+    the type word, in one pass over the arcs in that order.
+
+    A bridge fills each gap of more than a sliver between the overlapping
+    blocks of arcs; its ends are the neighbouring arcs' ends or the path's.
+    """
+    v = frame.path.vertices
+    if len(v) == 1:
+        return [], ""
+    total, vs, es = frame.total, frame.vertex_s, frame.eff_s
     sliver = 1e-9 * max(1.0, total)
+    bridges: list[Bridge] = []
+    word = []
 
-    gaps = []
-    cursor = 0.0
-    for s0, s1 in _merged_spans(arcs):
-        if s0 - cursor > sliver:
-            gaps.append((cursor, s0))
-        cursor = max(cursor, s1)
-    if total - cursor > sliver:
-        gaps.append((cursor, total))
-
-    bridges = []
-    for a, b in gaps:
-        for k, s in enumerate(frame.eff_s):
-            if a + sliver < s < b - sliver and abs(frame.eff_turn[k]) > TOL_ANG:
+    def bridge(a, a_pt, b, b_pt):
+        for k in range(bisect_right(es, a + sliver), len(es)):
+            if es[k] >= b - sliver:
+                break
+            if abs(frame.eff_turn[k]) > TOL_ANG:
                 raise InternalInconsistencyError(
-                    f"uncovered stretch [{a:.6g}, {b:.6g}] contains a turn at s={s:.6g}")
-        bridges.append(Bridge(
-            start_pt=frame.point_at(a),
-            end_pt=frame.point_at(b),
-            host_edge=frame.edge_at(0.5 * (a + b)),
-            start_s=a,
-            end_s=b,
-        ))
-    return bridges
+                    f"uncovered stretch [{a:.6g}, {b:.6g}] contains a turn at s={es[k]:.6g}")
+        bridges.append(Bridge(a_pt, b_pt, bisect_right(vs, 0.5 * (a + b), 1, len(v) - 1) - 1,
+                              a, b))
+        word.append("B")
+
+    cursor, cursor_pt = 0.0, v[0]  # the end of the blocks so far
+    end = end_pt = None            # the end of the current block
+    for arc in arcs:
+        if end is None or arc.start_s > end:
+            if end is not None:
+                cursor, cursor_pt = end, end_pt
+            if arc.start_s - cursor > sliver:
+                bridge(cursor, cursor_pt, arc.start_s, arc.start_pt)
+            end, end_pt = arc.end_s, arc.end_pt
+        elif arc.end_s > end:
+            end, end_pt = arc.end_s, arc.end_pt
+        word.append("A")
+    if end is not None:
+        cursor, cursor_pt = end, end_pt
+    if total - cursor > sliver:
+        bridge(cursor, cursor_pt, total, v[-1])
+    return bridges, "".join(word)
 
 
 def structure_of(path: DiscretePath, params: Params) -> PathStructure:
@@ -321,11 +323,7 @@ def structure_of(path: DiscretePath, params: Params) -> PathStructure:
 
 def _structure(frame: _Frame) -> PathStructure:
     arcs = _arcs(frame)
-    bridges = _bridges(frame, arcs)
-    labeled = [(a.start_s, a.end_s, "A") for a in arcs]
-    labeled += [(b.start_s, b.end_s, "B") for b in bridges]
-    labeled.sort(key=lambda t: (t[0], t[1]))
-    word = "".join(letter for _, _, letter in labeled)
+    bridges, word = _bridges(frame, arcs)
     return PathStructure(tuple(arcs), tuple(bridges), word, frame.vertex_s)
 
 

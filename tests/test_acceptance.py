@@ -19,7 +19,7 @@ from ddgeo.model import (
     validate,
     vertex_turns,
 )
-from ddgeo.planner import oracle_search, plan
+from ddgeo.planner import plan
 from ddgeo.rewrite import shorten
 from ddgeo.smooth import (
     angle_bound_check,
@@ -43,6 +43,7 @@ from gen import (
     random_feasible_path,
     random_smooth_path,
 )
+from oracle import oracle_search
 
 
 def _report(idx, name, ok, detail=""):

@@ -51,7 +51,6 @@ from ddgeo.planner import (
     _trig_roots,
     _word_rows,
     forward_construct,
-    oracle_search,
     plan,
     solve_candidate,
 )
@@ -62,6 +61,7 @@ from ddgeo.structure import find_forbidden_subtype, type_string
 from bridge_reference import SOLVERS as BRIDGE_SOLVERS
 from bridge_reference import ab_rows, aba_rows
 from gen import build_path, random_configuration_pair
+from oracle import oracle_search
 
 P8 = Params.from_sides(8, 1.0)
 TH = P8.theta

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from ddgeo.model import Configuration, Params, path_length, validate
+from ddgeo.model import Configuration, Params, path_length, reverse, transform, validate
 from ddgeo.geometry import from_angle
 from ddgeo.planner import plan
 from ddgeo.rewrite import find_applicable, shorten
@@ -110,3 +110,20 @@ def test_plan_is_an_exact_fixed_point():
                       (0.0966228891552047, 0.9953210624171986))
     params = _unit(8)
     assert find_applicable(plan(U, V, params).best, params) is None
+
+
+def test_type_is_invariant_under_rigid_motion_and_reversal():
+    # rotation, translation and reflection keep the word (or its absence);
+    # traversing the path backwards reverses it
+    rng = np.random.default_rng(5)
+    typed = 0
+    for _ in range(600):
+        params = Params.from_sides(int(rng.choice([6, 8, 12, 16])), 1.0)
+        path = random_feasible_path(params, rng)
+        word = type_or_none(path, params)
+        angle, dx, dy = rng.uniform(0.0, 2.0 * math.pi), *rng.uniform(-50.0, 50.0, 2)
+        moved = transform(path, float(angle), (float(dx), float(dy)), bool(rng.integers(2)))
+        assert type_or_none(moved, params) == word
+        assert type_or_none(reverse(path), params) == (None if word is None else word[::-1])
+        typed += word is not None
+    assert typed >= 400

@@ -254,29 +254,121 @@ def test_structure_invariants_random():
                            for a in st.arcs), f"theta vertex {i} uncovered"
 
 
-def test_vertices_in_matches_linear_scan():
-    # the bisection finds the same first and last vertex as a scan of the
-    # positions, and raises when the span holds none
-    from ddgeo.structure import InternalInconsistencyError, _measured
-
-    def scan(vertex_s, s0, s1, tol):
-        inside = [i for i, s in enumerate(vertex_s) if s0 - tol <= s <= s1 + tol]
-        return (inside[0], inside[-1]) if inside else None
-
+def test_arc_vertices_match_linear_scan():
+    # each arc's first and last vertex are the first and last whose position
+    # lies within tol_dedup of its span, on raw and canonical paths (whose
+    # inserted vertices sit within rounding of the arc ends)
     rng = np.random.default_rng(24)
     tol = P8.tol_dedup
-    for _ in range(30):
-        frame = _measured(random_feasible_path(P8, rng), P8)
-        vs = frame.vertex_s
-        ends = [v + e for v in vs for e in (-2.0 * tol, -tol, 0.0, tol, 2.0 * tol)]
-        ends += list(rng.uniform(-0.5, vs[-1] + 0.5, 20))
-        for s0, s1 in itertools.product(ends, repeat=2):
-            want = scan(vs, s0, s1, tol)
-            if want is None:
-                with pytest.raises(InternalInconsistencyError):
-                    frame.vertices_in(s0, s1, tol)
-            else:
-                assert frame.vertices_in(s0, s1, tol) == want
+    seen = 0
+    for _ in range(60):
+        p = random_feasible_path(P8, rng)
+        for path in (p, canonicalize(p, P8)):
+            vs = list(itertools.accumulate(model.edge_lengths(path), initial=0.0))
+            for a in extract_arcs(path, P8):
+                inside = [i for i, s in enumerate(vs) if a.start_s - tol <= s <= a.end_s + tol]
+                assert (a.first_vertex, a.last_vertex) == (inside[0], inside[-1])
+                seen += 1
+    assert seen >= 200
+
+
+def _outcome(fn, *args):
+    """repr of the result (with any vertex positions), or of the exception:
+    repr keeps -0.0 apart from 0.0, and the message of an untypeable path."""
+    try:
+        got = fn(*args)
+    except Exception as exc:  # noqa: BLE001 -- the exception is the outcome
+        return repr(exc)
+    return repr(got) + repr(getattr(got, "vertex_s", None))
+
+
+def _reference_corpus():
+    """(params, path): random feasible paths, theta-discretized Dubins
+    curves, the paths ``shorten`` passes through from a fixed sample, and
+    the canonical form of each."""
+    from ddgeo.geometry import from_angle
+    from ddgeo.rewrite import shorten
+    from ddgeo.smooth import discretize, dubins_solve
+
+    rng = np.random.default_rng(25)
+    corpus = []
+    for _ in range(240):
+        params = Params.from_sides(int(rng.choice([6, 8, 12, 16])), 1.0)
+        corpus.append((params, random_feasible_path(params, rng)))
+    for n in (8, 16, 32):
+        params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+        for _ in range(20):
+            h_u, h_v, bearing = rng.uniform(0.0, 2.0 * math.pi, 3)
+            d = rng.uniform(0.0, 10.0)
+            U = Configuration((0.0, 0.0), from_angle(h_u))
+            V = Configuration((d * math.cos(bearing), d * math.sin(bearing)), from_angle(h_v))
+            gamma = dubins_solve(U, V)
+            if gamma.length > params.theta:
+                corpus.append((params, discretize(gamma, params.theta)))
+    for params, path in corpus[:40] + corpus[240:250]:
+        shorten(path, params, budget=300,
+                observer=lambda _i, p, params=params: corpus.append((params, p)))
+    return corpus + [(params, canonicalize(path, params)) for params, path in corpus]
+
+
+def test_structure_matches_reference():
+    # the one pass against the per-endpoint walks it replaced: every Arc
+    # and Bridge field, the word, the positions, or the exception
+    from ddgeo.structure import _Frame, _structure
+
+    import structure_reference as ref
+
+    words = set()
+    raised = 0
+    for params, path in _reference_corpus():
+        lengths, turns, violations = model.measure(path, params)
+        assert not violations
+        want = _outcome(ref.structure, ref.Frame(path, params, lengths, turns))
+        assert _outcome(_structure, _Frame(path, params, lengths, turns)) == want
+        if want.startswith("PathStructure"):
+            words.add(structure_of(path, params).type_word)
+        else:
+            assert want.startswith("InternalInconsistencyError('uncovered stretch")
+            raised += 1
+    # the corpus holds untypeable paths, every true type and many other words
+    assert raised >= 300
+    assert set(TRUE_TYPES) <= words and len(words) >= 100
+
+
+def test_extract_bridges_matches_reference():
+    import structure_reference as ref
+
+    checked = 0
+    for params, path in _reference_corpus()[::4]:
+        arcs = extract_arcs(path, params)
+        for p in (None, params):
+            want = _outcome(ref.extract_bridges, path, arcs, p)
+            assert _outcome(extract_bridges, path, arcs[::-1], p) == want
+        checked += 1
+    assert checked >= 100
+
+
+def test_frame_classes_match_classify_edge():
+    from ddgeo.geometry import DegenerateGeometryError
+    from ddgeo.model import classify_edge
+    from ddgeo.structure import _Frame, _measured
+
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        path = canonicalize(random_feasible_path(P8, rng), P8)
+        frame = _measured(path, P8)
+        assert frame.classes == [classify_edge(ln, P8) for ln in frame.lengths]
+        es = frame.eff_s
+        assert frame.eff_class == [classify_edge(b - a, P8) for a, b in zip(es, es[1:])]
+    # an edge classify_edge rejects fails the frame with its message
+    path = build_path([0.0, 0.0, 0.0], [1.0, 1.0])
+    turns = model.vertex_turns(path)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DegenerateGeometryError) as got:
+            _Frame(path, P8, [1.0, bad], turns)
+        with pytest.raises(DegenerateGeometryError) as want:
+            classify_edge(bad, P8)
+        assert str(got.value) == str(want.value)
 
 
 def test_deterministic_extraction():
