@@ -37,15 +37,19 @@ bridge where no true type has one are left out (``_f_caps``), and so are
 words over four or more arcs, whose types all carry the forbidden factor
 AAAA.
 
-Every word, true type or partial-arc shape, takes one pipeline.  One
-enumerator (``_word_rows``) builds its rows from the heading band; rows are
-pruned by the incumbent length against a floor, the arcs' edges plus a
-lower bound on the length the other edges must cover (what the chords
-leave of |UV|, or for the partial-arc shapes the finer ``_chord_gap``);
-the word's row solver gives each live row its length, and ``plan``'s
-``push_rows`` finishes the rows shortest first.  Only the floor depends on
-the word's family.  A finished row is measured once (``_Instance.finish``):
-that frame gives its length and, in the tie-break, its type.
+Every word, true type or partial-arc shape, takes one pipeline.  Its rows
+come from the heading band of its arc count: one enumerator
+(``_word_rows``) builds each count's rows once per ``plan`` call, at the
+widest heading slack of the count's words (``_ArcRows``), and each word
+picks its own by its slack and the incumbent.  Rows are pruned by the
+incumbent length against a floor, the arcs' edges plus a lower bound on
+the length the other edges must cover (what the chords leave of |UV|, or
+for the partial-arc shapes the finer ``_chord_gap``, which depends on a
+shape only through its arc layout and runs once per layout); the word's
+row solver gives each live row its length, and ``plan``'s ``push_rows``
+finishes the rows shortest first.  Only the floor depends on the word's
+family.  A finished row is measured once (``_Instance.finish``): that frame
+gives its length and, in the tie-break, its type.
 
 The partial-arc row solver (``_solve_partial``) takes every live row of a
 shape in one pass against the joint patterns of ``_joint_patterns``, in
@@ -65,7 +69,9 @@ Vectors stay complex numbers, whose conjugate products give the cross and
 dot products of the family coefficients.  A family root moves only two
 joints, so the turn bounds are tested on those two before any joint row is
 built, and the solved rows turn their t = 0 vectors rather than evaluate
-the closure again.
+the closure again.  Their F lengths, F caps and the length cap are tested
+next, and only the candidates that pass get joint rows and the remaining
+turn tests.
 
 A discretization of the smooth Dubins curve between the configurations is
 always feasible, so its length is the first incumbent: a bound that prunes
@@ -562,22 +568,20 @@ def _f_caps(shape: str, ell: float) -> list[float]:
     return caps
 
 
-def _partial_closure(inst: _Instance, shape: str, ks, joints, f_dirs, r, f_cols):
-    """F lengths, total lengths and feasibility mask of partial-arc
-    candidates whose joint rows close the heading, from their F edge
+def _f_lengths(inst: _Instance, shape: str, ks, f_dirs, r):
+    """F lengths, total lengths and the mask of partial-arc candidates whose
+    F lengths close position and lie within their bounds, from the F edge
     directions ``f_dirs`` and the displacement ``r`` the F edges must cover
     (complex numbers).
 
     Two F lengths solve position closure as a 2x2 linear system.  One F
     length is the displacement's projection on its direction, which closes
     position when the rest misses V by at most the snap tolerance.  The mask
-    covers what the closed form decides: F lengths positive and within
-    ``_f_caps``, joint turns within theta, and turn-over-length on a short
-    non-inflection F; bounds are checked without the validator's
-    tolerances, so that candidates never gain length by leaning on them.
+    keeps F lengths positive and within ``_f_caps``; ``_joints_ok`` tests
+    the joints.  Bounds are checked without the validator's tolerances, so
+    that candidates never gain length by leaning on them.
     """
     params = inst.params
-    th, ell = params.theta, params.ell
     if len(f_dirs) == 1:
         (e,) = f_dirs
         # dot(e, r) and cross(e, r)
@@ -590,13 +594,23 @@ def _partial_closure(inst: _Instance, shape: str, ks, joints, f_dirs, r, f_cols)
         ok = np.abs(det) > 1e-12
         safe = np.where(ok, det, 1.0)
         lens = [(np.conj(r) * e2).imag / safe, (np.conj(e1) * r).imag / safe]
-    ok &= np.all(np.abs(joints) <= th + 1e-12, axis=1)
-    for t, ln, cap in zip(f_cols, lens, _f_caps(shape, ell)):
+    for ln, cap in zip(lens, _f_caps(shape, params.ell)):
+        ok &= (ln > 10.0 * params.tol_dedup) & (ln < cap)
+    return lens, ks.sum(axis=1) * params.ell + sum(lens), ok
+
+
+def _joints_ok(params: Params, joints, lens, f_cols):
+    """Mask of partial-arc candidates whose joint turns all lie within theta
+    and whose short non-inflection F edges (lengths ``lens``, at tokens
+    ``f_cols``) keep turn-over-length: their two joints turn by at most
+    theta together."""
+    th, ell = params.theta, params.ell
+    ok = np.all(np.abs(joints) <= th + 1e-12, axis=1)
+    for t, ln in zip(f_cols, lens):
         a, b = joints[:, t], joints[:, t + 1]
         infl = ((a > TOL_ANG) & (b < -TOL_ANG)) | ((a < -TOL_ANG) & (b > TOL_ANG))
-        ok &= (ln > 10.0 * params.tol_dedup) & (ln < cap)
         ok &= (ln >= ell * (1.0 - 1e-12)) | infl | (np.abs(a + b) <= th + 1e-12)
-    return lens, ks.sum(axis=1) * ell + sum(lens), ok
+    return ok
 
 
 def _family_coeffs(f_dirs, r_out, r_in, rotating):
@@ -630,11 +644,27 @@ def _family_coeffs(f_dirs, r_out, r_in, rotating):
     return out
 
 
-def _chord_gap(inst: _Instance, shape: str, sigmas, ks):
+def _layout(shape: str) -> tuple[int, ...]:
+    """The arc layout of a partial-arc shape, in steps of theta: how far the
+    joints before its first arc, between each two arcs and after its last
+    arc turn together at most.  The two joints of a partial end edge turn by
+    at most theta together.  ``_chord_gap`` reads a shape only through its
+    layout, so shapes that share one share their floors."""
+    at = [t for t, letter in enumerate(shape) if letter == "A"]
+    caps = _f_caps(shape, 1.0)
+    first = at[0] + 1 - (at[0] == 1 and caps[0] < 1.0)
+    last = len(shape) - at[-1] - (at[-1] == len(shape) - 2 and caps[-1] < 1.0)
+    return (first, *(b - a for a, b in zip(at, at[1:])), last)
+
+
+_LAYOUTS = {shape: _layout(shape) for shape in _PARTIAL_SHAPES}
+
+
+def _chord_gap(inst: _Instance, layout: tuple[int, ...], sigmas, ks):
     """Lower bound, per row of arc orientations and edge counts, on the
-    length the F edges of a partial-arc shape must cover: |w - sum of arc
-    chords| over every choice of joint turns within theta that closes the
-    heading.
+    length the F edges of a partial-arc shape with arc layout ``layout``
+    (``_layout``) must cover: |w - sum of arc chords| over every choice of
+    joint turns within theta that closes the heading.
 
     Chord i points at psi_u + (sum of joints before arc i) + (sweeps so far)
     + half its own sweep.  The angles between consecutive chords are
@@ -649,14 +679,13 @@ def _chord_gap(inst: _Instance, shape: str, sigmas, ks):
     ks = np.asarray(ks, dtype=float)
     chords = _chord(inst.params, ks)
     half = (ks - 1) * sigmas * th / 2.0
-    at = [t for t, letter in enumerate(shape) if letter == "A"]
     # the chord sum T in the frame of the first chord, and the joint turn
     # spent between arcs, over the grid
     tx, ty = chords[:, :1], np.zeros((n, 1))
     angle, spent = np.zeros((n, 1)), np.zeros((n, 1))
     margin, slop = np.zeros(n), 0.0
-    for i in range(1, len(at)):
-        width = (at[i] - at[i - 1]) * th  # joints between arcs i-1 and i
+    for i, between in enumerate(layout[1:-1], 1):
+        width = between * th  # joints between arcs i-1 and i
         steps = np.linspace(-width, width, _GAP_GRID)
         cells = angle.shape[1] * _GAP_GRID
         angle = ((angle + (half[:, i - 1] + half[:, i])[:, None])[:, :, None]
@@ -667,22 +696,19 @@ def _chord_gap(inst: _Instance, shape: str, sigmas, ks):
         margin += chords[:, i:].sum(axis=1) * (steps[1] - steps[0]) / 2.0
         slop += (steps[1] - steps[0]) / 2.0
     # the joints before the first arc rotate T; with the joints after the
-    # last arc they close the heading (up to whole turns).  The two joints
-    # of a partial end edge turn by at most theta together.
-    caps = _f_caps(shape, inst.params.ell)
-    first = (at[0] + 1 - (at[0] == 1 and caps[0] < inst.params.ell)) * th
-    last = (len(shape) - at[-1] - (at[-1] == len(shape) - 2
-                                   and caps[-1] < inst.params.ell)) * th
+    # last arc they close the heading (up to whole turns)
+    first, last = layout[0] * th, layout[-1] * th
     need = _norm_arr(inst.psi_v - inst.psi_u - 2.0 * half.sum(axis=1))[:, None]
     size = np.hypot(tx, ty)
     base = inst.psi_u + half[:, :1] + np.arctan2(ty, tx)
     bearing = math.atan2(inst.w[1], inst.w[0])
     # the distance from w grows with the angular miss on [0, pi], so each
     # cell takes its smallest miss over the winds that leave it an interval
-    # (few do), and cells that no wind leaves one get no distance
+    # (few do), and cells that no wind leaves one get no distance; the winds
+    # span what the joints of the longest shape can turn
     aim = (bearing - base).ravel()
     miss = np.full(aim.size, math.inf)
-    reach = (len(shape) + 1) * th
+    reach = (max(map(len, _PARTIAL_SHAPES)) + 1) * th
     for wind in range(-int(reach / TWO_PI) - 1, int(reach / TWO_PI) + 2):
         target = need + wind * TWO_PI - spent
         lo = np.maximum(-first, target - last - slop).ravel()
@@ -780,18 +806,22 @@ def _partial_candidates(inst: _Instance, shape: str, sigma_rows, ks_rows,
         rows.append(family[at[live]])
         turns.append(t[at[live]])
         heads.append(h[live])
-    rows, turns = np.concatenate(rows), np.concatenate(turns)
+    rows, turns, heads = (np.concatenate(x) for x in (rows, turns, heads))
+    spin = np.exp(1j * turns)
+    dirs = [np.where(m, spin * e[rows], e[rows])
+            for e, m in zip(f_dirs, patterns.f_inside[pat[rows]].T)]
+    lens, total, ok = _f_lengths(inst, shape, ks_rows[tup[rows]], dirs,
+                                 r_out[rows] - spin * r_in[rows])
+    # only the candidates whose F lengths close within their caps and the
+    # length cap get their joint rows
+    keep = np.flatnonzero(ok & (total <= length_cap))
+    rows, turns, lens, total = rows[keep], turns[keep], [ln[keep] for ln in lens], total[keep]
     solved = pat[rows]
     joints = patterns.vals[solved]
-    joints[np.arange(len(rows)), patterns.head[solved]] = np.concatenate(heads)
+    joints[np.arange(len(rows)), patterns.head[solved]] = heads[keep]
     turning = np.flatnonzero(scan[rows] >= 0)
     joints[turning, scan[rows[turning]]] = turns[turning]
-    spin = np.exp(1j * turns)
-    r = r_out[rows] - spin * r_in[rows]
-    dirs = [np.where(m, spin * e[rows], e[rows])
-            for e, m in zip(f_dirs, patterns.f_inside[solved].T)]
-    lens, total, ok = _partial_closure(inst, shape, ks_rows[tup[rows]], joints, dirs, r, f_cols)
-    ok = np.flatnonzero(ok & (total <= length_cap))
+    ok = np.flatnonzero(_joints_ok(inst.params, joints, lens, f_cols))
     return tup[rows[ok]], joints[ok], np.column_stack(lens)[ok], total[ok]
 
 
@@ -906,6 +936,56 @@ def _word_rows(n_arcs: int, dpsi: float, theta: float, slack: float, counts,
     return orient[which[r]], np.column_stack([ks[r], last[r, c]])
 
 
+# every word plan solves, in that order, and the widest heading slack of
+# each arc count's words, in steps of theta
+_WORDS = (*_ROW_SOLVERS, *_PARTIAL_SHAPES)
+_WIDEST_SLACK = {n_arcs: max(len(w) + 1 for w in _WORDS if w.count("A") == n_arcs)
+                 for n_arcs in range(4)}
+
+
+class _ArcRows:
+    """The rows of one arc count in a ``plan`` call.
+
+    ``_word_rows`` builds them once, at the widest heading slack of the
+    count's words and at the length cap of the count's first word.  Each
+    row keeps the two quantities ``_word_rows`` bounds: its heading miss
+    (the turn its arcs leave to the joints) and its edges' length.  A word
+    picks its rows by its own slack and the current cap, so it gets what
+    ``_word_rows`` would give it, in the same order.  The floor of a
+    partial-arc shape depends on the shape only through its arc layout
+    (``_layout``), so each layout's ``_chord_gap`` runs once.
+    """
+
+    def __init__(self, inst: _Instance, dpsi: float, sigmas, ks):
+        params = inst.params
+        self.inst, self.sigmas, self.ks = inst, sigmas, ks
+        self.miss = np.abs(_norm_arr(dpsi - ((ks - 1) * sigmas).sum(axis=1) * params.theta))
+        self.edges = ks.sum(axis=1) * params.ell
+        self.chords = _chord(params, ks).sum(axis=1)
+        self.floors: dict[tuple[int, ...], np.ndarray] = {}
+
+    def pick(self, slack: float, cap: float):
+        """Indices of the rows within heading slack ``slack`` whose arcs'
+        edges fit the length cap, ascending."""
+        return np.flatnonzero((self.miss <= slack + 1e-9) & (self.edges <= cap))
+
+    def floor(self, layout: tuple[int, ...], cap: float):
+        """``_chord_gap`` per row under an arc layout, computed on first use
+        for the rows within the cap that some shape of the layout can reach
+        (inf elsewhere: a later word of the layout has no wider slack, reach
+        or cap, so it never picks those)."""
+        if layout not in self.floors:
+            inst = self.inst
+            ell, tol_len = inst.params.ell, inst.params.tol_len
+            reach = max(sum(_f_caps(shape, ell)) for shape, lay in _LAYOUTS.items()
+                        if lay == layout)
+            at = np.flatnonzero((self.edges <= cap) & (inst.d <= self.chords + reach + tol_len))
+            gap = np.full(len(self.ks), math.inf)
+            gap[at] = _chord_gap(inst, layout, self.sigmas[at], self.ks[at])
+            self.floors[layout] = gap
+        return self.floors[layout]
+
+
 def _guided_range(guess, theta: float, k_cap: int) -> list[int]:
     """Edge counts within a few steps of the smooth arc sweeps, plus the
     small counts (used on fine grids, where full enumeration is wasteful)."""
@@ -1014,25 +1094,29 @@ def plan(U: Configuration, V: Configuration, params: Params) -> PlanResult:
     if seed is not None:
         incumbent = seed.total
 
-    # Every word's rows come from the heading band, pruned by the length
-    # floor: the arcs' edges plus a lower bound on what the other edges must
-    # cover, which must reach V (a bridge reaches anywhere, F edges as far as
-    # ``_f_caps``).  The bound is what the chords leave of the displacement,
-    # or for the partial-arc shapes the finer ``_chord_gap``.
-    for word in itertools.chain(_ROW_SOLVERS, _PARTIAL_SHAPES):
+    # Every word's rows come from the heading band of its arc count, pruned
+    # by the length floor: the arcs' edges plus a lower bound on what the
+    # other edges must cover, which must reach V (a bridge reaches anywhere,
+    # F edges as far as ``_f_caps``).  The bound is what the chords leave of
+    # the displacement, or for the partial-arc shapes the finer
+    # ``_chord_gap`` of their arc layout.
+    rows: dict[int, _ArcRows] = {}
+    for word in _WORDS:
         n_arcs = word.count("A")
         reach = math.inf if "B" in word else sum(_f_caps(word, ell))
         if inst.d > n_arcs * 2.0 * params.circumradius + reach + tol_len:
             continue  # out of reach for every edge count
-        sigmas, ks = _word_rows(n_arcs, dpsi, th, (len(word) + 1) * th, counts, guided,
-                                ell, incumbent + tol_len)
-        chords = _chord(params, ks).sum(axis=1)
-        near = inst.d <= chords + reach + tol_len
-        sigmas, ks, chords = sigmas[near], ks[near], chords[near]
-        gap = (np.maximum(0.0, inst.d - chords) if word in _ROW_SOLVERS
-               else _chord_gap(inst, word, sigmas, ks))
-        live = (gap <= reach + tol_len) & (ks.sum(axis=1) * ell + gap <= incumbent + tol_len)
-        push_rows(word, sigmas[live], ks[live])
+        if n_arcs not in rows:
+            rows[n_arcs] = _ArcRows(inst, dpsi, *_word_rows(
+                n_arcs, dpsi, th, _WIDEST_SLACK[n_arcs] * th, counts, guided, ell,
+                incumbent + tol_len))
+        arcs = rows[n_arcs]
+        at = arcs.pick((len(word) + 1) * th, incumbent + tol_len)
+        at = at[inst.d <= arcs.chords[at] + reach + tol_len]
+        gap = (np.maximum(0.0, inst.d - arcs.chords[at]) if word in _ROW_SOLVERS
+               else arcs.floor(_LAYOUTS[word], incumbent + tol_len)[at])
+        at = at[(gap <= reach + tol_len) & (arcs.edges[at] + gap <= incumbent + tol_len)]
+        push_rows(word, arcs.sigmas[at], arcs.ks[at])
 
     if not found:
         raise PlannerError("no candidate solved; this instance needs investigation")

@@ -505,10 +505,15 @@ class _Ctx:
         self.lens = frame.lengths
         self.classes = frame.classes
         self.turns = frame.turns
-        self.dirs = [unit(sub(self.verts[i + 1], self.verts[i]))
-                     for i in range(len(self.verts) - 1)]
         self.infl = [turns_inflect(self.turns[j], self.turns[j + 1])
                      for j in range(len(self.lens))]
+
+    @functools.cached_property
+    def dirs(self) -> list[Vec2]:
+        """Unit edge directions, built on first read: only the long-long
+        shortcut and the block moves read them."""
+        return [unit(sub(self.verts[i + 1], self.verts[i]))
+                for i in range(len(self.verts) - 1)]
 
 
 def _collapse_sites(ctx: _Ctx):

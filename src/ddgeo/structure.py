@@ -394,8 +394,9 @@ def _canonical(path: DiscretePath, params: Params, frame: _Frame | None = None,
     for vi in range(n):
         s = frame.vertex_s[vi]
         while ci < len(cuts) and cuts[ci] < s - params.tol_dedup:
-            if not new_vertices or dist(new_vertices[-1], frame.point_at(cuts[ci])) > params.tol_dedup:
-                new_vertices.append(frame.point_at(cuts[ci]))
+            pt = frame.point_at(cuts[ci])
+            if not new_vertices or dist(new_vertices[-1], pt) > params.tol_dedup:
+                new_vertices.append(pt)
             ci += 1
         if ci < len(cuts) and abs(cuts[ci] - s) <= params.tol_dedup:
             ci += 1  # already a vertex

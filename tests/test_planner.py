@@ -17,6 +17,7 @@ from ddgeo.geometry import (
     circle_circle_intersection,
     dist,
     from_angle,
+    normalize_angle,
     rotate,
     rotate_about,
     scale,
@@ -37,16 +38,24 @@ from ddgeo.planner import (
     _ROW_SOLVERS,
     TWO_PI,
     CandidateSpec,
+    _LAYOUTS,
+    _WIDEST_SLACK,
+    _WORDS,
+    _ArcRows,
     _chord,
     _chord_gap,
     _dubins_seed,
     _f_caps,
+    _f_lengths,
     _family_coeffs,
+    _guided_range,
     _Instance,
     _build_elements,
     _joint_patterns,
+    _joints_ok,
+    _layout,
     _norm_arr,
-    _partial_closure,
+    _smooth_guess,
     _solve_partial,
     _trig_roots,
     _word_rows,
@@ -441,7 +450,7 @@ def test_chord_gap_bounds_what_free_edges_cover():
             inst = _Instance(U, V, params)
             sigmas = rng.choice([-1, 1], (1, n_arcs))
             ks = rng.integers(1, n, (1, n_arcs))
-            floor = _chord_gap(inst, shape, sigmas, ks)[0]
+            floor = _chord_gap(inst, _layout(shape), sigmas, ks)[0]
             joints = rng.uniform(-th, th, (20000, len(shape) + 1))
             turned = float(((ks - 1) * sigmas).sum()) * th
             need = inst.psi_v - inst.psi_u - turned - joints[:, :-1].sum(axis=1)
@@ -525,7 +534,7 @@ def test_chord_gap_matches_reference(n):
             sigmas, ks = _word_rows(shape.count("A"), _wrap(inst.psi_v - inst.psi_u),
                                     params.theta, (len(shape) + 1) * params.theta,
                                     range(1, min(n, 10)), False, params.ell, math.inf)
-            got = _chord_gap(inst, shape, sigmas, ks)
+            got = _chord_gap(inst, _layout(shape), sigmas, ks)
             assert np.array_equal(got, _ref_chord_gap(inst, shape, sigmas, ks)), shape
             rows += len(ks)
     assert rows >= 1000
@@ -869,6 +878,68 @@ def test_word_rows_match_brute_force(n):
     assert rows >= 500
 
 
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_shared_rows_match_word_rows(n):
+    # plan builds each arc count's rows once, at the widest slack of its
+    # words and the cap of its first word; every word then picks the very
+    # rows _word_rows gives it at its own slack and the current cap, in the
+    # same order, guided (CCC, counts around the smooth sweeps) or not.  Half
+    # the heading changes are whole steps of theta, which puts rows on the
+    # slack bounds
+    params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+    th, ell = params.theta, params.ell
+    rng = np.random.default_rng(150 + n)
+    picked = 0
+    for guided in (False, True):
+        for trial in range(6):
+            h_u = float(rng.uniform(0.0, 2.0 * math.pi))
+            h_v = (h_u + int(rng.integers(n)) * th if trial % 2
+                   else float(rng.uniform(0.0, 2.0 * math.pi)))
+            U = Configuration.at_angle((0.0, 0.0), h_u)
+            V = Configuration.at_angle(tuple(rng.uniform(-3.0, 3.0, 2)), h_v)
+            inst = _Instance(U, V, params)
+            dpsi = normalize_angle(inst.psi_v - inst.psi_u)
+            counts = (_guided_range(_smooth_guess(inst), th, n - 1) if guided
+                      else list(range(1, n)))
+            cap = math.inf if rng.random() < 0.5 else float(rng.uniform(2.0, n)) * ell
+            shared = {}
+            for word in _WORDS:
+                n_arcs = word.count("A")
+                if n_arcs not in shared:
+                    shared[n_arcs] = _ArcRows(inst, dpsi, *_word_rows(
+                        n_arcs, dpsi, th, _WIDEST_SLACK[n_arcs] * th, counts, guided, ell, cap))
+                rows = shared[n_arcs]
+                at = rows.pick((len(word) + 1) * th, cap)
+                sigmas, ks = _word_rows(n_arcs, dpsi, th, (len(word) + 1) * th, counts,
+                                        guided, ell, cap)
+                assert np.array_equal(rows.sigmas[at], sigmas), (word, guided)
+                assert np.array_equal(rows.ks[at], ks), (word, guided)
+                picked += len(at)
+                cap *= float(rng.uniform(0.8, 1.0))  # the incumbent only falls
+    assert picked >= 2000
+
+
+def test_plan_builds_rows_once_per_arc_count_and_floors_once_per_layout(monkeypatch):
+    # one plan call runs _word_rows at most once per arc count and
+    # _chord_gap at most once per arc layout; the ten three-arc shapes
+    # share four layouts
+    assert len({_LAYOUTS[s] for s in _PARTIAL_SHAPES if s.count("A") == 3}) == 4
+    calls = {"_word_rows": [], "_chord_gap": []}
+    for name, key in (("_word_rows", lambda a: a[0]), ("_chord_gap", lambda a: a[1])):
+        def wrapped(*args, _orig=getattr(planner, name), _name=name, _key=key):
+            calls[_name].append(_key(args))
+            return _orig(*args)
+        monkeypatch.setattr(planner, name, wrapped)
+    params = Params.from_sides(16, 2.0 * math.sin(math.pi / 16))
+    for U, V in (U_TURN, LOOP, ANTIPARALLEL):
+        for made in calls.values():
+            made.clear()
+        plan(U, V, params)
+        assert len(calls["_word_rows"]) == len(set(calls["_word_rows"])) <= 4
+        assert len(calls["_chord_gap"]) == len(set(calls["_chord_gap"])) <= len(set(_LAYOUTS.values()))
+        assert len(calls["_chord_gap"]) >= 4
+
+
 @pytest.mark.parametrize("word", list(_ROW_SOLVERS))
 def test_row_solvers_batch_matches_single_rows(word):
     # every row of a batch gets the length a one-row call and solve_candidate
@@ -1072,7 +1143,7 @@ def test_partial_solve_matches_reference(n):
             inst = _Instance(U, V, params)
             sigmas, ks = _word_rows(shape.count("A"), _wrap(inst.psi_v - inst.psi_u), th,
                                     (len(shape) + 1) * th, range(1, n), False, ell, math.inf)
-            floors = ks.sum(axis=1) * ell + _chord_gap(inst, shape, sigmas, ks)
+            floors = ks.sum(axis=1) * ell + _chord_gap(inst, _layout(shape), sigmas, ks)
             size = min(len(ks), _REF_ROWS)
             if trial % 3 == 0:
                 pick = np.argsort(floors, kind="stable")[:size]
@@ -1165,8 +1236,8 @@ def test_joint_pattern_pruning_drops_only_dead_rows(n):
             lens = [rng.uniform(0.0, min(cap, 3.0 * ell), m) for cap in caps]
             r = sum(ln * e for ln, e in zip(lens, dirs))
             ks = rng.integers(1, n, (m, shape.count("A")))
-            _, _, ok = _partial_closure(inst, shape, ks, joints, dirs, r, f_cols)
-            assert not ok.any()
+            lens, _, ok = _f_lengths(inst, shape, ks, dirs, r)
+            assert not (ok & _joints_ok(params, joints, lens, f_cols)).any()
 
 
 def test_norm_arr_matches_float_modulo_bitwise():
