@@ -21,9 +21,9 @@ kinematics): the chord directions fix every turn, so a row is feasible iff
 its chords close position with every turn within theta, and the
 one-parameter AAA family is searched where one of its angles is at a bound
 or turns back.  A bridge is a free-length edge, so AB, BA and ABA are the
-partial-arc shapes AF, FA and AFA below, solved with no length cap.  Per
-row that can give a longer bridge than the exact minimum over the end
-turns, but never on a row that wins (the argument is at
+partial-arc shapes AF, FA and AFA below, solved like them within the
+incumbent.  Per row that can give a longer bridge than the exact minimum
+over the end turns, but never on a row that wins (the argument is at
 ``_joint_patterns``).
 
 ``_PARTIAL_SHAPES`` holds every other word over at most three arcs with one
@@ -45,11 +45,14 @@ picks its own by its slack and the incumbent.  Rows are pruned by the
 incumbent length against a floor, the arcs' edges plus a lower bound on
 the length the other edges must cover (what the chords leave of |UV|, or
 for the partial-arc shapes the finer ``_chord_gap``, which depends on a
-shape only through its arc layout and runs once per layout); the word's
-row solver gives each live row its length, and ``plan``'s ``push_rows``
-finishes the rows shortest first.  Only the floor depends on the word's
-family.  A finished row is measured once (``_Instance.finish``): that frame
-gives its length and, in the tie-break, its type.
+shape only through its arc layout and runs once per layout, on the rows
+whose plain floor fits the incumbent and whose heading miss the layout's
+joints can close); the word's row solver gives each live row its length
+(for every word with an F edge, within the incumbent: one cap), and
+``plan``'s ``push_rows`` finishes the rows shortest first.  Only the floor
+depends on the word's family.  A finished row is measured once
+(``_Instance.finish``): that frame gives its length and, in the tie-break,
+its type.
 
 The partial-arc row solver (``_solve_partial``) takes every live row of a
 shape in one pass against the joint patterns of ``_joint_patterns``, in
@@ -148,8 +151,9 @@ class CandidateDiag:
       built.
 
     Only rows with a realization are listed: a row whose turns cannot all
-    stay within theta, or a partial-arc row with no realization within the
-    incumbent, gets no entry.
+    stay within theta gets no entry, and nor does a row of a word with an F
+    edge (AB, BA, ABA or a partial-arc shape) with no realization within
+    the incumbent.
     """
 
     word: str                # true-type word or a partial-arc shape over {A, F}
@@ -870,18 +874,20 @@ def _solve_partial(inst: _Instance, shape: str, sigmas, ks, length_cap: float):
 
 def _solve_bridged(shape: str):
     """Row solver of the true-type word with a bridge that ``shape`` spells
-    with an F: the partial-arc solver with no length cap."""
-    return lambda inst, sigmas, ks: _solve_partial(inst, shape, sigmas, ks, math.inf)
+    with an F: the partial-arc solver within the length cap ``cap``, none
+    unless given."""
+    return lambda inst, sigmas, ks, cap=math.inf: _solve_partial(inst, shape, sigmas, ks, cap)
 
+
+# the true-type words with a bridge, spelled as partial-arc shapes
+_BRIDGED = {"AB": "AF", "BA": "FA", "ABA": "AFA"}
 
 # the true-type words, in the order plan solves them
 _ROW_SOLVERS = {
     "B": _solve_B,
     "A": _solve_arcs,
     "AA": _solve_arcs,
-    "AB": _solve_bridged("AF"),
-    "BA": _solve_bridged("FA"),
-    "ABA": _solve_bridged("AFA"),
+    **{word: _solve_bridged(shape) for word, shape in _BRIDGED.items()},
     "AAA": _solve_arcs,
 }
 
@@ -971,15 +977,23 @@ class _ArcRows:
 
     def floor(self, layout: tuple[int, ...], cap: float):
         """``_chord_gap`` per row under an arc layout, computed on first use
-        for the rows within the cap that some shape of the layout can reach
-        (inf elsewhere: a later word of the layout has no wider slack, reach
-        or cap, so it never picks those)."""
+        for the rows that it can keep: within the cap and the reach of some
+        shape of the layout (inf elsewhere: a later word of the layout has no
+        wider slack, reach or cap, so it never picks those).
+
+        ``_chord_gap`` is never below what the chords leave of |UV|, so a row
+        whose edges plus that exceed the cap is left out; so is a row whose
+        heading miss the layout's joints cannot close, even with the slop of
+        ``_chord_gap``'s grid: no wind leaves any of its cells an interval."""
         if layout not in self.floors:
             inst = self.inst
-            ell, tol_len = inst.params.ell, inst.params.tol_len
+            th, ell, tol_len = inst.params.theta, inst.params.ell, inst.params.tol_len
             reach = max(sum(_f_caps(shape, ell)) for shape, lay in _LAYOUTS.items()
                         if lay == layout)
-            at = np.flatnonzero((self.edges <= cap) & (inst.d <= self.chords + reach + tol_len))
+            turn = sum(layout) * th + sum(layout[1:-1]) * th / (_GAP_GRID - 1) + 1e-9
+            at = np.flatnonzero((self.edges + np.maximum(0.0, inst.d - self.chords) <= cap)
+                                & (inst.d <= self.chords + reach + tol_len)
+                                & (self.miss <= turn))
             gap = np.full(len(self.ks), math.inf)
             gap[at] = _chord_gap(inst, layout, self.sigmas[at], self.ks[at])
             self.floors[layout] = gap
@@ -1063,8 +1077,8 @@ def plan(U: Configuration, V: Configuration, params: Params) -> PlanResult:
     incumbent = math.inf
 
     def push_rows(word, sigmas, ks):
-        """Solve rows of one word at once with its row solver (for a
-        partial-arc shape, within the incumbent), then finish them shortest
+        """Solve rows of one word at once with its row solver (for a word
+        with an F edge, within the incumbent), then finish them shortest
         first until one validates and every row tied with the incumbent is
         finished.  Rows longer than the incumbent are listed as pruned; the
         loop stops at the first row without a realization (inf length), and
@@ -1072,8 +1086,13 @@ def plan(U: Configuration, V: Configuration, params: Params) -> PlanResult:
         nonlocal incumbent
         if not len(ks):
             return
-        lengths, build = (_ROW_SOLVERS[word](inst, sigmas, ks) if word in _ROW_SOLVERS
-                          else _solve_partial(inst, word, sigmas, ks, incumbent + tol_len))
+        cap = incumbent + tol_len  # the one cap of every word with an F edge
+        if word in _BRIDGED:
+            lengths, build = _ROW_SOLVERS[word](inst, sigmas, ks, cap)
+        elif word in _ROW_SOLVERS:
+            lengths, build = _ROW_SOLVERS[word](inst, sigmas, ks)
+        else:
+            lengths, build = _solve_partial(inst, word, sigmas, ks, cap)
         for r in np.argsort(lengths, kind="stable").tolist():
             length = float(lengths[r])
             if length == math.inf:

@@ -166,14 +166,17 @@ def _arcs(frame: _Frame) -> list[Arc]:
     Runs of same-sign theta-turn corners joined by normal edges become arcs
     whose ends extend over the whole adjacent normal or short edge, or the
     length-ell part of an adjacent long edge; terminal corners extend only
-    inward.  The run spans come out sorted by both ends, so a normal edge is
-    inside one (within tol_len) exactly when it ends within the last span
-    that starts at or before it; each other normal edge is a single-edge arc.
+    inward.  So normal edge k (from corner k to corner k + 1) lies inside
+    run [f, l] exactly when f - 1 <= k <= l, and the runs come out sorted by
+    both corners: the edge is covered exactly when it lies inside the last
+    run with f - 1 <= k.  Each other normal edge is a single-edge arc, after
+    the runs with f <= k.  An arc's edge count is its corner span, plus one
+    for each end inside a long edge.
     """
     if len(frame.path.vertices) == 1:
         return []
     params = frame.params
-    ell, tol, dedup = params.ell, params.tol_len, params.tol_dedup
+    ell, dedup = params.ell, params.tol_dedup
     idx, es, turn, cls = frame.eff_idx, frame.eff_s, frame.eff_turn, frame.eff_class
     normal, long = EdgeClass.NORMAL, EdgeClass.LONG
     last = len(es) - 1
@@ -189,47 +192,47 @@ def _arcs(frame: _Frame) -> list[Arc]:
                 runs[-1][1] = k
             else:
                 runs.append([k, k, sign])
-    spans = []  # (start_s, end_s, first and last effective corner, sign)
+    # (start_s, end_s, first and last effective corner, sign, edge count)
+    spans = []
     for f, l, sign in runs:
+        inside = 0
         if f == 0:
             s0, ef = es[0], 0
         elif cls[f - 1] is long:
-            s0, ef = es[f] - ell, f
+            s0, ef, inside = es[f] - ell, f, 1
         else:
             s0, ef = es[f - 1], f - 1
         if l == last:
             s1, el = es[last], last
         elif cls[l] is long:
-            s1, el = es[l] + ell, l
+            s1, el, inside = es[l] + ell, l, inside + 1
         else:
             s1, el = es[l + 1], l + 1
-        spans.append((s0, s1, ef, el, sign))
+        spans.append((s0, s1, ef, el, sign, el - ef + inside))
 
     ordered = []
     emitted = started = 0
     for k, c in enumerate(cls):
         if c is not normal:
             continue
-        a, b = es[k], es[k + 1]
-        while started < len(spans) and spans[started][0] - tol <= a:
+        while started < len(runs) and runs[started][0] - 1 <= k:
             started += 1
-        if started and b <= spans[started - 1][1] + tol:
+        if started and k <= runs[started - 1][1]:
             continue
-        # an uncovered edge ends beyond every span starting at a, so spans
-        # sort before it exactly when they start no later
-        while emitted < len(spans) and spans[emitted][0] <= a:
-            ordered.append(spans[emitted])
-            emitted += 1
+        # no run has f - 1 = k, so the runs before this edge are the first
+        # ``started``
+        ordered += spans[emitted:started]
+        emitted = started
         # orientation of a single-edge arc is a convention; take the side of
         # the stronger endpoint turn, defaulting to left
         ta, tb = turn[k], turn[k + 1]
         t = tb if abs(tb) > abs(ta) else ta
-        ordered.append((a, b, k, k + 1, -1 if t < 0 else 1))
+        ordered.append((es[k], es[k + 1], k, k + 1, -1 if t < 0 else 1, 1))
     ordered += spans[emitted:]
 
     vs = frame.vertex_s
     arcs = []
-    for s0, s1, ef, el, sign in ordered:
+    for s0, s1, ef, el, sign, edge_count in ordered:
         # corner ef - 1 lies before s0 (a long start lies past it, inside
         # the long edge), and corner el at or before s1; positional
         # arguments, as keywords double the cost of a frozen dataclass
@@ -239,7 +242,7 @@ def _arcs(frame: _Frame) -> list[Arc]:
             bisect_left(vs, s0 - dedup),                            # first_vertex
             bisect_right(vs, s1 + dedup) - 1,                       # last_vertex
             Orientation.LEFT if sign > 0 else Orientation.RIGHT,
-            el - ef + (s0 < es[ef] - tol) + (s1 > es[el] + tol),    # edge_count
+            edge_count,
             s0,
             s1,
         ))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -938,6 +939,92 @@ def test_plan_builds_rows_once_per_arc_count_and_floors_once_per_layout(monkeypa
         assert len(calls["_word_rows"]) == len(set(calls["_word_rows"])) <= 4
         assert len(calls["_chord_gap"]) == len(set(calls["_chord_gap"])) <= len(set(_LAYOUTS.values()))
         assert len(calls["_chord_gap"]) >= 4
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_floor_skips_only_rows_it_cannot_keep(n):
+    # _ArcRows.floor leaves a row at inf, unsolved, only where _chord_gap
+    # would give it inf or a floor above the cap, so every shape of every
+    # layout passes the very rows to push_rows that a floor over all rows
+    # within the cap and reach would pass.  Guided or not; half the heading
+    # changes are whole steps of theta, which puts misses on the turn bound.
+    # The cap is what the incumbent may be when a layout is first floored:
+    # the Dubins seed or somewhat below
+    params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+    th, ell, tol_len = params.theta, params.ell, params.tol_len
+    rng = np.random.default_rng(290 + n)
+    skipped = kept = 0
+    for guided in (False, True):
+        for trial in range({8: 12, 16: 6, 64: 2}[n]):
+            h_u = float(rng.uniform(0.0, 2.0 * math.pi))
+            h_v = (h_u + int(rng.integers(n)) * th if trial % 2
+                   else float(rng.uniform(0.0, 2.0 * math.pi)))
+            d = float(rng.uniform(0.0, 3.0))
+            bearing = float(rng.uniform(0.0, 2.0 * math.pi))
+            U = Configuration.at_angle((0.0, 0.0), h_u)
+            V = Configuration.at_angle((d * math.cos(bearing), d * math.sin(bearing)), h_v)
+            inst = _Instance(U, V, params)
+            seed = _dubins_seed(inst)
+            cap = math.inf if seed is None else \
+                seed.total * float(rng.uniform(0.7, 1.0)) + tol_len
+            dpsi = normalize_angle(inst.psi_v - inst.psi_u)
+            counts = (_guided_range(_smooth_guess(inst), th, n - 1) if guided
+                      else list(range(1, n)))
+            for n_arcs in (1, 2, 3):
+                arcs = _ArcRows(inst, dpsi, *_word_rows(
+                    n_arcs, dpsi, th, _WIDEST_SLACK[n_arcs] * th, counts, guided, ell, cap))
+                for layout in sorted({lay for lay in _LAYOUTS.values()
+                                      if len(lay) == n_arcs + 1}):
+                    shapes = [s for s in _PARTIAL_SHAPES if _LAYOUTS[s] == layout]
+                    reach = max(sum(_f_caps(s, ell)) for s in shapes)
+                    at = np.flatnonzero((arcs.edges <= cap)
+                                        & (inst.d <= arcs.chords + reach + tol_len))
+                    full = np.full(len(arcs.ks), math.inf)
+                    full[at] = _chord_gap(inst, layout, arcs.sigmas[at], arcs.ks[at])
+                    got = arcs.floor(layout, cap)
+                    skip = np.isinf(got) & np.isin(np.arange(len(got)), at)
+                    floor = arcs.edges + full
+                    assert np.all(np.isinf(full[skip]) | (floor[skip] > cap)), (layout, guided)
+                    assert np.array_equal(got[~skip], full[~skip]), (layout, guided)
+                    for shape in shapes:
+                        room = sum(_f_caps(shape, ell)) + tol_len
+                        for word_cap in (cap, 0.97 * cap):
+                            pick = arcs.pick((len(shape) + 1) * th, word_cap)
+                            want = (full[pick] <= room) & (floor[pick] <= word_cap)
+                            live = (got[pick] <= room) & (arcs.edges[pick] + got[pick] <= word_cap)
+                            assert np.array_equal(live, want), (shape, guided)
+                    skipped += int(skip.sum())
+                    kept += int(np.isfinite(got).sum())
+    assert skipped >= 50 and kept >= 1000
+
+
+def test_bridged_words_within_the_incumbent_plan_as_uncapped(monkeypatch):
+    # AB, BA and ABA solve within the incumbent like every word with an F
+    # edge: the same plans as with no cap, and the same diagnostics less
+    # the uncapped run's AB/BA/ABA rows pruned above the incumbent
+    rng = np.random.default_rng(29)
+    cases = []
+    for i in range(40):
+        n = (6, 8, 12, 16)[i % 4]
+        params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+        cases.append((params, *random_configuration_pair(rng, (0.5, 12.0))))
+    capped = [plan(U, V, params) for params, U, V in cases]
+    for word, shape in planner._BRIDGED.items():
+        monkeypatch.setitem(_ROW_SOLVERS, word, lambda inst, sigmas, ks, cap=math.inf, _s=shape:
+                            _solve_partial(inst, _s, sigmas, ks, math.inf))
+    dropped = 0
+    for (params, U, V), res in zip(cases, capped):
+        ref = plan(U, V, params)
+        assert (repr(res.length), res.type_word, repr(res.best)) == \
+            (repr(ref.length), ref.type_word, repr(ref.best)), (U, V, params.n_sides)
+        listed = {astuple(d) for d in res.diagnostics}
+        assert res.diagnostics == [d for d in ref.diagnostics if astuple(d) in listed]
+        for d in ref.diagnostics:
+            if astuple(d) not in listed:
+                assert d.word in planner._BRIDGED and d.status == "pruned", d
+                assert d.length > ref.length + params.tol_len, d
+                dropped += 1
+    assert dropped >= 100
 
 
 @pytest.mark.parametrize("word", list(_ROW_SOLVERS))
