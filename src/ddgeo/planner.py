@@ -28,14 +28,14 @@ over the end turns, but never on a row that wins (the argument is at
 
 ``_PARTIAL_SHAPES`` holds every other word over at most three arcs with one
 or two F edges.  Their F lengths solve position closure linearly, and their
-joints sit at a turn
-bound except one closed by the heading, or except two whose one-parameter
-family is solved in closed form (for its stationary points with two F
-edges, for the turns that close position with one).  Joints strictly inside
-their bounds beyond these are not searched.  F lengths that would leave a
-bridge where no true type has one are left out (``_f_caps``), and so are
-words over four or more arcs, whose types all carry the forbidden factor
-AAAA.
+joints sit at a turn bound except one closed by the heading, or except two
+whose one-parameter family is solved in closed form (for its stationary
+points with two F edges, for the turns that close position with one); a
+two-F family turning one F edge only has a monotone F length sum and is not
+enumerated.  Joints strictly inside their bounds beyond these are not
+searched.  F lengths that would leave a bridge where no true type has one
+are left out (``_f_caps``), and so are words over four or more arcs, whose
+types all carry the forbidden factor AAAA.
 
 Every word, true type or partial-arc shape, takes one pipeline.  Its rows
 come from the heading band of its arc count: one enumerator
@@ -421,11 +421,12 @@ class _Patterns:
 
     ``vals`` holds turn-bound values, with 0 in the column of the joint
     closed by the heading (``head``) and, on rows of a one-parameter family,
-    in the column of the joint that parameterizes it (``scan``, else -1).
-    Rows with one sum of ``vals`` and one reach of their free joints (theta
-    for one, 2 theta for a family) form a ``group``, whose ``sums`` and
-    ``reach`` the heading test reads once.  ``_solve_partial`` pairs every
-    row of arc orientations and edge counts with every pattern, at most
+    in the column of the joint that parameterizes it (``scan``, else -1);
+    a family turns both F edges of a two-F shape or neither.  Rows with one
+    sum of ``vals`` and one reach of their free joints (theta for one, 2
+    theta for a family) form a ``group``, whose ``sums`` and ``reach`` the
+    heading test reads once.  ``_solve_partial`` pairs every row of arc
+    orientations and edge counts with every pattern, at most
     ``_PAIR_BUDGET`` pairs per chunk.
 
     At t = 0 a token's direction is a lead angle of the arc row (from psi_u
@@ -458,11 +459,17 @@ def _joint_patterns(shape: str, theta: float) -> _Patterns:
     last one at the end).  The candidates keep their joints at a turn bound
     (+-theta, or 0 at a boundary joint next to an F, the turn-over-length
     bound of a short first or last edge) except for two joints whose
-    opposite turns parameterize a one-parameter family.  With two F edges
-    both lengths solve position closure, so the family is solved for its
-    stationary points, and the rows with only the heading joint free are
-    kept too; with one F edge, position closure leaves one equation that
-    the family solves.
+    opposite turns parameterize a one-parameter family.  With one F edge,
+    position closure leaves one equation that the family solves.  With two,
+    both lengths solve position closure, so a family contributes only the
+    stationary points of their sum, and the rows with only the heading joint
+    free are kept too.  A family whose turning block (the tokens from its
+    first joint up to its heading joint) holds one of the two F edges has
+    none and is dropped: with e1 turning and c the block's chords, closure
+    R(t) (l1 e1 + c) + l2 e2 = r gives l1 + l2 = a + C tan(psi / 2) for the
+    angle psi = psi_0 + t between the F edges, monotone in t wherever they
+    are not parallel.  The families left turn both F edges or neither, so
+    cross(e1, e2) is constant along each.
 
     An F capped below ell (``_f_caps``) is shorter than a full edge and no
     inflection, so its two joints must turn by at most theta together: rows
@@ -503,24 +510,24 @@ def _joint_patterns(shape: str, theta: float) -> _Patterns:
             head.append(free[-1])
             scan.append(free[0] if len(free) == 2 else -1)
     vals, head, scan = np.array(rows), np.array(head), np.array(scan)
-    # free joints hold 0, so only fixed joints can match a nonzero bound
-    short = [t for t, cap in zip((t for t, c in enumerate(shape) if c == "F"),
-                                 _f_caps(shape, 1.0)) if cap < 1.0]
-    live = np.ones(len(vals), dtype=bool)
-    for t in short:
-        live &= (vals[:, t] == 0.0) | (vals[:, t] != vals[:, t + 1])
-    vals, head, scan = vals[live], head[live], scan[live]
-    keys = np.column_stack([vals.sum(axis=1), np.where(scan < 0, theta, 2.0 * theta) + 5e-10])
-    groups, group = np.unique(keys, axis=0, return_inverse=True)
     tokens = np.arange(len(shape))
+    arcs = tokens[np.array(list(shape)) == "A"]
+    f_cols = tokens[np.array(list(shape)) == "F"]
     after = tokens >= head[:, None]
     inside = (scan[:, None] >= 0) & (tokens >= scan[:, None]) & ~after
+    # a family turning one of two F edges has no stationary point
+    live = (len(f_cols) == 1) | (inside[:, f_cols].sum(axis=1) != 1)
+    # free joints hold 0, so only fixed joints can match a nonzero bound
+    for t, cap in zip(f_cols, _f_caps(shape, 1.0)):
+        if cap < 1.0:
+            live &= (vals[:, t] == 0.0) | (vals[:, t] != vals[:, t + 1])
+    vals, head, scan, after, inside = vals[live], head[live], scan[live], after[live], inside[live]
+    keys = np.column_stack([vals.sum(axis=1), np.where(scan < 0, theta, 2.0 * theta) + 5e-10])
+    groups, group = np.unique(keys, axis=0, return_inverse=True)
     # in steps of theta: the joints up to each token, less all of them past
     # the heading joint (the turns from psi_v back to the token)
     steps = np.rint(vals / theta).astype(int)
     turned = np.cumsum(steps, axis=1)[:, :-1] - after * steps.sum(axis=1)[:, None]
-    arcs = tokens[np.array(list(shape)) == "A"]
-    f_cols = tokens[np.array(list(shape)) == "F"]
     cols, chords = np.unique(np.hstack([after[:, arcs], turned[:, arcs], inside[:, arcs]]),
                              axis=0, return_inverse=True)
     c_after, c_turned, c_inside = np.split(cols, 3, axis=1)
@@ -618,18 +625,17 @@ def _joints_ok(params: Params, joints, lens, f_cols):
 
 
 def _family_coeffs(f_dirs, r_out, r_in, rotating):
-    """Closure cross products along two-joint families as c0 + c1 cos t +
-    c2 sin t: cross(e_f(t), r_out - R(t) r_in) for each F edge direction
-    e_f, then cross(e1(t), e2(t)) for two F edges.  Vectors are complex
-    numbers; ``rotating`` flags, per F edge, the rows where it lies in the
-    turning block.
+    """Closure cross products along two-joint families: cross(e_f(t),
+    r_out - R(t) r_in) for each F edge direction e_f as c0 + c1 cos t +
+    c2 sin t, then for two F edges D = cross(e1, e2), constant because they
+    turn together or not at all.  Vectors are complex numbers; ``rotating``
+    flags, per F edge, the rows where it lies in the turning block.
 
     Raising the turn at the family's first joint by t and lowering it at its
     second joint by t rigidly rotates the tokens between them by t, so every
     cross product of a fixed and a rotating vector is a degree-one
-    trigonometric polynomial in t (and one of two rotating vectors is
-    constant).  With conj(u) v = dot(u, v) + i cross(u, v), cross(u, R(t) v)
-    = cross(u, v) cos t + dot(u, v) sin t.
+    trigonometric polynomial in t.  With conj(u) v = dot(u, v) + i cross(u,
+    v), cross(u, R(t) v) = cross(u, v) cos t + dot(u, v) sin t.
     """
     out = []
     for e, m in zip(f_dirs, rotating):
@@ -640,11 +646,7 @@ def _family_coeffs(f_dirs, r_out, r_in, rotating):
         out.append((np.where(m, -q.imag, p.imag), np.where(m, p.imag, -q.imag),
                     -np.where(m, p.real, q.real)))
     if len(f_dirs) == 2:
-        (e1, e2), (m1, m2) = f_dirs, rotating
-        g = np.conj(e1) * e2
-        same = m1 == m2
-        out.append((np.where(same, g.imag, 0.0), np.where(same, 0.0, g.imag),
-                    np.where(same, 0.0, np.where(m2, g.real, -g.real))))
+        out.append((np.conj(f_dirs[0]) * f_dirs[1]).imag)
     return out
 
 
@@ -747,12 +749,12 @@ def _partial_candidates(inst: _Instance, shape: str, sigma_rows, ks_rows,
     (realizations x F edges) and its length.
 
     Along a two-joint family the cross products of ``_family_coeffs`` are
-    c0 + c1 cos t + c2 sin t.  With two F edges the F length sum is
-    (X1 - X2) / D for X_f = cross(e_f, r) and D = cross(e1, e2), so its
-    stationary points solve (N / D)' = 0 in closed form; with one F edge the
-    family closes position where X1 = 0.  A solved row's F directions and
-    displacement are its t = 0 vectors turned by t: e_f(t) = R(t) e_f on the
-    turning block, r(t) = r_out - R(t) r_in.
+    c0 + c1 cos t + c2 sin t.  With two F edges the F length sum is N / D
+    for N = X1 - X2, X_f = cross(e_f, r), and the constant D = cross(e1,
+    e2), so its stationary points solve N' = 0 in closed form; with one F
+    edge the family closes position where X1 = 0.  A solved row's F
+    directions and displacement are its t = 0 vectors turned by t: e_f(t) =
+    R(t) e_f on the turning block, r(t) = r_out - R(t) r_in.
     """
     th, ell = inst.params.theta, inst.params.ell
     need = inst.psi_v - inst.psi_u - ((ks_rows - 1) * sigma_rows).sum(axis=1) * th
@@ -788,11 +790,9 @@ def _partial_candidates(inst: _Instance, shape: str, sigma_rows, ks_rows,
     coeffs = _family_coeffs([e[family] for e in f_dirs], r_out[family], r_in[family],
                             list(patterns.f_inside[pat[family]].T))
     if len(coeffs) == 3:
-        x1, x2, (d0, d1, d2) = coeffs
-        n0, n1, n2 = (a - b for a, b in zip(x1, x2))
-        # (N / D)' = 0  <=>  alpha sin t + beta cos t + gamma = 0
-        roots, has_root = _trig_roots(n0 * d1 - n1 * d0, n2 * d0 - n0 * d2,
-                                      n2 * d1 - n1 * d2)
+        (_, x1c, x1s), (_, x2c, x2s), d = coeffs
+        # N' = 0, scaled by D:  -(n1 D) sin t + (n2 D) cos t = 0
+        roots, has_root = _trig_roots(-((x1c - x2c) * d), (x1s - x2s) * d, 0.0)
     else:
         ((x0, xc, xs),) = coeffs
         roots, has_root = _trig_roots(xs, xc, x0)

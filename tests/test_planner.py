@@ -393,10 +393,13 @@ def test_zero_displacement_and_antiparallel_table(n, instance):
 
 def test_partial_family_coefficients_match_direct_closure():
     # along a two-joint family the closure cross products are degree-one
-    # trigonometric polynomials; compare them with direct evaluation
+    # trigonometric polynomials, and cross(e1, e2) is constant where the
+    # family turns both F edges or neither; compare the planner's and the
+    # reference's coefficients with direct evaluation
     params = Params.from_sides(12, 1.0)
     th = params.theta
     rng = np.random.default_rng(57)
+    constant = 0
     for shape in _PARTIAL_SHAPES:
         n_joints = len(shape) + 1
         for _ in range(10):
@@ -415,8 +418,11 @@ def test_partial_family_coefficients_match_direct_closure():
             inside = ((tokens >= a) & (tokens < b))[None, :]
             _, f_dirs, r_out, r_in, f_cols = _ref_closure_terms(inst, shape, sigmas, ks,
                                                                 base[None, :], inside)
-            coeffs = _family_coeffs([x + 1j * y for x, y in f_dirs], r_out[0] + 1j * r_out[1],
-                                    r_in[0] + 1j * r_in[1], [inside[:, t] for t in f_cols])
+            args = ([x + 1j * y for x, y in f_dirs], r_out[0] + 1j * r_out[1],
+                    r_in[0] + 1j * r_in[1], [inside[:, t] for t in f_cols])
+            ref, coeffs = _ref_family_coeffs(*args), _family_coeffs(*args)
+            together = len(f_cols) == 2 and inside[0, f_cols[0]] == inside[0, f_cols[1]]
+            constant += together
             for t in rng.uniform(-1.0, 1.0, 4):
                 joints = base.copy()
                 joints[a] += t
@@ -427,10 +433,16 @@ def test_partial_family_coefficients_match_direct_closure():
                 if len(f_dirs) == 2:
                     (e1x, e1y), (e2x, e2y) = f_dirs
                     direct.append(e1x * e2y - e1y * e2x)
-                assert len(coeffs) == len(direct)
-                for c, d in zip(coeffs, direct):
+                assert len(ref) == len(direct) == len(coeffs)
+                for c, d in zip(ref, direct):
                     fit = c[0] + c[1] * math.cos(t) + c[2] * math.sin(t)
                     assert fit[0] == pytest.approx(d[0], abs=1e-12)
+                for c, d in zip(coeffs[:len(f_cols)], direct):
+                    fit = c[0] + c[1] * math.cos(t) + c[2] * math.sin(t)
+                    assert fit[0] == pytest.approx(d[0], abs=1e-12)
+                if together:
+                    assert coeffs[2][0] == pytest.approx(direct[2][0], abs=1e-12)
+    assert constant >= 20
 
 
 def test_chord_gap_bounds_what_free_edges_cover():
@@ -1122,6 +1134,32 @@ def _ref_closure_terms(inst, shape, sigmas, ks, joints, inside=None):
     return psi, f_dirs, (out_x, out_y), (in_x, in_y), f_cols
 
 
+def _ref_family_coeffs(f_dirs, r_out, r_in, rotating):
+    # the closure cross products of every two-joint family as c0 + c1 cos t
+    # + c2 sin t, with cross(e1(t), e2(t)) in the same form, so that it
+    # also holds where one F edge turns and the other does not
+    out = []
+    for e, m in zip(f_dirs, rotating):
+        ce = np.conj(e)
+        p, q = ce * r_out, ce * r_in
+        out.append((np.where(m, -q.imag, p.imag), np.where(m, p.imag, -q.imag),
+                    -np.where(m, p.real, q.real)))
+    if len(f_dirs) == 2:
+        (e1, e2), (m1, m2) = f_dirs, rotating
+        g = np.conj(e1) * e2
+        same = m1 == m2
+        out.append((np.where(same, g.imag, 0.0), np.where(same, 0.0, g.imag),
+                    np.where(same, 0.0, np.where(m2, g.real, -g.real))))
+    return out
+
+
+def _ref_stationary(coeffs):
+    # (N / D)' = 0 for N = X1 - X2 as alpha sin t + beta cos t + gamma = 0
+    x1, x2, (d0, d1, d2) = coeffs
+    n0, n1, n2 = (a - b for a, b in zip(x1, x2))
+    return n0 * d1 - n1 * d0, n2 * d0 - n0 * d2, n2 * d1 - n1 * d2
+
+
 def _ref_partial_closure(inst, shape, sigmas, ks, joints):
     params = inst.params
     th, ell = params.theta, params.ell
@@ -1165,15 +1203,12 @@ def _ref_solve_partial(inst, shape, sigma_batch, ks_batch, length_cap):
     near = np.hypot(r_out[0] - r_in[0], r_out[1] - r_in[1]) <= cover
     single = np.flatnonzero(near & (scan < 0))
     family = np.flatnonzero(near & (scan >= 0))
-    coeffs = _family_coeffs([e[0][family] + 1j * e[1][family] for e in f_dirs],
-                            r_out[0][family] + 1j * r_out[1][family],
-                            r_in[0][family] + 1j * r_in[1][family],
-                            [inside[family, t] for t in f_cols])
+    coeffs = _ref_family_coeffs([e[0][family] + 1j * e[1][family] for e in f_dirs],
+                                r_out[0][family] + 1j * r_out[1][family],
+                                r_in[0][family] + 1j * r_in[1][family],
+                                [inside[family, t] for t in f_cols])
     if len(coeffs) == 3:
-        x1, x2, (d0, d1, d2) = coeffs
-        n0, n1, n2 = (a - b for a, b in zip(x1, x2))
-        roots, has_root = _trig_roots(n0 * d1 - n1 * d0, n2 * d0 - n0 * d2,
-                                      n2 * d1 - n1 * d2)
+        roots, has_root = _trig_roots(*_ref_stationary(coeffs))
     else:
         ((x0, xc, xs),) = coeffs
         roots, has_root = _trig_roots(xs, xc, x0)
@@ -1207,6 +1242,7 @@ def _ref_solve_partial(inst, shape, sigma_batch, ks_batch, length_cap):
 
 
 _REF_ROWS = 64  # rows per reference comparison
+_CERTIFIED = 4  # instances per n of the dropped-family certificate
 
 
 @pytest.mark.parametrize("n", [6, 8, 12, 16])
@@ -1283,20 +1319,65 @@ def test_plan_independent_of_pair_budget(n, monkeypatch):
             assert res.length == pytest.approx(ref.length, rel=1e-9), (n, budget, U, V)
 
 
-_DROPPED = {"FAAA": 12, "AAAF": 12, "FAAAF": 276,
-            "FAFAA": 112, "FAAFA": 112, "AFAAF": 112, "AAFAF": 112}
+_DROPPED = {"FAF": 24, "FAFA": 64, "AFAF": 64, "FAAF": 72, "FAAA": 12, "AAAF": 12,
+            "FAAAF": 420, "FAFAA": 264, "FAAFA": 272, "AFAAF": 272, "AFAFA": 128,
+            "AAFAF": 264}
+
+
+def _assert_short_f_never_closes(inst, shape, joints, rng):
+    # for any F directions and lengths below the caps, the closure rejects
+    # the joints: some short F turns by more than theta at its two joints
+    params = inst.params
+    m, ell = len(joints), params.ell
+    f_cols = [t for t, letter in enumerate(shape) if letter == "F"]
+    caps = _f_caps(shape, ell)
+    angles = rng.uniform(0.0, 2.0 * math.pi, (len(f_cols), m))
+    dirs = [np.exp(1j * a) for a in angles]
+    lens = [rng.uniform(0.0, min(cap, 3.0 * ell), m) for cap in caps]
+    r = sum(ln * e for ln, e in zip(lens, dirs))
+    ks = rng.integers(1, params.n_sides, (m, shape.count("A")))
+    lens, _, ok = _f_lengths(inst, shape, ks, dirs, r)
+    assert not (ok & _joints_ok(params, joints, lens, f_cols)).any()
+
+
+def _assert_no_stationary_point(turning, rng, m=4, grid=1601):
+    # a two-F family turning only F edge ``turning``: the (N / D)' equation
+    # alpha sin t + beta cos t + gamma = 0 has |gamma| = hypot(alpha, beta),
+    # a double root at most, and along the closure l1 + l2 has no interior
+    # local minimum on any stretch where the F edges are not parallel
+    e = list(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (2, m))))
+    r_out, r_in = (rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(2))
+    rotating = [np.full(m, f == turning) for f in range(2)]
+    alpha, beta, gamma = _ref_stationary(_ref_family_coeffs(e, r_out, r_in, rotating))
+    amp = np.hypot(alpha, beta)
+    assert np.all(np.abs(np.abs(gamma) - amp) <= 1e-9 * amp)
+    spin = np.exp(1j * np.linspace(-math.pi, math.pi, grid))[:, None]
+    e1, e2 = (spin * ef if f == turning else np.broadcast_to(ef, (grid, m))
+              for f, ef in enumerate(e))
+    r = r_out - spin * r_in
+    det = (np.conj(e1) * e2).imag
+    total = ((np.conj(r) * e2).imag + (np.conj(e1) * r).imag) / det
+    # three samples in a row with one sign of det, away from parallel
+    side = np.where(np.abs(det) > 1e-6, np.sign(det), 0.0)
+    stretch = (side[1:-1] != 0.0) & (side[:-2] == side[1:-1]) & (side[2:] == side[1:-1])
+    dip = (total[1:-1] < total[:-2]) & (total[1:-1] < total[2:])
+    assert not (stretch & dip).any()
 
 
 @pytest.mark.parametrize("n", [6, 8, 16])
 def test_joint_pattern_pruning_drops_only_dead_rows(n):
-    # the dropped patterns fix both joints of an F capped below ell at one
-    # bound (never the heading joint or the family's joint), and the
-    # closure rejects them for any F lengths below the caps
+    # every dropped pattern meets a named reason, checked by its own
+    # property.  Short F: the pattern fixes both joints of an F capped below
+    # ell at one bound (never the heading joint or the family's joint), and
+    # the closure rejects it for any F lengths below the caps.  One turning
+    # F: a family of a two-F shape whose turning block holds exactly one F
+    # edge, whose F length sum has no stationary point
     params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
     th, ell = params.theta, params.ell
     rng = np.random.default_rng(60 + n)
     inst = _Instance(Configuration.at_angle((0.0, 0.0), 0.0),
                      Configuration.at_angle((1.0, 2.0), 1.0), params)
+    seen = dict.fromkeys(("short F", "one turning F"), 0)
     for shape in _PARTIAL_SHAPES:
         vals, head, scan = _ref_joint_patterns(shape, th)
         kept = _joint_patterns(shape, th)
@@ -1309,22 +1390,106 @@ def test_joint_pattern_pruning_drops_only_dead_rows(n):
         dropped = [i for i, r in enumerate(rows) if r not in kept_rows]
         assert len(dropped) == _DROPPED.get(shape, 0), shape
         f_cols = [t for t, letter in enumerate(shape) if letter == "F"]
-        caps = _f_caps(shape, ell)
-        short = [t for t, cap in zip(f_cols, caps) if cap < ell]
+        short = [t for t, cap in zip(f_cols, _f_caps(shape, ell)) if cap < ell]
         m = 200
         for i in dropped:
-            assert any(vals[i, t] == vals[i, t + 1] != 0.0
-                       and {head[i], scan[i]}.isdisjoint({t, t + 1}) for t in short)
-            joints = np.repeat(vals[i:i + 1], m, axis=0)
-            for j in {head[i], scan[i]} - {-1}:
-                joints[:, j] = rng.uniform(-th, th, m)
-            angles = rng.uniform(0.0, 2.0 * math.pi, (len(f_cols), m))
-            dirs = [np.exp(1j * a) for a in angles]
-            lens = [rng.uniform(0.0, min(cap, 3.0 * ell), m) for cap in caps]
-            r = sum(ln * e for ln, e in zip(lens, dirs))
-            ks = rng.integers(1, n, (m, shape.count("A")))
-            lens, _, ok = _f_lengths(inst, shape, ks, dirs, r)
-            assert not (ok & _joints_ok(params, joints, lens, f_cols)).any()
+            reasons = []
+            if any(vals[i, t] == vals[i, t + 1] != 0.0
+                   and {head[i], scan[i]}.isdisjoint({t, t + 1}) for t in short):
+                reasons.append("short F")
+                joints = np.repeat(vals[i:i + 1], m, axis=0)
+                for j in {head[i], scan[i]} - {-1}:
+                    joints[:, j] = rng.uniform(-th, th, m)
+                _assert_short_f_never_closes(inst, shape, joints, rng)
+            turning = [f for f, t in enumerate(f_cols) if scan[i] <= t < head[i]]
+            if len(f_cols) == 2 and scan[i] >= 0 and len(turning) == 1:
+                reasons.append("one turning F")
+                _assert_no_stationary_point(turning[0], rng)
+            assert reasons, (shape, rows[i])
+            for reason in reasons:
+                seen[reason] += 1
+    assert min(seen.values()) > 0
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_dropped_families_never_beat_the_plan(n):
+    # the two-F families that turn exactly one F edge are not enumerated;
+    # scan them anyway on instances built as in
+    # test_plan_not_beaten_by_exact_bridge_rows: over every row within the
+    # plan's length and 401 values of t in [-theta, theta], with the heading
+    # joint closing the heading and the F lengths from closure, no member
+    # that validates is shorter than the plan
+    params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+    th, ell = params.theta, params.ell
+    rng = np.random.default_rng(3)
+    ts = np.linspace(-th, th, 401)
+    spin = np.exp(1j * ts)
+    shorter = 0
+    for _ in range(_CERTIFIED):
+        d = float(rng.uniform(0.5, 12.0))
+        bearing, heading = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, 2))
+        U = Configuration.at_angle((0.0, 0.0), 0.0)
+        V = Configuration.at_angle((d * math.cos(bearing), d * math.sin(bearing)), heading)
+        inst = _Instance(U, V, params)
+        best = plan(U, V, params).length
+        for shape in _PARTIAL_SHAPES:
+            f_cols = [t for t, letter in enumerate(shape) if letter == "F"]
+            if len(f_cols) != 2:
+                continue
+            vals, head, scan = _ref_joint_patterns(shape, th)
+            tokens = np.arange(len(shape))
+            inside = (scan[:, None] >= 0) & (tokens >= scan[:, None]) & (tokens < head[:, None])
+            fam = np.flatnonzero(inside[:, f_cols].sum(axis=1) == 1)
+            sigmas, ks = _word_rows(shape.count("A"), _wrap(inst.psi_v - inst.psi_u), th,
+                                    (len(shape) + 1) * th, range(1, n), False, ell, best)
+            need = inst.psi_v - inst.psi_u - ((ks - 1) * sigmas).sum(axis=1) * th
+            left = _norm_arr(need[:, None] - vals[fam].sum(axis=1)[None, :])
+            row, col = np.nonzero(np.abs(left) <= 2.0 * th + 1e-9)
+            pat, left = fam[col], left[row, col]
+            # at t = 0 (the heading joint takes all of left), split the
+            # displacement the F edges cover into r_out - R(t) r_in
+            joints = vals[pat]
+            joints[np.arange(len(pat)), head[pat]] = left
+            _, dirs, r_out, r_in, _ = _ref_closure_terms(inst, shape, sigmas[row], ks[row],
+                                                         joints, inside[pat])
+            e1, e2 = (x + 1j * y for x, y in dirs)
+            r_out, r_in = r_out[0] + 1j * r_out[1], r_in[0] + 1j * r_in[1]
+            spare = best - ks[row].sum(axis=1) * ell
+            # positive F lengths cover |r(t)|, which |t| <= theta keeps
+            # within 2 |r_in| sin(theta / 2) of |r_out - r_in|
+            near = np.abs(r_out - r_in) - 2.0 * np.abs(r_in) * math.sin(th / 2.0) < spare
+            for part in np.array_split(np.flatnonzero(near), near.sum() // 2048 + 1):
+                spun = inside[pat[part]][:, f_cols].T[:, :, None]
+                u1 = np.where(spun[0], spin * e1[part, None], e1[part, None])
+                u2 = np.where(spun[1], spin * e2[part, None], e2[part, None])
+                r = r_out[part, None] - spin * r_in[part, None]
+                det = (np.conj(u1) * u2).imag
+                det = np.where(np.abs(det) > 1e-12, det, np.nan)
+                l1, l2 = (np.conj(r) * u2).imag / det, (np.conj(u1) * r).imag / det
+                i, a = np.nonzero((np.abs(left[part, None] - ts) <= th + 1e-9) & (l1 > 0.0)
+                                  & (l2 > 0.0) & (l1 + l2 < spare[part, None]))
+                shorter += len(i)
+                # the members shorter than the plan, from their own joints
+                rows, pats = row[part[i]], pat[part[i]]
+                joints = vals[pats]
+                joints[np.arange(len(i)), scan[pats]] = ts[a]
+                joints[np.arange(len(i)), head[pats]] = left[part[i]] - ts[a]
+                psi, ((x1, y1), (x2, y2)), (x, y), _, _ = _ref_closure_terms(
+                    inst, shape, sigmas[rows], ks[rows], joints)
+                det = x1 * y2 - y1 * x2
+                lens = np.column_stack([(x * y2 - y * x2) / det, (x1 * y - y1 * x) / det])
+                for j in range(len(i)):
+                    lengths = iter(lens[j].tolist())
+                    arcs = zip(sigmas[rows[j]].tolist(), ks[rows[j]].tolist())
+                    elements = [("bridge", next(lengths), float(psi[j, t])) if letter == "F"
+                                else ("arc", *next(arcs), float(psi[j, t]))
+                                for t, letter in enumerate(shape)]
+                    vertices = _build_elements(inst, elements)
+                    assert dist(vertices[-1], V.point) <= inst.snap_tol
+                    frame = inst.finish(vertices)
+                    assert frame is None or frame.total >= best - 1e-9 * ell, (shape, joints[j])
+    # the scan reaches members shorter than the plan, and closes each at V
+    assert shorter >= 1000
 
 
 def test_norm_arr_matches_float_modulo_bitwise():
