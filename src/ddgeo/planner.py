@@ -42,14 +42,18 @@ come from the heading band of its arc count: one enumerator
 (``_word_rows``) builds each count's rows once per ``plan`` call, at the
 widest heading slack of the count's words (``_ArcRows``), and each word
 picks its own by its slack and the incumbent.  Rows are pruned by the
-incumbent length against a floor, the arcs' edges plus a lower bound on
-the length the other edges must cover (what the chords leave of |UV|, or
-for the partial-arc shapes the finer ``_chord_gap``, which depends on a
-shape only through its arc layout and runs once per layout, on the rows
-whose plain floor fits the incumbent and whose heading miss the layout's
-joints can close); the word's row solver gives each live row its length
-(for every word with an F edge, within the incumbent: one cap), and
-``plan``'s ``push_rows`` finishes the rows shortest first.  Only the floor
+incumbent length against a floor: the arcs' edges plus a lower bound on
+the length the other edges must cover.  That bound is what the chords
+leave of |UV|, or for the partial-arc shapes the finer ``_chord_gap``,
+which depends on a shape only through its arc layout.  ``_chord_gap``
+samples every joint between two arcs at one step, theta / 2, so the
+layouts of one arc count share one grid of chord sums, and the layouts
+with one budget of end joints share one wind pass over it.  One pass per
+arc count thus floors every layout of the count, on the rows whose plain
+floor fits the incumbent and whose heading miss some layout's joints can
+close.  The word's row solver gives each live row its length (for every
+word with an F edge, within the incumbent: one cap), and ``plan``'s
+``push_rows`` finishes the rows shortest first.  Only the floor
 depends on the word's family.  A finished row is measured once
 (``_Instance.finish``): that frame gives its length and, in the tie-break,
 its type.
@@ -411,8 +415,7 @@ _PARTIAL_SHAPES = (
     "FAAA", "AFAA", "AAFA", "AAAF",
     "FAAAF", "FAFAA", "FAAFA", "AFAAF", "AFAFA", "AAFAF",
 )
-_PAIR_BUDGET = 100000  # row-pattern pairs per chunk of a partial-arc solve
-_GAP_GRID = 5         # samples per angle between chords in ``_chord_gap``
+_PAIR_BUDGET = 100000  # row-pattern pairs (row-cell pairs in ``_chord_gap``) per chunk
 
 
 @dataclass(frozen=True)
@@ -666,69 +669,88 @@ def _layout(shape: str) -> tuple[int, ...]:
 _LAYOUTS = {shape: _layout(shape) for shape in _PARTIAL_SHAPES}
 
 
-def _chord_gap(inst: _Instance, layout: tuple[int, ...], sigmas, ks):
-    """Lower bound, per row of arc orientations and edge counts, on the
-    length the F edges of a partial-arc shape with arc layout ``layout``
-    (``_layout``) must cover: |w - sum of arc chords| over every choice of
-    joint turns within theta that closes the heading.
+def _chord_gap(inst: _Instance, layouts, sigmas, ks):
+    """Lower bounds, per row of arc orientations and edge counts and per arc
+    layout of ``layouts`` (``_layout``, all of one arc count), on the length
+    the F edges of a partial-arc shape with that layout must cover: |w - sum
+    of arc chords| over every choice of joint turns within theta that closes
+    the heading (rows x layouts).
 
     Chord i points at psi_u + (sum of joints before arc i) + (sweeps so far)
-    + half its own sweep.  The angles between consecutive chords are
-    sampled on a grid; at each sample the heading closure leaves the first
-    chord's rotation an interval, over which the distance from w to the
-    rotated chord sum is exact (a point to an arc of a circle).  The sample
-    minimum is lowered by a Lipschitz margin and the interval widened by
-    the grid's half-steps, so the bound holds between samples too.
+    + half its own sweep.  The angle between two consecutive chords is
+    sampled at steps of theta / 2, 4 b + 1 samples where the joints between
+    them turn by at most b theta; at each sample the heading closure leaves
+    the first chord's rotation an interval, over which the distance from w
+    to the rotated chord sum is exact (a point to an arc of a circle).  The
+    sample minimum is lowered by a Lipschitz margin and the interval widened
+    by the half-steps, so the bound holds between samples too.
+
+    With one step for every joint, the margin and the widening depend on the
+    arc count only, and a layout's samples are a sub-grid of those of the
+    widest joints of ``layouts``.  So one grid of chord sums serves every
+    layout, one wind pass over it serves every layout with one budget of end
+    joints (first, last), and each layout's floor is the minimum over its
+    own sub-grid.
     """
     th = inst.params.theta
     n = len(ks)
     ks = np.asarray(ks, dtype=float)
     chords = _chord(inst.params, ks)
     half = (ks - 1) * sigmas * th / 2.0
+    widest = [max(between) for between in zip(*(lay[1:-1] for lay in layouts))]
     # the chord sum T in the frame of the first chord, and the joint turn
     # spent between arcs, over the grid
     tx, ty = chords[:, :1], np.zeros((n, 1))
-    angle, spent = np.zeros((n, 1)), np.zeros((n, 1))
+    angle, spent = np.zeros((n, 1)), np.zeros(1)
     margin, slop = np.zeros(n), 0.0
-    for i, between in enumerate(layout[1:-1], 1):
-        width = between * th  # joints between arcs i-1 and i
-        steps = np.linspace(-width, width, _GAP_GRID)
-        cells = angle.shape[1] * _GAP_GRID
+    for i, between in enumerate(widest, 1):
+        steps = np.arange(-2 * between, 2 * between + 1) * (th / 2.0)
+        cells = angle.shape[1] * len(steps)
         angle = ((angle + (half[:, i - 1] + half[:, i])[:, None])[:, :, None]
                  + steps).reshape(n, cells)
-        spent = (spent[:, :, None] + steps).reshape(n, cells)
-        tx = np.repeat(tx, _GAP_GRID, axis=1) + chords[:, i:i + 1] * np.cos(angle)
-        ty = np.repeat(ty, _GAP_GRID, axis=1) + chords[:, i:i + 1] * np.sin(angle)
-        margin += chords[:, i:].sum(axis=1) * (steps[1] - steps[0]) / 2.0
-        slop += (steps[1] - steps[0]) / 2.0
-    # the joints before the first arc rotate T; with the joints after the
-    # last arc they close the heading (up to whole turns)
-    first, last = layout[0] * th, layout[-1] * th
+        spent = (spent[:, None] + steps).ravel()
+        tx = np.repeat(tx, len(steps), axis=1) + chords[:, i:i + 1] * np.cos(angle)
+        ty = np.repeat(ty, len(steps), axis=1) + chords[:, i:i + 1] * np.sin(angle)
+        margin += chords[:, i:].sum(axis=1) * (th / 4.0)
+        slop += th / 4.0
     need = _norm_arr(inst.psi_v - inst.psi_u - 2.0 * half.sum(axis=1))[:, None]
-    size = np.hypot(tx, ty)
+    size = np.hypot(tx, ty).ravel()
     base = inst.psi_u + half[:, :1] + np.arctan2(ty, tx)
     bearing = math.atan2(inst.w[1], inst.w[0])
-    # the distance from w grows with the angular miss on [0, pi], so each
-    # cell takes its smallest miss over the winds that leave it an interval
-    # (few do), and cells that no wind leaves one get no distance; the winds
-    # span what the joints of the longest shape can turn
     aim = (bearing - base).ravel()
-    miss = np.full(aim.size, math.inf)
-    reach = (max(map(len, _PARTIAL_SHAPES)) + 1) * th
-    for wind in range(-int(reach / TWO_PI) - 1, int(reach / TWO_PI) + 2):
-        target = need + wind * TWO_PI - spent
-        lo = np.maximum(-first, target - last - slop).ravel()
-        hi = np.minimum(first, target + last + slop).ravel()
-        at = np.flatnonzero(lo <= hi)
-        lo, hi = lo[at], hi[at]
-        off = np.maximum(0.0, np.abs(_norm_arr(aim[at] - (lo + hi) / 2.0)) - (hi - lo) / 2.0)
-        miss[at] = np.minimum(miss[at], off)
-    gap = np.full(size.shape, math.inf)
-    at = np.flatnonzero(miss < math.inf)
-    size = size.ravel()[at]
-    gap.flat[at] = np.sqrt((inst.d - size) ** 2
-                           + 4.0 * inst.d * size * np.sin(miss[at] / 2.0) ** 2)
-    return np.maximum(gap.min(axis=1) - margin, inst.d - chords.sum(axis=1)).clip(0.0)
+    out = np.empty((n, len(layouts)))
+    for ends in sorted({(lay[0], lay[-1]) for lay in layouts}):
+        # the joints before the first arc rotate T; with the joints after
+        # the last arc they close the heading (up to whole turns).  The
+        # distance from w grows with the angular miss on [0, pi], so each
+        # cell takes its smallest miss over the winds that leave it an
+        # interval (few do), and cells that no wind leaves one get no
+        # distance.  A wind leaves one only where |need + wind 2 pi - spent|
+        # is at most first + last + slop, and |need| <= pi
+        first, last = ends[0] * th, ends[1] * th
+        turn = first + last + slop + sum(widest) * th
+        winds = int((math.pi + turn) / TWO_PI + 1e-9)
+        miss = np.full(aim.size, math.inf)
+        for wind in range(-winds, winds + 1):
+            target = need + wind * TWO_PI - spent
+            lo = np.maximum(-first, target - last - slop).ravel()
+            hi = np.minimum(first, target + last + slop).ravel()
+            at = np.flatnonzero(lo <= hi)
+            lo, hi = lo[at], hi[at]
+            off = np.maximum(0.0, np.abs(_norm_arr(aim[at] - (lo + hi) / 2.0)) - (hi - lo) / 2.0)
+            miss[at] = np.minimum(miss[at], off)
+        gap = np.full(aim.size, math.inf)
+        at = np.flatnonzero(miss < math.inf)
+        gap[at] = np.sqrt((inst.d - size[at]) ** 2
+                          + 4.0 * inst.d * size[at] * np.sin(miss[at] / 2.0) ** 2)
+        gap = gap.reshape(n, *(4 * b + 1 for b in widest))
+        for j, lay in enumerate(layouts):
+            if (lay[0], lay[-1]) == ends:
+                sub = gap[(slice(None), *(slice(2 * (b - mine), 2 * (b + mine) + 1)
+                                          for b, mine in zip(widest, lay[1:-1])))]
+                out[:, j] = sub.min(axis=tuple(range(1, sub.ndim)))
+    return np.maximum(out - margin[:, None],
+                      (inst.d - chords.sum(axis=1))[:, None]).clip(0.0)
 
 
 def _trig_roots(a, b, c):
@@ -959,7 +981,11 @@ class _ArcRows:
     picks its rows by its own slack and the current cap, so it gets what
     ``_word_rows`` would give it, in the same order.  The floor of a
     partial-arc shape depends on the shape only through its arc layout
-    (``_layout``), so each layout's ``_chord_gap`` runs once.
+    (``_layout``), and the layouts of one arc count share ``_chord_gap``'s
+    grid, so one ``_chord_gap`` pass gives every layout of the count its
+    floors: one wind pass per budget (first, last) of end joints, which the
+    four three-arc layouts share and the five two-arc layouts split three
+    ways.
     """
 
     def __init__(self, inst: _Instance, dpsi: float, sigmas, ks):
@@ -976,27 +1002,40 @@ class _ArcRows:
         return np.flatnonzero((self.miss <= slack + 1e-9) & (self.edges <= cap))
 
     def floor(self, layout: tuple[int, ...], cap: float):
-        """``_chord_gap`` per row under an arc layout, computed on first use
-        for the rows that it can keep: within the cap and the reach of some
-        shape of the layout (inf elsewhere: a later word of the layout has no
-        wider slack, reach or cap, so it never picks those).
+        """``_chord_gap`` per row under an arc layout.  The first call
+        computes it for every layout of the arc count, on the union of the
+        rows any of them can keep: within the cap of that call and the
+        widest reach and heading turn of the count's shapes (inf elsewhere).
+        The union is taken because a later layout may turn or reach further
+        than the first one; a later word never has a wider cap, so it never
+        picks the rows left out.
 
         ``_chord_gap`` is never below what the chords leave of |UV|, so a row
         whose edges plus that exceed the cap is left out; so is a row whose
-        heading miss the layout's joints cannot close, even with the slop of
-        ``_chord_gap``'s grid: no wind leaves any of its cells an interval."""
-        if layout not in self.floors:
+        heading miss no layout's joints can close, even with the slop of
+        ``_chord_gap``'s grid: no wind leaves any of its cells an interval.
+        The rows go through ``_chord_gap`` in chunks of at most
+        ``_PAIR_BUDGET`` row-cell pairs, which bounds the memory of the
+        pass; a row's floors depend on that row alone, so not on the chunk
+        size."""
+        if not self.floors:
             inst = self.inst
             th, ell, tol_len = inst.params.theta, inst.params.ell, inst.params.tol_len
-            reach = max(sum(_f_caps(shape, ell)) for shape, lay in _LAYOUTS.items()
-                        if lay == layout)
-            turn = sum(layout) * th + sum(layout[1:-1]) * th / (_GAP_GRID - 1) + 1e-9
+            shapes = [shape for shape in _PARTIAL_SHAPES if len(_LAYOUTS[shape]) == len(layout)]
+            layouts = sorted({_LAYOUTS[shape] for shape in shapes})
+            reach = max(sum(_f_caps(shape, ell)) for shape in shapes)
+            turn = max(map(sum, layouts)) * th + (len(layout) - 2) * th / 4.0 + 1e-9
             at = np.flatnonzero((self.edges + np.maximum(0.0, inst.d - self.chords) <= cap)
                                 & (inst.d <= self.chords + reach + tol_len)
                                 & (self.miss <= turn))
-            gap = np.full(len(self.ks), math.inf)
-            gap[at] = _chord_gap(inst, layout, self.sigmas[at], self.ks[at])
-            self.floors[layout] = gap
+            cells = math.prod(4 * max(between) + 1
+                              for between in zip(*(lay[1:-1] for lay in layouts)))
+            step = max(1, _PAIR_BUDGET // cells)
+            gaps = np.full((len(self.ks), len(layouts)), math.inf)
+            for c0 in range(0, len(at), step):
+                rows = at[c0:c0 + step]
+                gaps[rows] = _chord_gap(inst, layouts, self.sigmas[rows], self.ks[rows])
+            self.floors = dict(zip(layouts, gaps.T))
         return self.floors[layout]
 
 

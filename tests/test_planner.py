@@ -34,7 +34,6 @@ from ddgeo.model import (
     validate,
 )
 from ddgeo.planner import (
-    _GAP_GRID,
     _PARTIAL_SHAPES,
     _ROW_SOLVERS,
     TWO_PI,
@@ -450,7 +449,7 @@ def test_chord_gap_bounds_what_free_edges_cover():
     # |w - sum of arc chords| at any feasible joint turns: within theta,
     # closing the heading, and turning a partial end edge by at most theta
     rng = np.random.default_rng(8)
-    checked = 0
+    checked = shared_checked = 0
     for n in (6, 8, 16):
         params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
         th = params.theta
@@ -463,7 +462,15 @@ def test_chord_gap_bounds_what_free_edges_cover():
             inst = _Instance(U, V, params)
             sigmas = rng.choice([-1, 1], (1, n_arcs))
             ks = rng.integers(1, n, (1, n_arcs))
-            floor = _chord_gap(inst, _layout(shape), sigmas, ks)[0]
+            floor = _chord_gap(inst, [_layout(shape)], sigmas, ks)[0, 0]
+            # and the floor plan reads, from the pass over every layout of
+            # the arc count (inf only out of the count's reach)
+            shared = _ArcRows(inst, _wrap(inst.psi_v - inst.psi_u), sigmas, ks).floor(
+                _LAYOUTS[shape], math.inf)[0]
+            reach = max(sum(_f_caps(s, params.ell)) for s in _PARTIAL_SHAPES
+                        if s.count("A") == n_arcs)
+            out_of_reach = inst.d > float(_chord(params, ks).sum()) + reach + params.tol_len
+            assert shared == floor or (out_of_reach and shared == math.inf)
             joints = rng.uniform(-th, th, (20000, len(shape) + 1))
             turned = float(((ks - 1) * sigmas).sum()) * th
             need = inst.psi_v - inst.psi_u - turned - joints[:, :-1].sum(axis=1)
@@ -482,11 +489,18 @@ def test_chord_gap_bounds_what_free_edges_cover():
             if len(joints):
                 checked += 1
                 assert floor <= np.hypot(rx, ry).min() + 1e-12
-    assert checked >= 30
+                assert shared <= np.hypot(rx, ry).min() + 1e-12 or out_of_reach
+                shared_checked += shared < math.inf
+    assert checked >= 30 and shared_checked >= 30
 
 
-def _ref_chord_gap(inst, shape, sigmas, ks):
-    # the floor evaluated once per wind, taking the smallest distance
+_GAP_GRID = 5  # samples per joint between arcs of the earlier, coarser floor
+
+
+def _ref_chord_gap(inst, shape, sigmas, ks, grid=None):
+    # the floor of one shape evaluated once per wind, taking the smallest
+    # distance; each joint between arcs is sampled at steps of theta / 2, or
+    # at ``grid`` samples over its width
     th = inst.params.theta
     n = len(ks)
     ks = np.asarray(ks, dtype=float)
@@ -497,16 +511,22 @@ def _ref_chord_gap(inst, shape, sigmas, ks):
     angle, spent = np.zeros((n, 1)), np.zeros((n, 1))
     margin, slop = np.zeros(n), 0.0
     for i in range(1, len(at)):
-        width = (at[i] - at[i - 1]) * th
-        steps = np.linspace(-width, width, _GAP_GRID)
-        cells = angle.shape[1] * _GAP_GRID
+        between = at[i] - at[i - 1]
+        width = between * th
+        if grid is None:
+            steps = np.arange(-2 * between, 2 * between + 1) * (th / 2.0)
+            step = th / 2.0
+        else:
+            steps = np.linspace(-width, width, grid)
+            step = steps[1] - steps[0]
+        cells = angle.shape[1] * len(steps)
         angle = ((angle + (half[:, i - 1] + half[:, i])[:, None])[:, :, None]
                  + steps).reshape(n, cells)
         spent = (spent[:, :, None] + steps).reshape(n, cells)
-        tx = np.repeat(tx, _GAP_GRID, axis=1) + chords[:, i:i + 1] * np.cos(angle)
-        ty = np.repeat(ty, _GAP_GRID, axis=1) + chords[:, i:i + 1] * np.sin(angle)
-        margin += chords[:, i:].sum(axis=1) * (steps[1] - steps[0]) / 2.0
-        slop += (steps[1] - steps[0]) / 2.0
+        tx = np.repeat(tx, len(steps), axis=1) + chords[:, i:i + 1] * np.cos(angle)
+        ty = np.repeat(ty, len(steps), axis=1) + chords[:, i:i + 1] * np.sin(angle)
+        margin += chords[:, i:].sum(axis=1) * step / 2.0
+        slop += step / 2.0
     caps = _f_caps(shape, inst.params.ell)
     first = (at[0] + 1 - (at[0] == 1 and caps[0] < inst.params.ell)) * th
     last = (len(shape) - at[-1] - (at[-1] == len(shape) - 2
@@ -532,7 +552,9 @@ def _ref_chord_gap(inst, shape, sigmas, ks):
 @pytest.mark.parametrize("n", [6, 8, 16, 64])
 def test_chord_gap_matches_reference(n):
     # one distance evaluation per cell at its smallest miss over the winds
-    # gives the very floors of one evaluation per wind
+    # gives the very floors of one evaluation per wind, at theta / 2 steps;
+    # so does each layout's column of one pass over every layout of the arc
+    # count, the sub-grid of the widest joints
     params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
     rng = np.random.default_rng(30 + n)
     rows = 0
@@ -547,8 +569,12 @@ def test_chord_gap_matches_reference(n):
             sigmas, ks = _word_rows(shape.count("A"), _wrap(inst.psi_v - inst.psi_u),
                                     params.theta, (len(shape) + 1) * params.theta,
                                     range(1, min(n, 10)), False, params.ell, math.inf)
-            got = _chord_gap(inst, _layout(shape), sigmas, ks)
-            assert np.array_equal(got, _ref_chord_gap(inst, shape, sigmas, ks)), shape
+            want = _ref_chord_gap(inst, shape, sigmas, ks)
+            got = _chord_gap(inst, [_layout(shape)], sigmas, ks)[:, 0]
+            assert np.array_equal(got, want), shape
+            layouts = sorted({lay for lay in _LAYOUTS.values() if len(lay) == len(_layout(shape))})
+            shared = _chord_gap(inst, layouts, sigmas, ks)[:, layouts.index(_layout(shape))]
+            assert np.array_equal(shared, want), shape
             rows += len(ks)
     assert rows >= 1000
 
@@ -933,14 +959,26 @@ def test_shared_rows_match_word_rows(n):
 
 
 def test_plan_builds_rows_once_per_arc_count_and_floors_once_per_layout(monkeypatch):
-    # one plan call runs _word_rows at most once per arc count and
-    # _chord_gap at most once per arc layout; the ten three-arc shapes
-    # share four layouts
-    assert len({_LAYOUTS[s] for s in _PARTIAL_SHAPES if s.count("A") == 3}) == 4
+    # one plan call runs _word_rows at most once per arc count and floors a
+    # row at most once per (arc count, first, last): _chord_gap takes every
+    # layout of the count at once, in chunks of rows, with one wind pass per
+    # budget (first, last) of end joints.  The ten three-arc shapes share
+    # four layouts and one budget
+    three = {_LAYOUTS[s] for s in _PARTIAL_SHAPES if s.count("A") == 3}
+    assert len(three) == 4 and len({(lay[0], lay[-1]) for lay in three}) == 1
     calls = {"_word_rows": [], "_chord_gap": []}
-    for name, key in (("_word_rows", lambda a: a[0]), ("_chord_gap", lambda a: a[1])):
+
+    def passes(args):  # (arc count, first, last, row) per row and budget
+        layouts, sigmas, ks = args[1:]
+        n_arcs = len(layouts[0]) - 1
+        assert list(layouts) == sorted({lay for lay in _LAYOUTS.values()
+                                        if len(lay) == n_arcs + 1})
+        return [(n_arcs, *ends, repr((s, k))) for ends in {(lay[0], lay[-1]) for lay in layouts}
+                for s, k in zip(sigmas.tolist(), ks.tolist())]
+
+    for name, key in (("_word_rows", lambda a: [a[0]]), ("_chord_gap", passes)):
         def wrapped(*args, _orig=getattr(planner, name), _name=name, _key=key):
-            calls[_name].append(_key(args))
+            calls[_name] += _key(args)
             return _orig(*args)
         monkeypatch.setattr(planner, name, wrapped)
     params = Params.from_sides(16, 2.0 * math.sin(math.pi / 16))
@@ -949,8 +987,9 @@ def test_plan_builds_rows_once_per_arc_count_and_floors_once_per_layout(monkeypa
             made.clear()
         plan(U, V, params)
         assert len(calls["_word_rows"]) == len(set(calls["_word_rows"])) <= 4
-        assert len(calls["_chord_gap"]) == len(set(calls["_chord_gap"])) <= len(set(_LAYOUTS.values()))
-        assert len(calls["_chord_gap"]) >= 4
+        assert len(calls["_chord_gap"]) == len(set(calls["_chord_gap"]))
+        budgets = {key[:3] for key in calls["_chord_gap"]}
+        assert budgets == {(1, 2, 2), (2, 2, 1), (2, 1, 2), (2, 2, 2), (3, 1, 1)}
 
 
 @pytest.mark.parametrize("n", [8, 16, 64])
@@ -958,10 +997,10 @@ def test_floor_skips_only_rows_it_cannot_keep(n):
     # _ArcRows.floor leaves a row at inf, unsolved, only where _chord_gap
     # would give it inf or a floor above the cap, so every shape of every
     # layout passes the very rows to push_rows that a floor over all rows
-    # within the cap and reach would pass.  Guided or not; half the heading
-    # changes are whole steps of theta, which puts misses on the turn bound.
-    # The cap is what the incumbent may be when a layout is first floored:
-    # the Dubins seed or somewhat below
+    # within the cap and the arc count's reach would pass.  Guided or not;
+    # half the heading changes are whole steps of theta, which puts misses on
+    # the turn bound.  The cap is what the incumbent may be when an arc count
+    # is first floored: the Dubins seed or somewhat below
     params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
     th, ell, tol_len = params.theta, params.ell, params.tol_len
     rng = np.random.default_rng(290 + n)
@@ -985,14 +1024,15 @@ def test_floor_skips_only_rows_it_cannot_keep(n):
             for n_arcs in (1, 2, 3):
                 arcs = _ArcRows(inst, dpsi, *_word_rows(
                     n_arcs, dpsi, th, _WIDEST_SLACK[n_arcs] * th, counts, guided, ell, cap))
+                reach = max(sum(_f_caps(s, ell)) for s in _PARTIAL_SHAPES
+                            if s.count("A") == n_arcs)
+                at = np.flatnonzero((arcs.edges <= cap)
+                                    & (inst.d <= arcs.chords + reach + tol_len))
                 for layout in sorted({lay for lay in _LAYOUTS.values()
                                       if len(lay) == n_arcs + 1}):
                     shapes = [s for s in _PARTIAL_SHAPES if _LAYOUTS[s] == layout]
-                    reach = max(sum(_f_caps(s, ell)) for s in shapes)
-                    at = np.flatnonzero((arcs.edges <= cap)
-                                        & (inst.d <= arcs.chords + reach + tol_len))
                     full = np.full(len(arcs.ks), math.inf)
-                    full[at] = _chord_gap(inst, layout, arcs.sigmas[at], arcs.ks[at])
+                    full[at] = _chord_gap(inst, [layout], arcs.sigmas[at], arcs.ks[at])[:, 0]
                     got = arcs.floor(layout, cap)
                     skip = np.isinf(got) & np.isin(np.arange(len(got)), at)
                     floor = arcs.edges + full
@@ -1008,6 +1048,82 @@ def test_floor_skips_only_rows_it_cannot_keep(n):
                     skipped += int(skip.sum())
                     kept += int(np.isfinite(got).sum())
     assert skipped >= 50 and kept >= 1000
+
+
+def test_floors_only_prune(monkeypatch):
+    # the theta / 2 floors of one pass per arc count are tighter than the
+    # 5-sample floors per layout of the test reference but still lower
+    # bounds, so they drop only rows with no realization within the
+    # incumbent: the same plans and the same diagnostics, from fewer rows
+    rng = np.random.default_rng(31)
+    cases = []
+    for i in range(40):
+        n = (6, 8, 12, 16)[i % 4]
+        params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+        cases.append((params, *random_configuration_pair(rng, (0.0, 3.0))))
+    solved = {"tight": 0, "coarse": 0}
+    run = "tight"
+
+    def counted(inst, shape, sigmas, ks, cap, _orig=_solve_partial):
+        solved[run] += len(ks)
+        return _orig(inst, shape, sigmas, ks, cap)
+
+    monkeypatch.setattr(planner, "_solve_partial", counted)
+    tight = [plan(U, V, params) for params, U, V in cases]
+
+    def coarse(self, layout, cap):
+        if layout not in self.floors:
+            shape = next(s for s in _PARTIAL_SHAPES if _LAYOUTS[s] == layout)
+            self.floors[layout] = _ref_chord_gap(self.inst, shape, self.sigmas, self.ks,
+                                                 _GAP_GRID)
+        return self.floors[layout]
+
+    monkeypatch.setattr(_ArcRows, "floor", coarse)
+    run = "coarse"
+    for (params, U, V), res in zip(cases, tight):
+        ref = plan(U, V, params)
+        assert (repr(res.length), res.type_word, repr(res.best)) == \
+            (repr(ref.length), ref.type_word, repr(ref.best)), (U, V, params.n_sides)
+        assert res.diagnostics == ref.diagnostics, (U, V, params.n_sides)
+    assert solved["tight"] < solved["coarse"]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_floor_chunks_match_one_pass(n, monkeypatch):
+    # _ArcRows.floor takes the rows of an arc count through _chord_gap in
+    # chunks of at most _PAIR_BUDGET row-cell pairs; chunks of a few rows
+    # give every layout the very floors of one pass over the whole union
+    params = Params.from_sides(n, 2.0 * math.sin(math.pi / n))
+    th, ell = params.theta, params.ell
+    rng = np.random.default_rng(330 + n)
+    calls, finite, splits = [], 0, 0
+
+    def counted(*args, _orig=_chord_gap):
+        calls.append(len(args[3]))
+        return _orig(*args)
+
+    monkeypatch.setattr(planner, "_chord_gap", counted)
+    for _ in range(3):
+        U, V = random_configuration_pair(rng, (0.0, 3.0))
+        inst = _Instance(U, V, params)
+        dpsi = normalize_angle(inst.psi_v - inst.psi_u)
+        for n_arcs in (1, 2, 3):
+            rows = _word_rows(n_arcs, dpsi, th, _WIDEST_SLACK[n_arcs] * th, range(1, n),
+                              False, ell, math.inf)
+            layouts = sorted({lay for lay in _LAYOUTS.values() if len(lay) == n_arcs + 1})
+            floors = []
+            for budget in (1 << 62, 7 * 81 + 3):
+                monkeypatch.setattr(planner, "_PAIR_BUDGET", budget)
+                calls.clear()
+                arcs = _ArcRows(inst, dpsi, *rows)
+                floors.append([arcs.floor(lay, math.inf) for lay in layouts])
+                assert len(calls) <= 1 or budget != 1 << 62
+            splits += len(calls) > 1
+            for split in floors[1:]:
+                for a, b in zip(floors[0], split):
+                    assert np.array_equal(a, b), (n_arcs, U, V)
+            finite += int(np.isfinite(floors[0]).sum())
+    assert finite >= 1000 and splits >= 6
 
 
 def test_bridged_words_within_the_incumbent_plan_as_uncapped(monkeypatch):
@@ -1266,7 +1382,7 @@ def test_partial_solve_matches_reference(n):
             inst = _Instance(U, V, params)
             sigmas, ks = _word_rows(shape.count("A"), _wrap(inst.psi_v - inst.psi_u), th,
                                     (len(shape) + 1) * th, range(1, n), False, ell, math.inf)
-            floors = ks.sum(axis=1) * ell + _chord_gap(inst, _layout(shape), sigmas, ks)
+            floors = ks.sum(axis=1) * ell + _chord_gap(inst, [_layout(shape)], sigmas, ks)[:, 0]
             size = min(len(ks), _REF_ROWS)
             if trial % 3 == 0:
                 pick = np.argsort(floors, kind="stable")[:size]
